@@ -66,9 +66,6 @@ from .store import (
     DOM,
     GENERATED,
     INS,
-    Bind,
-    ExcludeValue,
-    IntersectRange,
     InvariantError,
     Store,
     Variable,

@@ -146,12 +146,14 @@ def _cmd_verify(args) -> int:
     config = _config(args, ALL_SOLUTIONS)
     for line in _root_consistency_report(model, config):
         print(line)
-    result = solve_model(model, config)
+    # the oracle runs first: its cap check refuses a model too large to
+    # enumerate before the engine spends time on all of its solutions
     try:
         expected = enumerate_solutions(model.to_ground(cap=args.cap))
     except CapExceeded as exc:
         print(f"oracle refused: {exc}")
         return EXIT_MODEL_ERROR
+    result = solve_model(model, config)
     agree = set(result.solutions) == expected
     print(f"solutions agree: {'yes' if agree else 'no'} "
           f"(engine {len(result.solutions)}, oracle {len(expected)})")

@@ -24,44 +24,34 @@ class DeltaKind(enum.IntEnum):
     INSTANTIATED = 1
     BOUND_CHANGED = 2
     INNER_EXCLUDED = 3
-    MULTI_CHANGED = 4
-    EMPTIED = 5
+    EMPTIED = 4
 
 
 class DomainDelta:
     """Classification of a single narrowing step.
 
     value carries the sole survivor for INSTANTIATED and the removed
-    element for INNER_EXCLUDED.  bound_changed/excluded_inner are used
-    only by MULTI_CHANGED.
+    element for INNER_EXCLUDED.
     """
 
-    __slots__ = ("kind", "value", "bound_changed", "excluded_inner")
+    __slots__ = ("kind", "value")
 
-    def __init__(self, kind, value=None, bound_changed=False, excluded_inner=()):
+    def __init__(self, kind, value=None):
         self.kind = kind
         self.value = value
-        self.bound_changed = bound_changed
-        self.excluded_inner = excluded_inner
 
     def __repr__(self):
         if self.kind in (DeltaKind.INSTANTIATED, DeltaKind.INNER_EXCLUDED):
             return f"DomainDelta({self.kind.name}, {self.value})"
-        if self.kind is DeltaKind.MULTI_CHANGED:
-            return (f"DomainDelta(MULTI_CHANGED, bound_changed={self.bound_changed}, "
-                    f"excluded_inner={list(self.excluded_inner)})")
         return f"DomainDelta({DeltaKind(self.kind).name})"
 
     def __eq__(self, other):
         return (isinstance(other, DomainDelta)
                 and self.kind == other.kind
-                and self.value == other.value
-                and self.bound_changed == other.bound_changed
-                and tuple(self.excluded_inner) == tuple(other.excluded_inner))
+                and self.value == other.value)
 
     def __hash__(self):
-        return hash((self.kind, self.value, self.bound_changed,
-                     tuple(self.excluded_inner)))
+        return hash((self.kind, self.value))
 
 
 UNCHANGED = DomainDelta(DeltaKind.UNCHANGED)

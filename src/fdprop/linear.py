@@ -32,7 +32,6 @@ class ConsistencyLevel(enum.Enum):
     FORWARD_CHECKING = "fc"
     INTERVAL = "ic"
     ARC = "ac"
-    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,6 @@ def post_binary(rt: Runtime, bc: BinaryLinear, level: ConsistencyLevel) -> bool:
     """Spawn the agent set for a*X = b*Y + c at the requested level.
     Returns False on inconsistency found during generation-time
     reduction."""
-    if level is ConsistencyLevel.HYBRID:
-        raise ValueError("hybrid applies to n-ary constraints only")
     return _post_binary_signed(rt, bc.a, bc.x, bc.b, bc.y, bc.c, level)
 
 

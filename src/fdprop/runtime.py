@@ -8,10 +8,12 @@ its body and ends the agent.  Posting an event wakes every agent
 currently sleeping on it and then erases the event: agents spawned
 later never see it.
 
-Scheduling is first-generated-first-served: a post enqueues the woken
-agents in ascending creation order and the global queue is drained
-FIFO.  Monotone propagators must not rely on that order; a test-only
-queue policy switch (lifo / random) exists to certify they do not.
+Scheduling is first-generated-first-served: a post enqueues one
+(agent, event) item per woken agent, in ascending creation order, and
+the global queue is drained FIFO.  Monotone propagators must not rely
+on that order; a test-only queue policy switch (lifo / random) exists
+to certify they do not.  A failed fixpoint leaves items queued; the
+backtrack that follows discards them.
 
 Redundant wakes are coalesced for constraint propagators: within one
 batch of pending activations, duplicate bound events for one variable
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import deque
 from typing import Callable, Optional, Sequence
 
 from .store import BOUND, DOM, EVENT_NAMES, GENERATED, INS, InvariantError, Store
@@ -39,13 +42,12 @@ class Event:
     """A posted occurrence: kind, variable, and for dom events the
     excluded element."""
 
-    __slots__ = ("kind", "var", "value", "seq")
+    __slots__ = ("kind", "var", "value")
 
-    def __init__(self, kind: int, var: Optional[int], value: Optional[int], seq: int):
+    def __init__(self, kind: int, var: Optional[int], value: Optional[int]):
         self.kind = kind
         self.var = var
         self.value = value
-        self.seq = seq
 
     def __repr__(self):
         name = EVENT_NAMES[self.kind]
@@ -89,13 +91,11 @@ class Agent:
     same rule does not re-register).
     """
 
-    __slots__ = ("id", "seq", "state", "rules", "sleeping_on", "registered",
+    __slots__ = ("id", "state", "rules", "sleeping_on", "registered",
                  "coalesce", "name", "stamp")
 
-    def __init__(self, aid: int, seq: int, rules: Sequence[Rule],
-                 coalesce: bool, name: str):
+    def __init__(self, aid: int, rules: Sequence[Rule], coalesce: bool, name: str):
         self.id = aid
-        self.seq = seq
         self.state = AgentState.START
         self.rules = list(rules)
         self.sleeping_on = -1
@@ -108,71 +108,17 @@ class Agent:
         return f"Agent#{self.id}({self.name or 'anon'},{self.state.name})"
 
 
-class _Entry:
-    __slots__ = ("agent", "event", "cancelled")
-
-    def __init__(self, agent: Agent, event: Event):
-        self.agent = agent
-        self.event = event
-        self.cancelled = False
-
-
-class ActivationQueue:
-    """Pending (agent, event) activations plus the per-agent pending
-    bookkeeping used for coalescing.  policy is 'fifo' (default),
-    'lifo', or 'random' (seeded); non-FIFO policies exist only to test
-    scheduling independence."""
-
-    def __init__(self, policy: str = "fifo", seed: Optional[int] = None):
-        if policy not in ("fifo", "lifo", "random"):
-            raise ValueError(f"unknown queue policy {policy!r}")
-        self.policy = policy
-        self._rng = random.Random(seed)
-        self.entries: list[_Entry] = []
-        self.head = 0
-        # (agent id, var) -> live ins/bound entry; coalescing keeps at
-        # most one such entry per agent and variable
-        self.pending: dict[tuple[int, int], _Entry] = {}
-
-    def is_empty(self) -> bool:
-        return self.head >= len(self.entries)
-
-    def push(self, entry: _Entry) -> None:
-        self.entries.append(entry)
-
-    def take(self) -> Optional[_Entry]:
-        entries = self.entries
-        head = self.head
-        if head >= len(entries):
-            return None
-        if self.policy == "fifo":
-            entry = entries[head]
-            self.head = head + 1
-            return entry
-        if self.policy == "lifo":
-            return entries.pop()
-        i = self._rng.randrange(head, len(entries))
-        entries[i], entries[-1] = entries[-1], entries[i]
-        return entries.pop()
-
-    def mark(self) -> tuple[int, int]:
-        return (self.head, len(self.entries))
-
-    def restore(self, mark: tuple[int, int]) -> None:
-        head, length = mark
-        for entry in self.entries[length:]:
-            key = (entry.agent.id, entry.event.var)
-            if self.pending.get(key) is entry:
-                del self.pending[key]
-        del self.entries[length:]
-        self.head = min(self.head, head)
-
-
 class Runtime:
     """Agent table, activation queue, and the fixpoint driver.
 
     Created around a store; installs itself as the store's event sink
     and restore hook so that choice points snapshot both together.
+
+    ``queue`` holds pending (agent, event) items.  ``pending`` maps
+    (agent id, var) to the one live ins/bound item of a coalescing
+    agent; an item that is no longer the map's entry for its key was
+    superseded and is skipped when taken.  A choice point is only made
+    with an empty queue, so backtracking empties both.
     """
 
     def __init__(self, store: Store, *, coalescing: bool = True,
@@ -180,18 +126,37 @@ class Runtime:
                  trace=None):
         self.store = store
         self.agents: list[Agent] = []
-        self.queue = ActivationQueue(queue_policy, queue_seed)
+        self.queue: deque[tuple[Agent, Event]] = deque()
+        self.pending: dict[tuple[int, int], tuple[Agent, Event]] = {}
+        self._take = self._taker(queue_policy, queue_seed)
         self.coalescing = coalescing
         self.trace = trace
         self.activations = 0
-        self._spawn_seq = 0
-        self._event_seq = 0
         self._trace_seq = 0
         self._agent_trail: list[tuple] = []
         self.transition_hook: Optional[Callable[[Agent, AgentState, AgentState], None]] = None
         store.event_sink = self._post_kind
         store._runtime_mark = self._mark
         store._runtime_restore = self._restore
+
+    def _taker(self, policy: str, seed: Optional[int]):
+        """The queue's take callable: 'fifo' (the default), or 'lifo'
+        and seeded 'random', which exist only to test that fixpoints do
+        not depend on scheduling."""
+        queue = self.queue
+        if policy == "fifo":
+            return queue.popleft
+        if policy == "lifo":
+            return queue.pop
+        if policy != "random":
+            raise ValueError(f"unknown queue policy {policy!r}")
+        rng = random.Random(seed)
+
+        def take():
+            i = rng.randrange(len(queue))
+            queue[i], queue[-1] = queue[-1], queue[i]
+            return queue.pop()
+        return take
 
     # -- state bookkeeping ---------------------------------------------------
 
@@ -208,11 +173,10 @@ class Runtime:
         agent.state = state
 
     def _mark(self):
-        return (len(self.agents), len(self._agent_trail), self.queue.mark(),
-                self._spawn_seq, self._event_seq)
+        return (len(self.agents), len(self._agent_trail))
 
     def _restore(self, marks) -> None:
-        agent_count, trail_mark, queue_mark, spawn_seq, event_seq = marks
+        agent_count, trail_mark = marks
         trail = self._agent_trail
         while len(trail) > trail_mark:
             agent, state, sleeping_on, registered, stamp = trail.pop()
@@ -221,9 +185,8 @@ class Runtime:
             agent.registered = registered
             agent.stamp = stamp
         del self.agents[agent_count:]
-        self.queue.restore(queue_mark)
-        self._spawn_seq = spawn_seq
-        self._event_seq = event_seq
+        self.queue.clear()
+        self.pending.clear()
 
     # -- posting and waking ----------------------------------------------------
 
@@ -232,47 +195,26 @@ class Runtime:
         watchers = self.store.vars[var].watchers(kind)
         if not watchers:
             return
-        self._event_seq += 1
-        event = Event(kind, var, value, self._event_seq)
+        event = Event(kind, var, value)
         agents = self.agents
-        queue = self.queue
-        entries = queue.entries
-        pending = queue.pending
-        coalescing = self.coalescing
-        hook = self.transition_hook
-        stamp = self.store.current_stamp
-        trail = self._agent_trail
+        push = self.queue.append
+        pending = self.pending
+        coalescing = self.coalescing and kind != DOM
         for aid in watchers:
             agent = agents[aid]
             state = agent.state
             if state == AgentState.END:
                 continue
-            if coalescing and agent.coalesce and kind != DOM:
+            item = (agent, event)
+            if coalescing and agent.coalesce:
                 key = (aid, var)
                 old = pending.get(key)
-                if old is not None:
-                    if kind == BOUND:
-                        continue  # duplicate bound, or bound shadowed by ins
-                    if old.event.kind == INS:
-                        continue  # duplicate ins (duplicate registration)
-                    old.cancelled = True  # pending bound superseded by ins
-                entry = _Entry(agent, event)
-                pending[key] = entry
-            else:
-                entry = _Entry(agent, event)
-            entries.append(entry)
+                if old is not None and (kind == BOUND or old[1].kind == INS):
+                    continue  # duplicate bound or ins, or bound shadowed by ins
+                pending[key] = item  # new, or an ins superseding a bound
+            push(item)
             if state == AgentState.SLEEP:
-                if hook is not None:
-                    hook(agent, state, AgentState.WOKEN)
-                if agent.stamp != stamp:
-                    trail.append((agent, state, agent.sleeping_on,
-                                  agent.registered, agent.stamp))
-                    agent.stamp = stamp
-                agent.state = AgentState.WOKEN
-
-    def post(self, event: Event) -> None:
-        """Post an externally built event (tests and custom agents)."""
-        self._post_kind(event.kind, event.var, event.value)
+                self._set_state(agent, AgentState.WOKEN)
 
     # -- spawning ---------------------------------------------------------------
 
@@ -283,8 +225,7 @@ class Runtime:
         generation-time action fails).  coalesce marks the agent as a
         constraint propagator whose redundant wakes may be suppressed;
         general agents should pass False to receive every event."""
-        agent = Agent(len(self.agents), self._spawn_seq, rules, coalesce, name)
-        self._spawn_seq += 1
+        agent = Agent(len(self.agents), rules, coalesce, name)
         agent.stamp = self.store.current_stamp
         self.agents.append(agent)
         if self._select(agent, 0, generating=True):
@@ -325,22 +266,19 @@ class Runtime:
             # action rule: suspend (register first so the agent hears
             # the events its own generation-time action posts)
             self._register(agent, idx)
-            self._save_agent(agent)
-            agent.sleeping_on = idx
             self._set_state(agent, AgentState.SLEEP)
+            agent.sleeping_on = idx
             if generating and rule.run_on_generated:
                 return self._run_action(agent, rule, idx, _GENERATED_EVENT)
             return True
         self._trace_line(agent, event, -1, "fail")
         return False
 
-    def _run_action(self, agent: Agent, rule: Rule, idx: int, event: Event,
-                    ending: bool = False) -> bool:
+    def _run_action(self, agent: Agent, rule: Rule, idx: int, event: Event) -> bool:
         self.activations += 1
         ok = rule.action(event)
         if self.trace is not None:
-            self._trace_line(agent, event, idx,
-                             "fail" if not ok else ("end" if ending else "ok"))
+            self._trace_line(agent, event, idx, "ok" if ok else "fail")
         return ok
 
     def _trace_line(self, agent: Agent, event: Event, rule_idx: int,
@@ -360,35 +298,23 @@ class Runtime:
         as at generation.  False means constraint inconsistency and the
         caller must backtrack."""
         queue = self.queue
-        entries = queue.entries
-        pending = queue.pending
-        fifo = queue.policy == "fifo"
-        hook = self.transition_hook
+        take = self._take
+        pending = self.pending
+        coalescing = self.coalescing
         trace = self.trace
-        while True:
-            if fifo:
-                head = queue.head
-                if head >= len(entries):
-                    return True
-                entry = entries[head]
-                queue.head = head + 1
-            else:
-                entry = queue.take()
-                if entry is None:
-                    return True
-            if entry.cancelled:
-                continue
-            agent = entry.agent
-            event = entry.event
-            if event.kind != DOM:
+        while queue:
+            item = take()
+            agent, event = item
+            if coalescing and agent.coalesce and event.kind != DOM:
                 key = (agent.id, event.var)
-                if pending.get(key) is entry:
-                    del pending[key]
+                if pending.get(key) is not item:
+                    continue  # a bound superseded by an ins
+                del pending[key]
             state = agent.state
             if state == AgentState.END:
                 continue
             if state == AgentState.SLEEP:
-                # entry queued while the agent was generating; the wake
+                # item queued while the agent was generating; the wake
                 # happens now
                 self._set_state(agent, AgentState.WOKEN)
             idx = agent.sleeping_on
@@ -402,26 +328,17 @@ class Runtime:
                     return False
                 if trace is not None:
                     self._trace_line(agent, event, idx, "ok")
-                if hook is not None:
-                    hook(agent, agent.state, AgentState.SLEEP)
-                stamp = self.store.current_stamp
-                if agent.stamp != stamp:
-                    self._agent_trail.append(
-                        (agent, agent.state, agent.sleeping_on,
-                         agent.registered, agent.stamp))
-                    agent.stamp = stamp
-                agent.state = AgentState.SLEEP
-            else:
-                if not self._select(agent, idx + 1,
-                                    generating=False, event=event):
-                    return False
+                self._set_state(agent, AgentState.SLEEP)
+            elif not self._select(agent, idx + 1, generating=False, event=event):
+                return False
+        return True
 
     # -- search support -----------------------------------------------------------
 
     def push_choice_point(self):
         """Create a choice point.  Per the execution contract no choice
         point may be created while activations are pending."""
-        if not self.queue.is_empty():
+        if self.queue:
             raise InvariantError("choice point requested with pending activations")
         return self.store.push_choice_point()
 
@@ -429,4 +346,4 @@ class Runtime:
         self.store.backtrack_to(cp)
 
 
-_GENERATED_EVENT = Event(GENERATED, None, None, 0)
+_GENERATED_EVENT = Event(GENERATED, None, None)

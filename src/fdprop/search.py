@@ -75,7 +75,32 @@ def label(rt: Runtime, var_ids: Sequence[int],
                 return x
         return None
 
-    def dfs() -> bool:
+    # One frame per variable on the current branch: the variable, its
+    # untried values, and the choice point of the value on trial.  The
+    # stack is explicit so that the branch length is not bounded by the
+    # interpreter's recursion limit.
+    stack: list[list] = []
+
+    def advance() -> bool:
+        """Bind the next untried value of the deepest frame that has
+        one and propagate, undoing exhausted frames on the way up.
+        False once the whole tree is exhausted."""
+        while stack:
+            frame = stack[-1]
+            x, values, cp = frame
+            if cp is not None:
+                rt.backtrack_to(cp)
+            for v in values:
+                cp = rt.push_choice_point()
+                if store.bind(x, v) and rt.run_to_fixpoint():
+                    frame[2] = cp
+                    return True
+                stats.backtracks += 1
+                rt.backtrack_to(cp)
+            stack.pop()
+        return False
+
+    while True:
         x = pick()
         if x is None:
             values = []
@@ -87,17 +112,11 @@ def label(rt: Runtime, var_ids: Sequence[int],
                 values.append(v.bound_value)
             solutions.append(tuple(values))
             stats.solutions += 1
-            return stop_at_first
-        for v in list(vars_[x].domain.values()):
-            cp = rt.push_choice_point()
-            if store.bind(x, v) and rt.run_to_fixpoint():
-                if dfs():
-                    return True
-            else:
-                stats.backtracks += 1
-            rt.backtrack_to(cp)
-        return False
-
-    dfs()
+            if stop_at_first:
+                break
+        else:
+            stack.append([x, iter(list(vars_[x].domain.values())), None])
+        if not advance():
+            break
     stats.activations = rt.activations
     return stats, solutions

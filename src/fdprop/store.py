@@ -84,36 +84,13 @@ class ChoicePoint:
         self.runtime_marks = runtime_marks
 
 
-# Tighten operation records (spec surface; the named methods below are
-# the hot paths).
-class ExcludeValue:
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-
-class IntersectRange:
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-
-class Bind:
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-
 class Store:
     """Variable table + trail + choice-point stack.
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
-    event a tightening posts; the runtime installs itself here.  With no
-    sink attached events are dropped (domains still narrow correctly).
+    event a narrowing (``exclude``, ``intersect``, ``bind``) posts; the
+    runtime installs itself here.  With no sink attached events are
+    dropped (domains still narrow correctly).
     """
 
     def __init__(self, event_sink: Optional[Callable[[int, int, Optional[int]], None]] = None):
@@ -124,8 +101,8 @@ class Store:
         self._cps: list[ChoicePoint] = []
         self._stamp_counter = 0
         self.current_stamp = 0
-        # Runtime hooks, installed by Runtime.attach(): () -> marks and
-        # (marks) -> None.
+        # Runtime hooks, installed by the Runtime constructor: () -> marks
+        # and (marks) -> None.
         self._runtime_mark: Optional[Callable[[], object]] = None
         self._runtime_restore: Optional[Callable[[object], None]] = None
 
@@ -166,7 +143,7 @@ class Store:
         """Record a watcher-list append so backtracking can pop it."""
         self._watch_trail.append(watcher_list)
 
-    # -- tightening --------------------------------------------------------
+    # -- narrowing ---------------------------------------------------------
 
     def exclude(self, x: int, v: int) -> bool:
         """Remove v from x's domain.  False on wipe-out."""
@@ -218,35 +195,6 @@ class Store:
         if bound is not None:
             return bound == v
         return self.intersect(x, v, v)
-
-    def tighten(self, x: int, op) -> bool:
-        """Spec-shaped entry point dispatching on the operation record."""
-        if isinstance(op, ExcludeValue):
-            return self.exclude(x, op.value)
-        if isinstance(op, IntersectRange):
-            return self.intersect(x, op.lo, op.hi)
-        if isinstance(op, Bind):
-            return self.bind(x, op.value)
-        raise TypeError(f"unknown tighten operation {op!r}")
-
-    def apply_delta_events(self, x: int, delta) -> None:
-        """Post the events a delta maps to (MULTI_CHANGED support for
-        callers that batch their own domain surgery)."""
-        sink = self.event_sink
-        if sink is None:
-            return
-        kind = delta.kind
-        if kind == DeltaKind.INSTANTIATED:
-            sink(INS, x, None)
-        elif kind == DeltaKind.BOUND_CHANGED:
-            sink(BOUND, x, None)
-        elif kind == DeltaKind.INNER_EXCLUDED:
-            sink(DOM, x, delta.value)
-        elif kind == DeltaKind.MULTI_CHANGED:
-            if delta.bound_changed:
-                sink(BOUND, x, None)
-            for v in delta.excluded_inner:
-                sink(DOM, x, v)
 
     # -- choice points -----------------------------------------------------
 

@@ -80,4 +80,4 @@ def domain_snapshot(store) -> tuple:
 
 
 def runtime_snapshot(rt) -> tuple:
-    return tuple((a.seq, a.state, a.sleeping_on, a.registered) for a in rt.agents)
+    return tuple((a.id, a.state, a.sleeping_on, a.registered) for a in rt.agents)

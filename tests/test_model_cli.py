@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,13 @@ def test_cli_verify_unsat_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "solutions agree: yes (engine 0, oracle 0)" in out
+
+
+def test_cli_verify_refuses_before_solving(capsys):
+    started = time.perf_counter()
+    assert main(["verify", "bench:queens(25)"]) == 2
+    assert time.perf_counter() - started < 10  # the full solve takes minutes
+    assert "oracle refused" in capsys.readouterr().out
 
 
 def test_cli_unknown_benchmark(capsys):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import domain_snapshot, random_model, store_snapshot
 
 from fdprop.domain import make_interval
@@ -8,10 +10,13 @@ from fdprop.runtime import AgentState, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
 
 
-def fresh():
+def fresh(policy="fifo"):
     store = Store()
-    rt = Runtime(store)
+    rt = Runtime(store, queue_policy=policy, queue_seed=5)
     return store, rt
+
+
+POLICIES = ("fifo", "lifo", "random")
 
 
 def freeze_rules(store, x, log):
@@ -91,8 +96,9 @@ def test_action_failure_propagates():
     assert not rt.run_to_fixpoint()
 
 
-def test_coalescing_duplicate_bounds_collapse():
-    store, rt = fresh()
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coalescing_duplicate_bounds_collapse(policy):
+    store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
     y = store.new_var(make_interval(1, 9))
     runs = []
@@ -110,8 +116,10 @@ def test_coalescing_duplicate_bounds_collapse():
     assert runs.count("bound(_1)") == 1  # duplicate bound(y) coalesced
 
 
-def test_coalescing_ins_shadows_bound():
-    store, rt = fresh()
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coalescing_ins_shadows_bound(policy):
+    # under lifo the superseded bound is taken after its ins
+    store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
     trigger = store.new_var(make_interval(0, 1))
     seen = []
@@ -258,3 +266,30 @@ def test_backtrack_restores_agent_table_and_watchers():
     assert len(rt.agents) == 1
     assert store.vars[x].bound_watchers == []
     assert len(store.vars[x].ins_watchers) == 1
+
+
+def test_backtrack_after_failed_fixpoint_discards_queued_activations():
+    def setup():
+        store, rt = fresh()
+        x = store.new_var(make_interval(1, 5))
+        y = store.new_var(make_interval(1, 5))
+        log = []
+        rt.spawn([Rule(None, ((INS, x),), lambda e: store.value(x) != 1)])
+        rt.spawn([Rule(None, ((INS, x), (BOUND, y)),
+                       lambda e: (log.append(repr(e)), True)[1])])
+        return store, rt, x, y, log
+
+    def propagate(store, rt, x, y, log):
+        activations = rt.activations
+        assert store.bind(x, 2) and store.intersect(y, 2, 5)
+        assert rt.run_to_fixpoint()
+        return log, rt.activations - activations, domain_snapshot(store)
+
+    store, rt, x, y, log = setup()
+    cp = rt.push_choice_point()
+    store.bind(x, 1)
+    assert not rt.run_to_fixpoint()  # the first agent fails ...
+    assert rt.queue and rt.pending   # ... with the second still queued
+    rt.backtrack_to(cp)
+    assert not rt.queue and not rt.pending
+    assert propagate(store, rt, x, y, log) == propagate(*setup())

@@ -8,7 +8,7 @@ from conftest import random_model
 from fdprop.alldistinct import AllDistinctPosting, Strategy, post_alldistinct
 from fdprop.benchmarks import queens_model
 from fdprop.domain import make_interval
-from fdprop.model import SolverConfig, build, solve_model
+from fdprop.model import Model, SolverConfig, VarDecl, build, solve_model
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
 from fdprop.search import (
@@ -27,6 +27,15 @@ def test_single_variable_no_constraints():
     stats, sols = label(rt, [x])
     assert stats.solutions == 1 and stats.backtracks == 0
     assert sols == [(3,)]
+
+
+def test_long_branch_does_not_recurse():
+    model = Model("wide")
+    model.vars = [VarDecl(f"x{i}", 0, 1) for i in range(1200)]
+    model.label_order = list(range(1200))
+    r = solve_model(model, SolverConfig())
+    assert r.stats.solutions == 1 and r.stats.backtracks == 0
+    assert r.solutions == [(0,) * 1200]
 
 
 def brute_queens(n):

@@ -4,14 +4,11 @@ import pytest
 
 from conftest import store_snapshot
 
-from fdprop.domain import DeltaKind, DomainDelta, make_interval, make_set
+from fdprop.domain import DeltaKind, make_interval, make_set
 from fdprop.store import (
     BOUND,
     DOM,
     INS,
-    Bind,
-    ExcludeValue,
-    IntersectRange,
     InvariantError,
     Store,
 )
@@ -68,26 +65,6 @@ def test_bind_posts_ins_and_sets_value():
     assert events == [(INS, x, None)]
     assert store.bind(x, 3)
     assert not store.bind(x, 4)
-
-
-def test_tighten_op_records():
-    store, _ = recording_store()
-    x = store.new_var(make_interval(1, 9))
-    assert store.tighten(x, ExcludeValue(5))
-    assert store.tighten(x, IntersectRange(2, 8))
-    assert store.tighten(x, Bind(4))
-    assert store.value(x) == 4
-    with pytest.raises(TypeError):
-        store.tighten(x, "bogus")
-
-
-def test_multi_changed_delta_mapping():
-    store, events = recording_store()
-    x = store.new_var(make_interval(1, 9))
-    delta = DomainDelta(DeltaKind.MULTI_CHANGED, bound_changed=True,
-                        excluded_inner=[4, 6])
-    store.apply_delta_events(x, delta)
-    assert events == [(BOUND, x, None), (DOM, x, 4), (DOM, x, 6)]
 
 
 def test_trail_round_trip_single():
