@@ -51,7 +51,7 @@ from .oracle import (
     check_weak_arc_consistent,
     enumerate_solutions,
 )
-from .runtime import Agent, AgentState, Event, Rule, Runtime
+from .runtime import Agent, Event, Rule, Runtime
 from .search import (
     ALL_SOLUTIONS,
     FIRST_FAIL,

@@ -41,6 +41,7 @@ from .search import (
     FIRST_SOLUTION,
     LabelingSpec,
     SearchStats,
+    UnboundVariableError,
     label,
 )
 from .store import Store
@@ -386,6 +387,9 @@ def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
         stats = SearchStats(backtracks=0, activations=rt.activations, solutions=0)
         elapsed = int((time.perf_counter() - started) * 1000)
         return SolveResult(stats, [], True, elapsed)
-    stats, solutions = label(rt, model.label_order, LabelingSpec(mode=config.mode))
+    try:
+        stats, solutions = label(rt, model.label_order, LabelingSpec(mode=config.mode))
+    except UnboundVariableError as exc:
+        raise ModelError(str(exc)) from None
     elapsed = int((time.perf_counter() - started) * 1000)
     return SolveResult(stats, solutions, False, elapsed)

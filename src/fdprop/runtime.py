@@ -4,8 +4,10 @@ Agents are suspended computations attached to variables.  Each agent
 carries an ordered list of guarded rules; the first rule whose guard
 holds is selected, in textual order.  A rule with a watch set suspends
 the agent on those events; a rule without one (a commitment rule) runs
-its body and ends the agent.  Posting an event wakes every agent
-currently sleeping on it and then erases the event: agents spawned
+its body and ends the agent.  An agent's only mutable state is the
+index of the action rule it sleeps on, or END once it has committed;
+a change of that index is trailed.  Posting an event wakes every agent
+not at END that watches it and then erases the event: agents spawned
 later never see it.
 
 Scheduling is first-generated-first-served: a post enqueues one
@@ -23,7 +25,6 @@ for the same variable arrives.  Distinct dom payloads are never merged.
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import deque
 from typing import Callable, Optional, Sequence
@@ -31,11 +32,7 @@ from typing import Callable, Optional, Sequence
 from .store import BOUND, DOM, EVENT_NAMES, GENERATED, INS, InvariantError, Store
 
 
-class AgentState(enum.IntEnum):
-    START = 0
-    SLEEP = 1
-    WOKEN = 2
-    END = 3
+END = -1  # Agent.rule before the first suspension and after commitment
 
 
 class Event:
@@ -81,31 +78,26 @@ class Rule:
 
 
 class Agent:
-    """A suspended propagator with its lifecycle state.
+    """A suspended propagator.
 
-    State transitions: START -> SLEEP | END | fail; SLEEP -> WOKEN;
-    WOKEN -> SLEEP | END | fail.  END is absorbing.  sleeping_on is the
-    index of the action rule the agent currently suspends on;
-    registered holds the rule indexes whose watches have been pushed
-    onto suspension lists (registration is stable: re-suspending on the
-    same rule does not re-register).
+    ``rule`` is the index of the action rule the agent sleeps on.  It
+    is END before the first suspension and after a commitment rule has
+    run; END is absorbing.  The agent stays on the watcher lists of
+    every rule it has slept on; a wake is ignored once it is at END.
     """
 
-    __slots__ = ("id", "state", "rules", "sleeping_on", "registered",
-                 "coalesce", "name", "stamp")
+    __slots__ = ("id", "rules", "rule", "coalesce", "name")
 
     def __init__(self, aid: int, rules: Sequence[Rule], coalesce: bool, name: str):
         self.id = aid
-        self.state = AgentState.START
         self.rules = list(rules)
-        self.sleeping_on = -1
-        self.registered: tuple[int, ...] = ()
+        self.rule = END
         self.coalesce = coalesce
         self.name = name
-        self.stamp = 0
 
     def __repr__(self):
-        return f"Agent#{self.id}({self.name or 'anon'},{self.state.name})"
+        state = "end" if self.rule == END else f"rule {self.rule}"
+        return f"Agent#{self.id}({self.name or 'anon'},{state})"
 
 
 class Runtime:
@@ -118,7 +110,9 @@ class Runtime:
     (agent id, var) to the one live ins/bound item of a coalescing
     agent; an item that is no longer the map's entry for its key was
     superseded and is skipped when taken.  A choice point is only made
-    with an empty queue, so backtracking empties both.
+    with an empty queue, so backtracking empties both.  The agent trail
+    holds (agent, old rule) for every change of an existing agent's
+    rule; a backtrack undoes those and drops the agents created since.
     """
 
     def __init__(self, store: Store, *, coalescing: bool = True,
@@ -133,8 +127,7 @@ class Runtime:
         self.trace = trace
         self.activations = 0
         self._trace_seq = 0
-        self._agent_trail: list[tuple] = []
-        self.transition_hook: Optional[Callable[[Agent, AgentState, AgentState], None]] = None
+        self._agent_trail: list[tuple[Agent, int]] = []
         store.event_sink = self._post_kind
         store._runtime_mark = self._mark
         store._runtime_restore = self._restore
@@ -158,19 +151,7 @@ class Runtime:
             return queue.pop()
         return take
 
-    # -- state bookkeeping ---------------------------------------------------
-
-    def _save_agent(self, agent: Agent) -> None:
-        if agent.stamp != self.store.current_stamp:
-            self._agent_trail.append(
-                (agent, agent.state, agent.sleeping_on, agent.registered, agent.stamp))
-            agent.stamp = self.store.current_stamp
-
-    def _set_state(self, agent: Agent, state: AgentState) -> None:
-        if self.transition_hook is not None:
-            self.transition_hook(agent, agent.state, state)
-        self._save_agent(agent)
-        agent.state = state
+    # -- choice-point marks ----------------------------------------------------
 
     def _mark(self):
         return (len(self.agents), len(self._agent_trail))
@@ -178,12 +159,9 @@ class Runtime:
     def _restore(self, marks) -> None:
         agent_count, trail_mark = marks
         trail = self._agent_trail
-        while len(trail) > trail_mark:
-            agent, state, sleeping_on, registered, stamp = trail.pop()
-            agent.state = state
-            agent.sleeping_on = sleeping_on
-            agent.registered = registered
-            agent.stamp = stamp
+        for agent, rule in reversed(trail[trail_mark:]):
+            agent.rule = rule
+        del trail[trail_mark:]
         del self.agents[agent_count:]
         self.queue.clear()
         self.pending.clear()
@@ -202,8 +180,7 @@ class Runtime:
         coalescing = self.coalescing and kind != DOM
         for aid in watchers:
             agent = agents[aid]
-            state = agent.state
-            if state == AgentState.END:
+            if agent.rule == END:
                 continue
             item = (agent, event)
             if coalescing and agent.coalesce:
@@ -213,8 +190,6 @@ class Runtime:
                     continue  # duplicate bound or ins, or bound shadowed by ins
                 pending[key] = item  # new, or an ins superseding a bound
             push(item)
-            if state == AgentState.SLEEP:
-                self._set_state(agent, AgentState.WOKEN)
 
     # -- spawning ---------------------------------------------------------------
 
@@ -226,17 +201,12 @@ class Runtime:
         constraint propagator whose redundant wakes may be suppressed;
         general agents should pass False to receive every event."""
         agent = Agent(len(self.agents), rules, coalesce, name)
-        agent.stamp = self.store.current_stamp
         self.agents.append(agent)
         if self._select(agent, 0, generating=True):
             return agent
         return None
 
     def _register(self, agent: Agent, idx: int) -> None:
-        if idx in agent.registered:
-            return
-        self._save_agent(agent)
-        agent.registered = agent.registered + (idx,)
         store = self.store
         for kind, var in agent.rules[idx].watch:
             lst = store.vars[var].watchers(kind)
@@ -246,7 +216,9 @@ class Runtime:
     def _select(self, agent: Agent, start: int, generating: bool,
                 event: Optional[Event] = None) -> bool:
         """Find the first applicable rule from ``start`` onward and
-        commit/suspend accordingly.  False = the agent fails."""
+        commit/suspend accordingly.  False = the agent fails.  A new
+        agent's rule needs no trail entry: a backtrack past its
+        creation deletes it."""
         if event is None:
             event = _GENERATED_EVENT
         rules = agent.rules
@@ -260,14 +232,16 @@ class Runtime:
                 ok = rule.action(event)
                 if self.trace is not None:
                     self._trace_line(agent, event, idx, "end" if ok else "fail")
-                if ok:
-                    self._set_state(agent, AgentState.END)
+                if ok and not generating:
+                    self._agent_trail.append((agent, agent.rule))
+                    agent.rule = END
                 return ok
             # action rule: suspend (register first so the agent hears
             # the events its own generation-time action posts)
+            if not generating:
+                self._agent_trail.append((agent, agent.rule))
+            agent.rule = idx
             self._register(agent, idx)
-            self._set_state(agent, AgentState.SLEEP)
-            agent.sleeping_on = idx
             if generating and rule.run_on_generated:
                 return self._run_action(agent, rule, idx, _GENERATED_EVENT)
             return True
@@ -293,10 +267,10 @@ class Runtime:
 
     def run_to_fixpoint(self) -> bool:
         """Drain the activation queue.  For each woken agent, re-test
-        the suspending rule's guard: run its action and re-suspend on
-        success; on guard failure, fall through to the later rules just
-        as at generation.  False means constraint inconsistency and the
-        caller must backtrack."""
+        the suspending rule's guard: run its action and stay suspended
+        on success; on guard failure, fall through to the later rules
+        just as at generation.  False means constraint inconsistency
+        and the caller must backtrack."""
         queue = self.queue
         take = self._take
         pending = self.pending
@@ -310,14 +284,9 @@ class Runtime:
                 if pending.get(key) is not item:
                     continue  # a bound superseded by an ins
                 del pending[key]
-            state = agent.state
-            if state == AgentState.END:
+            idx = agent.rule
+            if idx == END:
                 continue
-            if state == AgentState.SLEEP:
-                # item queued while the agent was generating; the wake
-                # happens now
-                self._set_state(agent, AgentState.WOKEN)
-            idx = agent.sleeping_on
             rule = agent.rules[idx]
             guard = rule.guard
             if guard is None or guard():
@@ -328,7 +297,6 @@ class Runtime:
                     return False
                 if trace is not None:
                     self._trace_line(agent, event, idx, "ok")
-                self._set_state(agent, AgentState.SLEEP)
             elif not self._select(agent, idx + 1, generating=False, event=event):
                 return False
         return True

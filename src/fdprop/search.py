@@ -26,6 +26,12 @@ FIRST_SOLUTION = "first"
 ALL_SOLUTIONS = "all"
 
 
+class UnboundVariableError(InvariantError):
+    """Labeling reached a leaf with a variable still unbound: the
+    variables given to label() do not determine the store.  solve_model
+    reports it as a model error."""
+
+
 @dataclass
 class SearchStats:
     backtracks: int = 0
@@ -104,11 +110,10 @@ def label(rt: Runtime, var_ids: Sequence[int],
         x = pick()
         if x is None:
             values = []
-            for v in vars_:
+            for i, v in enumerate(vars_):
                 if v.bound_value is None:
-                    raise InvariantError(
-                        "labeling finished with an unbound variable; "
-                        "the label list does not determine the model")
+                    raise UnboundVariableError(
+                        f"the label list leaves variable {store.name_of(i)!r} unbound")
                 values.append(v.bound_value)
             solutions.append(tuple(values))
             stats.solutions += 1

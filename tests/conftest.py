@@ -77,7 +77,3 @@ def domain_snapshot(store) -> tuple:
     """Domains and bindings only: what fixpoint comparisons care about
     (scheduling order may legitimately vary agent bookkeeping)."""
     return tuple((tuple(v.domain.values()), v.bound_value) for v in store.vars)
-
-
-def runtime_snapshot(rt) -> tuple:
-    return tuple((a.id, a.state, a.sleeping_on, a.registered) for a in rt.agents)

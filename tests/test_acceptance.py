@@ -270,14 +270,14 @@ def _trail_run(rng):
     if not unbound:
         return True
     snap = (store_snapshot(store),
-            tuple((a.id, a.state, a.sleeping_on, a.registered) for a in rt.agents))
+            tuple((a.id, a.rule) for a in rt.agents))
     cp = rt.push_choice_point()
     x = rng.choice(unbound)
     store.bind(x, rng.choice(list(store.domain(x).values())))
     rt.run_to_fixpoint()
     rt.backtrack_to(cp)
     after = (store_snapshot(store),
-             tuple((a.id, a.state, a.sleeping_on, a.registered) for a in rt.agents))
+             tuple((a.id, a.rule) for a in rt.agents))
     return snap == after
 
 

@@ -11,7 +11,7 @@ from fdprop.alldistinct import (
 from fdprop.domain import make_interval, make_set
 from fdprop.model import Distinct, SolverConfig, build, solve_model
 from fdprop.oracle import check_weak_arc_consistent
-from fdprop.runtime import AgentState, Runtime
+from fdprop.runtime import END, Runtime
 from fdprop.store import Store
 
 
@@ -36,7 +36,7 @@ def test_agent_counts_per_strategy():
                              (Strategy.WEAK_AC, 8)):
         store, rt, xs = fresh([make_interval(1, 9)] * 4)
         assert post_alldistinct(rt, AllDistinctPosting(tuple(xs), strategy))
-        live = [a for a in rt.agents if a.state is not AgentState.END]
+        live = [a for a in rt.agents if a.rule != END]
         assert len(live) == expect, strategy
 
 

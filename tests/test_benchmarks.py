@@ -182,3 +182,30 @@ def test_no_coalesce_identical_across_full_corpus():
         without = solve_model(m, SolverConfig(coalesce=False))
         assert with_c.solutions == without.solutions, name
         assert with_c.stats.backtracks == without.stats.backtracks, name
+
+
+GOLDEN_COUNTS = [
+    # (benchmark, level, alldistinct, backtracks, activations, solutions)
+    ("alpha", "ac", "linear", 4605, 124398, 1),
+    ("eq10", "ac", "linear", 61, 741, 1),
+    ("eq20", "ac", "linear", 9, 372, 1),
+    ("magic(3)", "ac", "linear", 2, 149, 1),
+    ("magic(4)", "ac", "linear", 18, 862, 1),
+    ("sendmoney", "ac", "linear", 1, 32, 1),
+    ("zebra", "ac", "linear", 2, 248, 1),
+    ("queens(12)", "ac", "linear", 54, 1914, 1),
+    ("magic(4)", "ic", "wac", 7, 625, 1),
+    ("zebra", "ac", "wac", 2, 363, 1),
+]
+
+
+@pytest.mark.parametrize("name,level,alldistinct,backtracks,activations,solutions",
+                         GOLDEN_COUNTS)
+def test_golden_counts(name, level, alldistinct, backtracks, activations, solutions):
+    """First solution, fifo, coalescing: the dispatch layer must not
+    change how often propagators run."""
+    r = solve_model(get_benchmark(name),
+                    SolverConfig(level=level, alldistinct=alldistinct))
+    stats = r.stats
+    assert (stats.backtracks, stats.activations, stats.solutions) == \
+        (backtracks, activations, solutions)

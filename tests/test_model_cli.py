@@ -1,7 +1,10 @@
 import json
+import random
 import time
 
 import pytest
+
+from conftest import random_model
 
 from fdprop.benchmarks import FILE_BENCHMARKS, get_benchmark, holed_chain_model, magic_model, queens_model
 from fdprop.cli import main
@@ -66,6 +69,61 @@ def test_round_trip_all_shipped_and_generated_models():
         assert again.vars == m.vars
         assert again.constraints == list(m.constraints)
         assert again.label_order == list(m.label_order)
+
+
+def test_round_trip_random_models():
+    rng = random.Random(0x5EED)
+    for _ in range(500):
+        m = random_model(rng)
+        assert parse_model(format_model(m), m.name) == m
+
+
+FUZZ_WORDS = ("var", "in", "lin", "eq", "neq", "alldistinct", "label",
+              "=", "+", "0", "#", "x", "y", "z", "", "*", "..", "{", "}", ",")
+
+# Directive shapes; each "?" becomes a random token, so most lines get
+# past the directive check and reach the field parsers.
+FUZZ_SHAPES = ("var ? in ?", "lin ? ? ? = 0", "eq ? = ? + ?", "neq ? ? ?",
+               "alldistinct ? ?", "label ? ?", "? ? ? ?")
+
+
+def _fuzz_token(rng: random.Random) -> str:
+    """A model keyword or name, a ``*`` term, a range, a set, or a
+    malformed mix of their pieces."""
+    pick = rng.random()
+    num = lambda: str(rng.choice((-2, 0, 1, 3, 10 ** 7, -(10 ** 19))))
+    if pick < 0.35:
+        return rng.choice(FUZZ_WORDS)
+    if pick < 0.5:
+        return f"{num()}*{rng.choice('xyz')}"
+    if pick < 0.65:
+        return f"{num()}..{num()}"
+    if pick < 0.8:
+        return "{" + ",".join(num() for _ in range(rng.randint(0, 3))) + "}"
+    return "".join(rng.choice(FUZZ_WORDS) for _ in range(rng.randint(1, 4)))
+
+
+def _fuzz_line(rng: random.Random) -> str:
+    shape = rng.choice(FUZZ_SHAPES).split()
+    if rng.random() < 0.2:  # drop or repeat a field
+        i = rng.randrange(len(shape))
+        shape[i:i + 1] = rng.choice(([], ["?", "?"]))
+    return " ".join(_fuzz_token(rng) if w == "?" else w for w in shape)
+
+
+def test_parser_fuzz_raises_only_model_error():
+    """Random token soup either parses or raises ModelError, never
+    another exception."""
+    rng = random.Random(0xF022)
+    prelude = "var x in 1..3\nvar y in {1,3}\n"
+    for _ in range(5000):
+        text = "\n".join(_fuzz_line(rng) for _ in range(rng.randint(1, 4)))
+        if rng.random() < 0.5:
+            text = prelude + text  # let constraint lines resolve names
+        try:
+            parse_model(text)
+        except ModelError:
+            pass
 
 
 def test_solve_model_tiny():
@@ -176,8 +234,10 @@ def test_posting_capacity_cap_exits_2(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
 
 
-def test_underdetermined_label_list_exits_4(tmp_path, capsys):
-    # y is never labeled and nothing binds it: an invariant violation
+def test_underdetermined_label_list_exits_2(tmp_path, capsys):
+    # y is never labeled and nothing binds it: a model error
     path = tmp_path / "under.model"
     path.write_text("var x in 1..3\nvar y in 1..3\nneq x y 0\nlabel x\n")
-    assert main(["solve", str(path)]) == 4
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'y'" in err

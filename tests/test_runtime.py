@@ -6,7 +6,7 @@ from conftest import domain_snapshot, random_model, store_snapshot
 
 from fdprop.domain import make_interval
 from fdprop.model import SolverConfig, build
-from fdprop.runtime import AgentState, Rule, Runtime
+from fdprop.runtime import END, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
 
 
@@ -32,12 +32,12 @@ def test_spawn_suspends_until_instantiation():
     x = store.new_var(make_interval(1, 5))
     log = []
     agent = rt.spawn(freeze_rules(store, x, log))
-    assert agent.state is AgentState.SLEEP
+    assert agent.rule == 0
     assert log == []
     store.bind(x, 2)
     assert rt.run_to_fixpoint()
     assert log == ["fired"]
-    assert agent.state is AgentState.END
+    assert agent.rule == END
 
 
 def test_spawn_commits_when_already_bound():
@@ -45,7 +45,7 @@ def test_spawn_commits_when_already_bound():
     x = store.new_var(make_interval(3, 3))
     log = []
     agent = rt.spawn(freeze_rules(store, x, log))
-    assert agent.state is AgentState.END
+    assert agent.rule == END
     assert log == ["fired"]
 
 
@@ -85,7 +85,7 @@ def test_event_erasure_late_spawner_sleeps():
     late = rt.spawn([Rule(None, ((DOM, x),), lambda e: (seen.append("late"), True)[1])])
     assert rt.run_to_fixpoint()
     assert seen == ["early"]  # the earlier event is gone
-    assert late.state is AgentState.SLEEP
+    assert late.rule == 0
 
 
 def test_action_failure_propagates():
@@ -192,24 +192,62 @@ def test_generated_action_hears_its_own_events():
     assert runs == ["generated", "bound(_0)"]
 
 
-def test_state_machine_legality_randomized():
-    legal = {
-        (AgentState.START, AgentState.SLEEP),
-        (AgentState.START, AgentState.END),
-        (AgentState.SLEEP, AgentState.WOKEN),
-        (AgentState.WOKEN, AgentState.SLEEP),
-        (AgentState.WOKEN, AgentState.END),
-    }
+def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
+    """Once an agent commits (rule END), none of its actions runs again
+    unless a backtrack undoes the commitment; a backtrack restores
+    every surviving agent's rule.  Besides the model's propagators,
+    each run has one agent that sleeps on each variable in turn, so
+    that rule switches after a failed guard are covered too."""
+    committed = []  # agents whose commitment rule succeeded, in order
+    original_spawn = Runtime.spawn
+
+    def spawn(rt, rules, *, coalesce=True, name=""):
+        aid = len(rt.agents)  # the id the new agent gets
+
+        def wrap(rule):
+            def action(event):
+                agent = rt.agents[aid]
+                assert not any(a is agent for a in committed), \
+                    f"{agent!r} ran after it ended"
+                ok = rule.action(event)
+                if ok and rule.watch is None:
+                    committed.append(agent)
+                return ok
+            return Rule(rule.guard, rule.watch, action, rule.run_on_generated)
+
+        return original_spawn(rt, [wrap(r) for r in rules],
+                              coalesce=coalesce, name=name)
+
+    monkeypatch.setattr(Runtime, "spawn", spawn)
     rng = random.Random(31)
-    for _ in range(50):
+    for trial in range(60):
         model = random_model(rng)
-        store, rt, ok = build(model, SolverConfig())
-        transitions = []
-        rt.transition_hook = lambda a, s0, s1: transitions.append((s0, s1))
-        if ok:
-            rt.run_to_fixpoint()
-        for edge in transitions:
-            assert edge in legal, f"illegal transition {edge}"
+        committed.clear()
+        store, rt, ok = build(model, SolverConfig(),
+                              queue_policy=POLICIES[trial % 3], queue_seed=trial)
+        chain = [Rule(lambda x=x: store.value(x) is None, ((INS, x),), lambda e: True)
+                 for x in range(len(model.vars))]
+        ok = ok and rt.spawn(chain + [Rule(None, None, lambda e: True)]) is not None
+        if not (ok and rt.run_to_fixpoint()):
+            continue
+        stack = []
+        for _ in range(rng.randint(1, 4)):
+            unbound = [x for x in range(len(model.vars)) if store.value(x) is None]
+            if not unbound:
+                break
+            stack.append(([(a, a.rule) for a in rt.agents], len(committed),
+                          rt.push_choice_point()))
+            x = rng.choice(unbound)
+            ok = (store.bind(x, rng.choice(list(store.domain(x).values())))
+                  and rt.run_to_fixpoint())
+            assert all(a.rule == END for a in committed)
+            if not ok:
+                break
+        while stack:
+            rules, n_committed, cp = stack.pop()
+            rt.backtrack_to(cp)
+            del committed[n_committed:]
+            assert [(a, a.rule) for a in rt.agents] == rules
 
 
 def test_guard_purity_randomized():
