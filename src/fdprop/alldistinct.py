@@ -138,7 +138,7 @@ def post_alldistinct(rt: Runtime, posting: AllDistinctPosting) -> bool:
     if posting.strategy is Strategy.NAIVE_PAIRWISE:
         for i in range(len(vars_)):
             for j in range(i + 1, len(vars_)):
-                if not post_diseq(rt, vars_[i], vars_[j], 0):
+                if not post_diseq(rt, vars_[i], vars_[j], (0,)):
                     return False
         return True
     if len(set(vars_)) < len(vars_):

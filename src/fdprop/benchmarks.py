@@ -6,9 +6,10 @@ verbatim.  Parameterized names use call syntax: ``queens(25)``,
 ``magic(4)``, ``holed_chain(3)``.
 
 The n-queens model follows the three-disequality encoding: for each
-pair of columns i < j with offset N = j - i it posts X_i != X_j,
-X_i != X_j + N, and X_i != X_j - N.  holed_chain(k) is a family of
-binary equality chains over holed domains on which arc propagation
+pair of columns i < j with offset N = j - i it has the records
+X_i != X_j, X_i != X_j + N, and X_i != X_j - N, which ``build`` posts
+as one agent with the offsets (0, +N, -N).  holed_chain(k) is a family
+of binary equality chains over holed domains on which arc propagation
 strictly beats interval propagation; the interior holes are invisible
 to bound reasoning, so under 'ic' the search must try (and fail) every
 misaligned value while 'ac' solves it at the root.

@@ -4,22 +4,29 @@ Subcommands:
 
     solve <file|bench:name> [--level fc|ic|ac] [--alldistinct naive|linear|wac]
           [--all] [--trace] [--no-coalesce] [--stats-json PATH] [--expect-sat]
+          [--max-backtracks N] [--time-limit SECONDS]
     verify <file|bench:name> [--level ...] [--alldistinct ...] [--cap N]
+           [--max-backtracks N] [--time-limit SECONDS]
     bench [--level ...] [--workers N]
 
 ``solve`` prints one line per solution (``name=value`` pairs in
 declaration order) followed by
 ``stats: backtracks=<n> activations=<n> solutions=<n> time_ms=<t>``;
---stats-json writes the same four fields as a JSON object.  --trace
-streams one tab-separated line per propagator activation to stderr:
+--stats-json writes the same four fields plus ``agents`` (the agent
+count after posting) as a JSON object.  --trace streams one
+tab-separated line per propagator activation to stderr:
 ``<seq>\\t<agent>\\t<event>\\t<rule>\\t<outcome>``.
 
 ``verify`` re-solves a small model for all solutions, compares against
 the brute-force enumeration oracle, and reports whether the root
 fixpoint meets the consistency level's defining predicate.
 
+--max-backtracks and --time-limit bound the search of ``solve`` and
+``verify``.  When one is hit, ``solve`` still prints the solutions found
+so far and its stats line; both then exit 5.
+
 Exit codes: 0 success, 2 model/parse error, 3 unsatisfiable with
---expect-sat, 4 internal invariant violation.
+--expect-sat, 4 internal invariant violation, 5 search limit reached.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ EXIT_OK = 0
 EXIT_MODEL_ERROR = 2
 EXIT_UNSAT = 3
 EXIT_INVARIANT = 4
+EXIT_LIMIT = 5
 
 
 def _load(ref: str) -> Model:
@@ -75,7 +83,17 @@ def _load(ref: str) -> Model:
 def _config(args, mode: str) -> SolverConfig:
     return SolverConfig(level=args.level, alldistinct=args.alldistinct,
                         mode=mode, trace=getattr(args, "trace", False),
-                        coalesce=not getattr(args, "no_coalesce", False))
+                        coalesce=not getattr(args, "no_coalesce", False),
+                        max_backtracks=args.max_backtracks,
+                        time_limit=args.time_limit)
+
+
+def _limit_reached(result) -> bool:
+    """Report a search cut short by --max-backtracks or --time-limit."""
+    if result.stats.limit is None:
+        return False
+    print(f"error: search limit reached ({result.stats.limit})", file=sys.stderr)
+    return True
 
 
 def _cmd_solve(args) -> int:
@@ -91,8 +109,11 @@ def _cmd_solve(args) -> int:
           f"solutions={stats.solutions} time_ms={result.time_ms}")
     if args.stats_json:
         payload = {"backtracks": stats.backtracks, "activations": stats.activations,
-                   "solutions": stats.solutions, "time_ms": result.time_ms}
+                   "solutions": stats.solutions, "time_ms": result.time_ms,
+                   "agents": result.agents}
         Path(args.stats_json).write_text(json.dumps(payload), encoding="utf-8")
+    if _limit_reached(result):
+        return EXIT_LIMIT
     if args.expect_sat and not result.solutions:
         return EXIT_UNSAT
     return EXIT_OK
@@ -154,6 +175,8 @@ def _cmd_verify(args) -> int:
         print(f"oracle refused: {exc}")
         return EXIT_MODEL_ERROR
     result = solve_model(model, config)
+    if _limit_reached(result):
+        return EXIT_LIMIT
     agree = set(result.solutions) == expected
     print(f"solutions agree: {'yes' if agree else 'no'} "
           f"(engine {len(result.solutions)}, oracle {len(expected)})")
@@ -171,8 +194,9 @@ def _bench_one(spec: tuple[str, str, str]) -> tuple[str, int, int, int]:
 def _cmd_bench(args) -> int:
     specs = [(name, args.level, args.alldistinct) for name in BENCH_CORPUS]
     started = time.perf_counter()
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, specs))
     else:
         rows = [_bench_one(spec) for spec in specs]
@@ -181,6 +205,17 @@ def _cmd_bench(args) -> int:
     total = int((time.perf_counter() - started) * 1000)
     print(f"total time_ms={total}")
     return EXIT_OK
+
+
+def _at_least(kind, lowest):
+    """An argparse type: ``kind(text)``, refused (exit 2) below ``lowest``."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= lowest:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -193,6 +228,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--alldistinct", choices=["naive", "linear", "wac"],
                        default="linear")
 
+    def add_limits(p):
+        p.add_argument("--max-backtracks", type=_at_least(int, 0), metavar="N",
+                       help="stop the search after more than N backtracks (exit 5)")
+        p.add_argument("--time-limit", type=_at_least(float, 0), metavar="SECONDS",
+                       help="stop the search after SECONDS of solving (exit 5)")
+
     solve = sub.add_parser("solve", help="solve a model file or bench:<name>")
     solve.add_argument("model")
     add_config(solve)
@@ -204,6 +245,7 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument("--stats-json", metavar="PATH")
     solve.add_argument("--expect-sat", action="store_true",
                        help="exit 3 when no solution exists")
+    add_limits(solve)
     solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify",
@@ -212,11 +254,13 @@ def _parser() -> argparse.ArgumentParser:
     add_config(verify)
     verify.add_argument("--cap", type=int, default=10 ** 7,
                         help="oracle assignment-count cap")
+    add_limits(verify)
     verify.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="run the benchmark corpus")
     add_config(bench)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=_at_least(int, 1), default=1,
+                       help="worker processes, at most one per corpus entry")
     bench.set_defaults(func=_cmd_bench)
     return parser
 

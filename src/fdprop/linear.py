@@ -3,10 +3,13 @@
 Binary constraints a*X = b*Y + c are supported at three consistency
 levels that build on each other: forward checking (solve the other side
 once one side is bound), interval (bound reduction from the opposite
-domain's bounds), and arc (per-element counterpart exclusion).  N-ary
-sums c + sum(a_i * X_i) = 0 get a single two-phase interval reducer, a
-hybrid scheme that switches to binary arc propagation once at most two
-variables remain free, and a plain forward-checking variant.
+domain's bounds), and arc (per-element counterpart exclusion).  All the
+disequalities X != Y + c on one variable pair share one forward-checking
+agent, which holds their offsets c and excludes every implied value once
+either side is bound.  N-ary sums c + sum(a_i * X_i) = 0 get a single
+two-phase interval reducer, a hybrid scheme that switches to binary arc
+propagation once at most two variables remain free, and a plain
+forward-checking variant.
 
 All propagator arithmetic is validated against a signed 64-bit budget
 at posting time; models that could overflow it are rejected with
@@ -250,11 +253,12 @@ def _spawn_arc_dir(rt, a, x, b, y, c) -> bool:
 # -- disequality ---------------------------------------------------------------
 
 
-def post_diseq(rt: Runtime, x: int, y: int, c: int = 0) -> bool:
-    """X != Y + c as a forward-checking agent: binding either side
-    excludes the implied value from the other."""
+def post_diseq(rt: Runtime, x: int, y: int, offsets: tuple[int, ...]) -> bool:
+    """X != Y + c for every c in offsets, as one forward-checking
+    agent: binding either side excludes the implied values from the
+    other, in offset order."""
     if x == y:
-        return c != 0  # X != X + c holds for every integer iff c != 0
+        return 0 not in offsets  # X != X + c holds for every integer iff c != 0
     store = rt.store
     vx = store.vars[x]
     vy = store.vars[y]
@@ -266,17 +270,26 @@ def post_diseq(rt: Runtime, x: int, y: int, c: int = 0) -> bool:
         return vx.bound_value is None
 
     def exclude_from_x(_event):
-        return store.exclude(x, vy.bound_value + c)
+        v = vy.bound_value
+        for c in offsets:
+            if not store.exclude(x, v + c):
+                return False
+        return True
 
     def exclude_from_y(_event):
-        return store.exclude(y, vx.bound_value - c)
+        v = vx.bound_value
+        for c in offsets:
+            if not store.exclude(y, v - c):
+                return False
+        return True
 
     rules = [
         Rule(both_free, ((INS, x), (INS, y)), _true),
         Rule(x_free, None, exclude_from_x),
         Rule(None, None, exclude_from_y),
     ]
-    return rt.spawn(rules, name=f"neq(_{x},_{y},{c:+d})") is not None
+    name = f"neq(_{x},_{y},{','.join(f'{c:+d}' for c in offsets)})"
+    return rt.spawn(rules, name=name) is not None
 
 
 # -- n-ary constraints -----------------------------------------------------------

@@ -296,13 +296,17 @@ def format_model(model: Model) -> str:
 class SolverConfig:
     """Solver settings.  level 'ac' means arc consistency for binary
     constraints and the hybrid scheme for n-ary ones; 'ic' keeps
-    interval consistency everywhere; 'fc' is plain forward checking."""
+    interval consistency everywhere; 'fc' is plain forward checking.
+    max_backtracks and time_limit (seconds from the start of the solve)
+    bound the search; None leaves it unbounded."""
 
     level: str = "ac"
     alldistinct: str = "linear"
     mode: str = FIRST_SOLUTION
     trace: bool = False
     coalesce: bool = True
+    max_backtracks: Optional[int] = None
+    time_limit: Optional[float] = None
 
     def __post_init__(self):
         if self.level not in ("fc", "ic", "ac"):
@@ -332,12 +336,35 @@ _DISTINCT_STRATEGY = {
 }
 
 
+def _diseq_groups(constraints) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+    """Merge the Diseq records on each unordered variable pair into one
+    (x, y, offsets) posting, oriented as the pair's first record and
+    keyed by that record's index.  Y != X + c joins as X != Y - c, and
+    a repeated offset is dropped."""
+    first: dict[tuple[int, int], int] = {}
+    groups: dict[int, tuple[int, int, list[int]]] = {}
+    for i, con in enumerate(constraints):
+        if not isinstance(con, Diseq):
+            continue
+        j = first.setdefault((min(con.x, con.y), max(con.x, con.y)), i)
+        if j == i:
+            groups[i] = (con.x, con.y, [con.c])
+            continue
+        x, _, offsets = groups[j]
+        c = con.c if con.x == x else -con.c
+        if c not in offsets:
+            offsets.append(c)
+    return {i: (x, y, tuple(offsets)) for i, (x, y, offsets) in groups.items()}
+
+
 def build(model: Model, config: SolverConfig = SolverConfig(), *,
           queue_policy: str = "fifo", queue_seed: Optional[int] = None,
           trace_stream=None) -> tuple[Store, Runtime, bool]:
     """Create a store and runtime for the model and post everything.
-    The returned flag is False when posting already failed; root
-    propagation (run_to_fixpoint) is the caller's next step."""
+    The disequalities on one variable pair become a single agent,
+    posted at the place of the pair's first record.  The returned flag
+    is False when posting already failed; root propagation
+    (run_to_fixpoint) is the caller's next step."""
     store = Store()
     rt = Runtime(store, coalescing=config.coalesce, queue_policy=queue_policy,
                  queue_seed=queue_seed,
@@ -345,13 +372,16 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     for vd in model.vars:
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
         store.new_var(dom, vd.name)
-    for con in model.constraints:
+    diseqs = _diseq_groups(model.constraints)
+    for i, con in enumerate(model.constraints):
         if isinstance(con, BinaryLinear):
             ok = post_binary(rt, con, _BINARY_LEVEL[config.level])
         elif isinstance(con, NaryLinear):
             ok = _NARY_POST[config.level](rt, con)
         elif isinstance(con, Diseq):
-            ok = post_diseq(rt, con.x, con.y, con.c)
+            if i not in diseqs:
+                continue  # merged into the agent of an earlier record
+            ok = post_diseq(rt, *diseqs[i])
         elif isinstance(con, Distinct):
             ok = post_alldistinct(rt, AllDistinctPosting(
                 con.vars, _DISTINCT_STRATEGY[config.alldistinct]))
@@ -368,6 +398,7 @@ class SolveResult:
     solutions: list[tuple]
     root_failed: bool
     time_ms: int = 0
+    agents: int = 0  # agents after posting, before root propagation
 
     def named_solutions(self, model: Model) -> list[dict[str, int]]:
         names = [vd.name for vd in model.vars]
@@ -377,19 +408,24 @@ class SolveResult:
 def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
                 queue_policy: str = "fifo", queue_seed: Optional[int] = None,
                 trace_stream=None) -> SolveResult:
-    """Post, propagate to the root fixpoint, and label."""
+    """Post, propagate to the root fixpoint, and label.  A search cut
+    short by a limit of the config names it in ``stats.limit``."""
     started = time.perf_counter()
     store, rt, ok = build(model, config, queue_policy=queue_policy,
                           queue_seed=queue_seed, trace_stream=trace_stream)
+    agents = len(rt.agents)
     if ok:
         ok = rt.run_to_fixpoint()
     if not ok:
         stats = SearchStats(backtracks=0, activations=rt.activations, solutions=0)
         elapsed = int((time.perf_counter() - started) * 1000)
-        return SolveResult(stats, [], True, elapsed)
+        return SolveResult(stats, [], True, elapsed, agents)
+    deadline = None if config.time_limit is None else started + config.time_limit
+    spec = LabelingSpec(mode=config.mode, max_backtracks=config.max_backtracks,
+                        deadline=deadline)
     try:
-        stats, solutions = label(rt, model.label_order, LabelingSpec(mode=config.mode))
+        stats, solutions = label(rt, model.label_order, spec)
     except UnboundVariableError as exc:
         raise ModelError(str(exc)) from None
     elapsed = int((time.perf_counter() - started) * 1000)
-    return SolveResult(stats, solutions, False, elapsed)
+    return SolveResult(stats, solutions, False, elapsed, agents)

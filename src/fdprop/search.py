@@ -9,12 +9,18 @@ The backtrack counter increments once per (variable, value) attempt
 whose propagation fails.  Exhausting a value list makes the parent
 advance without a further increment, and failures during root
 propagation (before the first labeling choice) are not counted at all.
+
+A run can be bounded by a backtrack budget and by a deadline.  Both are
+checked after each failed attempt and before each choice point; when
+one is hit the search stops, returns what it found so far, and names
+the limit in ``SearchStats.limit``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .runtime import Runtime
 from .store import InvariantError
@@ -37,12 +43,18 @@ class SearchStats:
     backtracks: int = 0
     activations: int = 0
     solutions: int = 0
+    limit: Optional[str] = None  # the limit that stopped the search early
 
 
 @dataclass
 class LabelingSpec:
+    """max_backtracks: stop once more than this many attempts have
+    failed.  deadline: stop once ``time.perf_counter()`` passes it."""
+
     order: str = LEFT_TO_RIGHT
     mode: str = FIRST_SOLUTION
+    max_backtracks: Optional[int] = None
+    deadline: Optional[float] = None
 
     def __post_init__(self):
         if self.order not in (LEFT_TO_RIGHT, FIRST_FAIL):
@@ -81,6 +93,17 @@ def label(rt: Runtime, var_ids: Sequence[int],
                 return x
         return None
 
+    max_backtracks = spec.max_backtracks
+    deadline = spec.deadline
+    bounded = max_backtracks is not None or deadline is not None
+
+    def limit_hit() -> bool:
+        if max_backtracks is not None and stats.backtracks > max_backtracks:
+            stats.limit = f"more than {max_backtracks} backtracks"
+        elif deadline is not None and time.perf_counter() > deadline:
+            stats.limit = "time limit"
+        return stats.limit is not None
+
     # One frame per variable on the current branch: the variable, its
     # untried values, and the choice point of the value on trial.  The
     # stack is explicit so that the branch length is not bounded by the
@@ -90,19 +113,23 @@ def label(rt: Runtime, var_ids: Sequence[int],
     def advance() -> bool:
         """Bind the next untried value of the deepest frame that has
         one and propagate, undoing exhausted frames on the way up.
-        False once the whole tree is exhausted."""
+        False once the whole tree is exhausted or a limit is hit."""
         while stack:
             frame = stack[-1]
             x, values, cp = frame
             if cp is not None:
                 rt.backtrack_to(cp)
             for v in values:
+                if bounded and limit_hit():
+                    return False
                 cp = rt.push_choice_point()
                 if store.bind(x, v) and rt.run_to_fixpoint():
                     frame[2] = cp
                     return True
                 stats.backtracks += 1
                 rt.backtrack_to(cp)
+                if bounded and limit_hit():
+                    return False
             stack.pop()
         return False
 

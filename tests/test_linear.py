@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import domain_values, random_model
+from conftest import domain_snapshot, domain_values, random_model
 
 from fdprop.domain import make_interval, make_set
 from fdprop.linear import (
     BinaryLinear,
     CapacityError,
     ConsistencyLevel,
+    Diseq,
     NaryLinear,
     ceil_div,
     floor_div,
@@ -20,9 +21,14 @@ from fdprop.linear import (
     post_nary_hybrid,
     post_nary_unite,
 )
-from fdprop.model import SolverConfig, build
-from fdprop.oracle import check_arc_consistent, check_interval_consistent
+from fdprop.model import Model, SolverConfig, VarDecl, build
+from fdprop.oracle import (
+    check_arc_consistent,
+    check_interval_consistent,
+    enumerate_solutions,
+)
 from fdprop.runtime import Runtime
+from fdprop.search import ALL_SOLUTIONS, LabelingSpec, label
 from fdprop.store import Store
 
 FC = ConsistencyLevel.FORWARD_CHECKING
@@ -110,29 +116,93 @@ def test_diseq_examples():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, y, 0)
+    assert post_diseq(rt, x, y, (0,))
     assert store.bind(x, 3) and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 2, 4, 5)
 
     store, rt = fresh()
     x = store.new_var(make_interval(3, 3))
     y = store.new_var(make_interval(1, 5))
-    ok = post_diseq(rt, x, y, 2) and rt.run_to_fixpoint()
+    ok = post_diseq(rt, x, y, (2,)) and rt.run_to_fixpoint()
     ok = ok and store.bind(y, 1) and rt.run_to_fixpoint()
     assert not ok  # x = 3 = y + 2 is forced, contradiction
 
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, y, 0) and rt.run_to_fixpoint()
+    assert post_diseq(rt, x, y, (0,)) and rt.run_to_fixpoint()
     assert domain_values(store, x) == (1, 2, 3, 4, 5)  # both free: asleep
 
 
 def test_diseq_same_variable():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
-    assert not post_diseq(rt, x, x, 0)
-    assert post_diseq(rt, x, x, 2)
+    assert not post_diseq(rt, x, x, (0,))
+    assert post_diseq(rt, x, x, (2,))
+
+
+def _with_pair_diseqs(rng, model):
+    """Add 2-3 disequalities on one pair: fresh offsets, a reversed
+    copy (y, x, -c) and a plain duplicate."""
+    x, y = rng.sample(range(len(model.vars)), 2)
+    c = rng.randint(-3, 3)
+    extra = [Diseq(x, y, c), Diseq(y, x, -c), Diseq(x, y, c),
+             Diseq(x, y, rng.randint(-3, 3)), Diseq(y, x, rng.randint(-3, 3))]
+    picked = rng.sample(extra, rng.randint(2, 3))
+    constraints = list(model.constraints)
+    for con in picked:
+        constraints.insert(rng.randint(0, len(constraints)), con)
+    return Model(model.name, model.vars, constraints, model.label_order)
+
+
+def _build_one_agent_per_diseq(model, policy):
+    """Post every record but the disequalities through build, then one
+    single-offset agent per Diseq record."""
+    others = [c for c in model.constraints if not isinstance(c, Diseq)]
+    store, rt, ok = build(Model(model.name, model.vars, others, model.label_order),
+                          queue_policy=policy, queue_seed=7)
+    for con in model.constraints:
+        if isinstance(con, Diseq):
+            ok = ok and post_diseq(rt, con.x, con.y, (con.c,))
+    return store, rt, ok
+
+
+def _root_and_solutions(store, rt, ok, model):
+    ok = ok and rt.run_to_fixpoint()
+    if not ok:
+        return None, set()
+    root = domain_snapshot(store)
+    _, solutions = label(rt, model.label_order, LabelingSpec(mode=ALL_SOLUTIONS))
+    return root, set(solutions)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
+def test_merged_diseq_posting_matches_one_agent_per_record(policy):
+    rng = random.Random(21)
+    merged_pairs = 0
+    for trial in range(240):
+        model = random_model(rng)
+        if trial % 2:
+            model = _with_pair_diseqs(rng, model)
+        store, rt, ok = build(model, queue_policy=policy, queue_seed=7)
+        # neq(_x,_y,+c1,+c2,...): more than two commas = several offsets
+        merged_pairs += sum(a.name.count(",") > 2 for a in rt.agents
+                            if a.name.startswith("neq("))
+        merged = _root_and_solutions(store, rt, ok, model)
+        single = _root_and_solutions(*_build_one_agent_per_diseq(model, policy), model)
+        assert merged == single
+        assert merged[1] == enumerate_solutions(model.to_ground())
+    assert merged_pairs > 60
+
+
+def test_diseq_merge_edge_cases():
+    x_only = Model("m", [VarDecl("x", 1, 3)], [Diseq(0, 0, 0)], [0])
+    assert not build(x_only)[2]  # neq x x 0 fails at posting
+    pair = Model("m", [VarDecl("x", 1, 3), VarDecl("y", 1, 3)],
+                 [Diseq(0, 1, 1), Diseq(1, 0, -1)], [0, 1])
+    store, rt, ok = build(pair)
+    assert ok
+    assert [a.name for a in rt.agents] == ["neq(_0,_1,+1)"]
 
 
 def test_unite_two_var_sum():

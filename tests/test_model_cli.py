@@ -141,8 +141,94 @@ def test_cli_solve_stats_line(tmp_path, capsys):
     assert out[0] == "x=2 y=1"
     assert out[-1].startswith("stats: backtracks=0 activations=")
     payload = json.loads(stats_path.read_text())
-    assert set(payload) == {"backtracks", "activations", "solutions", "time_ms"}
+    assert set(payload) == {"backtracks", "activations", "solutions", "time_ms",
+                            "agents"}
     assert payload["solutions"] == 4
+
+
+def test_cli_stats_json_reports_agents(tmp_path, capsys):
+    stats_path = tmp_path / "stats.json"
+    assert main(["solve", "bench:queens(25)", "--stats-json", str(stats_path)]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    payload = json.loads(stats_path.read_text())
+    assert payload["agents"] == 300
+    assert last == ("stats: backtracks={backtracks} activations={activations} "
+                    "solutions={solutions} time_ms={time_ms}".format(**payload))
+
+
+@pytest.mark.parametrize("limit", [["--max-backtracks", "10"], ["--time-limit", "0.05"]])
+def test_cli_solve_limit_exits_5(limit, capsys):
+    started = time.perf_counter()
+    assert main(["solve", "bench:queens(25)", *limit]) == 5
+    assert time.perf_counter() - started < 5  # the full solve takes longer
+    captured = capsys.readouterr()
+    assert captured.out.startswith("stats: backtracks=")
+    assert "solutions=0" in captured.out
+    assert captured.err.startswith("error: search limit reached (")
+
+
+def test_cli_solve_limit_prints_solutions_found_so_far(capsys):
+    # queens(6) has 4 solutions and more than 10 failed attempts
+    assert main(["solve", "bench:queens(6)", "--all", "--max-backtracks", "10"]) == 5
+    out = capsys.readouterr().out.strip().splitlines()
+    stats = out.pop()
+    assert stats.startswith("stats: backtracks=11 ")
+    assert 0 < len(out) < 4 and f"solutions={len(out)} " in stats
+
+
+def test_cli_limit_not_reached_exits_0(capsys):
+    assert main(["solve", "bench:queens(8)", "--max-backtracks", "24",
+                 "--time-limit", "60"]) == 0
+    assert "backtracks=24 " in capsys.readouterr().out
+
+
+def test_cli_verify_limit_exits_5(capsys):
+    assert main(["verify", "bench:queens(6)", "--max-backtracks", "0"]) == 5
+    captured = capsys.readouterr()
+    assert "solutions agree" not in captured.out
+    assert captured.err.startswith("error: search limit reached (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "bench:queens(4)", "--max-backtracks", "-1"],
+    ["solve", "bench:queens(4)", "--time-limit", "-0.5"],
+    ["verify", "bench:queens(4)", "--time-limit", "nan"],
+    ["bench", "--workers", "0"],
+    ["bench", "--workers", "-3"],
+])
+def test_cli_rejects_bad_limits_and_workers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_cli_bench_caps_workers_at_corpus_size(monkeypatch, capsys):
+    import fdprop.cli as cli
+    from fdprop.benchmarks import BENCH_CORPUS
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs):
+            return map(fn, specs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_bench_one", lambda spec: (spec[0], 0, 1, 0))
+    assert main(["bench", "--workers", "64"]) == 0
+    assert main(["bench", "--workers", "3"]) == 0
+    assert main(["bench", "--workers", "1"]) == 0
+    assert pools == [len(BENCH_CORPUS), 3]  # one worker runs in process
+    assert capsys.readouterr().out.count("solutions=1") == 3 * len(BENCH_CORPUS)
 
 
 def test_cli_solve_bench_reference(capsys):

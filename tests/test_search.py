@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,30 @@ def test_unlabeled_unbound_variable_is_an_error():
     store.new_var(make_interval(1, 3))  # never labeled, never bound
     with pytest.raises(InvariantError):
         label(rt, [x])
+
+
+def test_deadline_stops_a_search_without_failures():
+    # no attempt fails here, so only the check at each choice point
+    # can see the deadline
+    store = Store()
+    rt = Runtime(store)
+    xs = [store.new_var(make_interval(0, 1)) for _ in range(12)]
+    stats, sols = label(rt, xs, LabelingSpec(mode=ALL_SOLUTIONS,
+                                             deadline=time.perf_counter()))
+    assert (stats.limit, stats.backtracks, sols) == ("time limit", 0, [])
+    stats, sols = label(rt, xs, LabelingSpec(mode=ALL_SOLUTIONS,
+                                             deadline=time.perf_counter() + 60))
+    assert stats.limit is None and len(sols) == 2 ** 12
+
+
+@pytest.mark.parametrize("budget", [0, 1, 10, 23])
+def test_backtrack_budget_stops_after_one_more_failure(budget):
+    # queens(8) needs 24 failed attempts before its first solution
+    r = solve_model(queens_model(8), SolverConfig(max_backtracks=budget))
+    assert r.stats.limit == f"more than {budget} backtracks"
+    assert r.stats.backtracks == budget + 1 and r.solutions == []
+    r = solve_model(queens_model(8), SolverConfig(max_backtracks=24))
+    assert r.stats.limit is None and r.stats.backtracks == 24
 
 
 def test_labeling_spec_validation():
