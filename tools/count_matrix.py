@@ -1,0 +1,145 @@
+"""Count matrix: per-run propagation counts over a fixed set of solves.
+
+Each row is one first-solution solve of a benchmark configuration in
+one posting order, under one queue policy, with coalescing on or off.
+It records backtracks, solutions, activations, agents (after posting),
+the first solution and a sha256 of the ``--trace`` activation stream.
+A change that must keep the engine's counts can be checked against the
+committed file; one that moves them shows, in the file's diff, exactly
+which runs moved.
+
+    PYTHONPATH=src python tools/count_matrix.py --write COUNTS.json
+    PYTHONPATH=src python tools/count_matrix.py --check COUNTS.json [--exclude alpha]
+
+Posting order 0 is the shipped constraint order; order k > 0 is the
+shipped order shuffled by ``random.Random(k)``.  The label order never
+changes.  ``--check`` exits 1 and lists the rows that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import random
+import sys
+
+from fdprop.benchmarks import get_benchmark
+from fdprop.model import SolverConfig, solve_model
+
+CONFIGS = (
+    # (benchmark, level, alldistinct)
+    ("alpha", "ac", "linear"),
+    ("eq10", "ac", "linear"),
+    ("eq20", "ac", "linear"),
+    ("magic(3)", "ac", "linear"),
+    ("magic(4)", "ac", "linear"),
+    ("sendmoney", "ac", "linear"),
+    ("zebra", "ac", "linear"),
+    ("queens(12)", "ac", "linear"),
+    ("magic(4)", "ic", "wac"),
+    ("zebra", "ac", "wac"),
+    ("zebra", "ic", "linear"),
+    ("zebra", "fc", "linear"),
+    ("holed_chain(3)", "ic", "linear"),
+)
+ORDERS = (0, 1, 2)
+QUEUES = ("fifo", "lifo", "random")
+QUEUE_SEED = 0
+
+KEY = ("model", "level", "alldistinct", "order", "queue", "coalesce")
+
+
+class _TraceHash:
+    """A write-only stream that hashes what the runtime traces."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, line: str) -> None:
+        self.sha.update(line.encode())
+
+
+def run_row(name: str, level: str, alldistinct: str, order: int, queue: str,
+            coalesce: bool) -> dict:
+    model = get_benchmark(name)
+    if order:
+        constraints = list(model.constraints)
+        random.Random(order).shuffle(constraints)
+        model = dataclasses.replace(model, constraints=constraints)
+    trace = _TraceHash()
+    config = SolverConfig(level=level, alldistinct=alldistinct, trace=True,
+                          coalesce=coalesce)
+    r = solve_model(model, config, queue_policy=queue, queue_seed=QUEUE_SEED,
+                    trace_stream=trace)
+    return {
+        "model": name, "level": level, "alldistinct": alldistinct,
+        "order": order, "queue": queue, "coalesce": coalesce,
+        "backtracks": r.stats.backtracks, "solutions": r.stats.solutions,
+        "activations": r.stats.activations, "agents": r.agents,
+        "first_solution": list(r.solutions[0]) if r.solutions else None,
+        "trace_sha256": trace.sha.hexdigest(),
+    }
+
+
+def rows(exclude: frozenset = frozenset()):
+    for name, level, alldistinct in CONFIGS:
+        if name in exclude:
+            continue
+        for order in ORDERS:
+            for queue in QUEUES:
+                for coalesce in (True, False):
+                    yield run_row(name, level, alldistinct, order, queue, coalesce)
+
+
+def dump(table: list[dict]) -> str:
+    """One row per line, so a diff of the file names the moved runs."""
+    return "[\n" + ",\n".join(json.dumps(row) for row in table) + "\n]\n"
+
+
+def check(expected: list[dict], exclude: frozenset) -> list[str]:
+    """The differences between the stored rows and a fresh run."""
+    stored = {tuple(row[k] for k in KEY): row for row in expected
+              if row["model"] not in exclude}
+    problems = []
+    seen = set()
+    for row in rows(exclude):
+        key = tuple(row[k] for k in KEY)
+        seen.add(key)
+        old = stored.get(key)
+        if old is None:
+            problems.append(f"no stored row for {key}")
+        elif old != row:
+            moved = {k: (old.get(k), row[k]) for k in row if old.get(k) != row[k]}
+            problems.append(f"{key}: {moved}")
+    problems.extend(f"stored row not run: {key}" for key in stored if key not in seen)
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="COUNTS.json")
+    mode.add_argument("--check", metavar="COUNTS.json")
+    parser.add_argument("--exclude", action="append", default=[], metavar="MODEL",
+                        help="leave out this benchmark's rows (repeatable; --check only)")
+    args = parser.parse_args(argv)
+    exclude = frozenset(args.exclude)
+    if args.write:
+        if exclude:
+            parser.error("--exclude applies to --check only")
+        with open(args.write, "w", encoding="utf-8") as f:
+            f.write(dump(list(rows())))
+        return 0
+    with open(args.check, encoding="utf-8") as f:
+        expected = json.load(f)
+    problems = check(expected, exclude)
+    for line in problems:
+        print(line)
+    print(f"count matrix: {len(problems)} difference(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
