@@ -92,9 +92,6 @@ class FiniteDomain:
     def is_singleton(self) -> bool:
         return self.count == 1
 
-    def is_empty(self) -> bool:
-        return self.count == 0
-
     def is_interval(self) -> bool:
         return self.bits is None
 

@@ -1,15 +1,16 @@
 """Propagators for linear equality and disequality constraints.
 
-Binary constraints a*X = b*Y + c are supported at three consistency
-levels that build on each other: forward checking (solve the other side
-once one side is bound), interval (bound reduction from the opposite
-domain's bounds), and arc (per-element counterpart exclusion).  All the
-disequalities X != Y + c on one variable pair share one forward-checking
-agent, which holds their offsets c and excludes every implied value once
-either side is bound.  N-ary sums c + sum(a_i * X_i) = 0 get a single
-two-phase interval reducer, a hybrid scheme that switches to binary arc
-propagation once at most two variables remain free, and a plain
-forward-checking variant.
+A binary constraint a*X = b*Y + c is one agent at each of three
+consistency levels that build on each other: forward checking (solve
+the other side once one side is bound), interval (also narrow each side
+to the range the other side's bounds allow) and arc (also exclude the
+counterpart of each inner exclusion).  All the disequalities X != Y + c
+on one variable pair share one forward-checking agent, which holds
+their offsets c and excludes every implied value once either side is
+bound.  N-ary sums c + sum(a_i * X_i) = 0 get a single two-phase
+interval reducer, a hybrid scheme that posts one binary arc agent once
+at most two variables remain free, and a plain forward-checking
+variant.
 
 All propagator arithmetic is validated against a signed 64-bit budget
 at posting time; models that could overflow it are rejected with
@@ -113,7 +114,7 @@ def _true(_event) -> bool:
 
 
 def post_binary(rt: Runtime, bc: BinaryLinear, level: ConsistencyLevel) -> bool:
-    """Spawn the agent set for a*X = b*Y + c at the requested level.
+    """Spawn the one agent for a*X = b*Y + c at the requested level.
     Returns False on inconsistency found during generation-time
     reduction."""
     return _post_binary_signed(rt, bc.a, bc.x, bc.b, bc.y, bc.c, level)
@@ -135,30 +136,53 @@ def _post_binary_signed(rt: Runtime, a: int, x: int, b: int, y: int, c: int,
             return False
         return store.bind(x, q)
     _check_binary_capacity(store, a, x, b, y, c)
+    return _spawn_binary(rt, a, x, b, y, c, level)
 
-    if not _spawn_forward(rt, a, x, b, y, c):
-        return False
-    if level is ConsistencyLevel.FORWARD_CHECKING:
-        return True
+
+def _narrow_from(store, x, a, dy, b, c) -> bool:
+    """Keep X of a*X = b*Y + c within the range Y's bounds dy allow."""
     if b > 0:
-        mirror = (b, y, a, x, -c)
+        t_lo = b * dy.lo + c
+        t_hi = b * dy.hi + c
     else:
-        mirror = (-b, y, -a, x, c)
-    if not _spawn_interval_dir(rt, a, x, b, y, c):
-        return False
-    if not _spawn_interval_dir(rt, *mirror):
-        return False
-    if level is ConsistencyLevel.INTERVAL:
-        return True
-    if not _spawn_arc_dir(rt, a, x, b, y, c):
-        return False
-    return _spawn_arc_dir(rt, *mirror)
+        t_lo = b * dy.hi + c
+        t_hi = b * dy.lo + c
+    return store.intersect(x, ceil_div(t_lo, a), floor_div(t_hi, a))
 
 
-def _spawn_forward(rt, a, x, b, y, c) -> bool:
+def _revise(store, x, dx, a, dy, b, c) -> bool:
+    """Drop the values of X (domain dx) of a*X = b*Y + c that have no
+    support in dy."""
+    for val in dx.values():
+        q, r = divmod(a * val - c, b)
+        if (r or not dy.contains(q)) and not store.exclude(x, val):
+            return False
+    return True
+
+
+# Per level: the agent's name prefix and the events of X and Y it wakes on.
+_BINARY_AGENT = {
+    ConsistencyLevel.FORWARD_CHECKING: ("eq_fwd", (INS,)),
+    ConsistencyLevel.INTERVAL: ("eq_ic", (INS, BOUND)),
+    ConsistencyLevel.ARC: ("eq_ac", (INS, BOUND, DOM)),
+}
+
+
+def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
+    """One agent for a*X = b*Y + c (a >= 1, b of either sign).
+
+    While both sides are free it sleeps on ins of X and Y, plus bound
+    (ic, ac) and dom (ac) of both.  A bound event narrows the other side
+    to the range the moved bounds allow; a dom event excludes the
+    excluded value's counterpart, in constant time.  At generation it
+    narrows both sides and, at ac, revises X against Y and then Y
+    against X.  Once a side is bound it solves the other and ends."""
     store = rt.store
     vx = store.vars[x]
     vy = store.vars[y]
+    # the same constraint solved for Y: ma*Y = mb*X + mc with ma >= 1
+    ma, mb, mc = (b, a, -c) if b > 0 else (-b, -a, c)
+    arc = level is ConsistencyLevel.ARC
 
     def both_free():
         return vx.bound_value is None and vy.bound_value is None
@@ -166,88 +190,42 @@ def _spawn_forward(rt, a, x, b, y, c) -> bool:
     def x_free():
         return vx.bound_value is None
 
-    def solve_x(_event):
-        t = b * vy.bound_value + c
-        q, r = divmod(t, a)
-        if r:
+    def propagate(event):
+        kind = event.kind
+        if kind == DOM:
+            if event.var == x:
+                q, r = divmod(mb * event.value + mc, ma)
+                return r != 0 or store.exclude(y, q)
+            q, r = divmod(b * event.value + c, a)
+            return r != 0 or store.exclude(x, q)
+        if kind == BOUND:
+            if event.var == x:
+                return _narrow_from(store, y, ma, vx.domain, mb, mc)
+            return _narrow_from(store, x, a, vy.domain, b, c)
+        # the generated event
+        if not (_narrow_from(store, x, a, vy.domain, b, c)
+                and _narrow_from(store, y, ma, vx.domain, mb, mc)):
             return False
-        return store.bind(x, q)
+        return not arc or (_revise(store, x, vx.domain, a, vy.domain, b, c)
+                           and _revise(store, y, vy.domain, ma, vx.domain, mb, mc))
+
+    def solve_x(_event):
+        q, r = divmod(b * vy.bound_value + c, a)
+        return r == 0 and store.bind(x, q)
 
     def solve_y(_event):
-        t = a * vx.bound_value - c
-        q, r = divmod(t, b)
-        if r:
-            return False
-        return store.bind(y, q)
+        q, r = divmod(mb * vx.bound_value + mc, ma)
+        return r == 0 and store.bind(y, q)
 
+    family, kinds = _BINARY_AGENT[level]
+    watch = tuple((kind, v) for kind in kinds for v in (x, y))
     rules = [
-        Rule(both_free, ((INS, x), (INS, y)), _true),
+        Rule(both_free, watch, propagate,
+             run_on_generated=level is not ConsistencyLevel.FORWARD_CHECKING),
         Rule(x_free, None, solve_x),
         Rule(None, None, solve_y),
     ]
-    return rt.spawn(rules, name=f"eq_fwd({a}*_{x}={b}*_{y}+{c})") is not None
-
-
-def _spawn_interval_dir(rt, a, x, b, y, c) -> bool:
-    """One direction agent: keep X within the bounds b*Y + c allows,
-    at generation and whenever Y's bound moves, while both are free."""
-    store = rt.store
-    vx = store.vars[x]
-    vy = store.vars[y]
-
-    def both_free():
-        return vx.bound_value is None and vy.bound_value is None
-
-    def reduce(_event):
-        dy = vy.domain
-        if b > 0:
-            t_lo = b * dy.lo + c
-            t_hi = b * dy.hi + c
-        else:
-            t_lo = b * dy.hi + c
-            t_hi = b * dy.lo + c
-        return store.intersect(x, ceil_div(t_lo, a), floor_div(t_hi, a))
-
-    rules = [
-        Rule(both_free, ((BOUND, y), (INS, y)), reduce, run_on_generated=True),
-        Rule(None, None, _true),
-    ]
-    return rt.spawn(rules, name=f"eq_ic({a}*_{x}<-{b}*_{y}+{c})") is not None
-
-
-def _spawn_arc_dir(rt, a, x, b, y, c) -> bool:
-    """One arc agent: at generation, drop the X values with no support
-    in Y; afterwards, translate each inner exclusion from Y into the
-    counterpart exclusion from X in constant time."""
-    store = rt.store
-    vx = store.vars[x]
-    vy = store.vars[y]
-
-    def both_free():
-        return vx.bound_value is None and vy.bound_value is None
-
-    def act(event):
-        if event.kind == DOM:
-            t = b * event.value + c
-            q, r = divmod(t, a)
-            if r == 0:
-                return store.exclude(x, q)
-            return True
-        # generation-time revision against the current domain of Y
-        dy = vy.domain
-        for val in list(vx.domain.values()):
-            t = a * val - c
-            q, r = divmod(t, b)
-            if r != 0 or not dy.contains(q):
-                if not store.exclude(x, val):
-                    return False
-        return True
-
-    rules = [
-        Rule(both_free, ((DOM, y),), act, run_on_generated=True),
-        Rule(None, None, _true),
-    ]
-    return rt.spawn(rules, name=f"eq_ac({a}*_{x}<-{b}*_{y}+{c})") is not None
+    return rt.spawn(rules, name=f"{family}({a}*_{x}={b}*_{y}+{c})") is not None
 
 
 # -- disequality ---------------------------------------------------------------

@@ -124,9 +124,6 @@ class Store:
     def value(self, x: int) -> Optional[int]:
         return self.vars[x].bound_value
 
-    def is_bound(self, x: int) -> bool:
-        return self.vars[x].bound_value is not None
-
     def name_of(self, x: int) -> str:
         return self.vars[x].name or f"_{x}"
 

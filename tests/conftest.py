@@ -5,8 +5,20 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from fdprop.benchmarks import get_benchmark
 from fdprop.linear import BinaryLinear, Diseq, NaryLinear
 from fdprop.model import Distinct, Model, VarDecl
+from fdprop.oracle import enumerate_solutions
+
+
+@pytest.fixture(scope="session")
+def sendmoney_oracle_solutions():
+    """The brute-force solution set of sendmoney's ground model (cap
+    10^8), the slowest enumeration in the suite, computed once per
+    session for the tests that share it."""
+    return enumerate_solutions(get_benchmark("sendmoney").to_ground(cap=10 ** 8))
 
 
 def random_domain(rng: random.Random, max_values: int = 9) -> VarDecl:

@@ -1,7 +1,7 @@
 """The committed count matrix (COUNTS.json) against a fresh run.
 
-Only the fast rows are re-run here; alpha's rows take about a minute
-and are checked with ``python tools/count_matrix.py --check COUNTS.json``.
+Every row but alpha's, the slow ones, is re-run here; the whole file is
+checked with ``python tools/count_matrix.py --check COUNTS.json``.
 """
 
 import importlib.util

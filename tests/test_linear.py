@@ -112,6 +112,21 @@ def test_binary_rejects_nonpositive_coefficients():
         BinaryLinear(1, 0, -1, 1, 0)
 
 
+@pytest.mark.parametrize("level,family", [(FC, "eq_fwd"), (IC, "eq_ic"), (AC, "eq_ac")],
+                         ids=["fc", "ic", "ac"])
+def test_binary_posts_one_agent_per_level(level, family):
+    # the name prefix is the agent family the perfbench tracer counts
+    store, rt = fresh()
+    x = store.new_var(make_set([1, 3, 4, 6]))
+    y = store.new_var(make_interval(0, 9))
+    assert post_binary(rt, BinaryLinear(2, x, 1, y, 2), level)
+    assert len(rt.agents) == 1
+    assert rt.agents[0].name == f"{family}(2*_{x}=1*_{y}+2)"
+    assert rt.run_to_fixpoint()
+    assert store.bind(x, 3) and rt.run_to_fixpoint()
+    assert store.value(y) == 4 and len(rt.agents) == 1
+
+
 def test_diseq_examples():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
@@ -258,6 +273,24 @@ def test_hybrid_collapse_prunes_like_brute_force():
     assert store.bind(xs[0], 1) and rt.run_to_fixpoint()
     assert set(domain_values(store, xs[1])) == {x2 for x2, _ in brute}
     assert set(domain_values(store, xs[2])) == {x3 for _, x3 in brute}
+
+
+@pytest.mark.parametrize("s,c", [(1, -8), (-1, -4)])
+def test_hybrid_collapse_spawns_one_agent(s, c):
+    # c + 2*x1 + s*x2 + x3 = 0 over 0..6; x3 = 2 leaves a binary
+    # equality whose arc fixpoint has holes
+    brute = {(v1, v2) for v1 in range(7) for v2 in range(7)
+             if c + 2 * v1 + s * v2 + 2 == 0}
+    store, rt = fresh()
+    xs = [store.new_var(make_interval(0, 6)) for _ in range(3)]
+    assert post_nary_hybrid(rt, NaryLinear(c, ((2, xs[0]), (s, xs[1]), (1, xs[2]))))
+    assert rt.run_to_fixpoint() and len(rt.agents) == 1
+    assert store.bind(xs[2], 2) and rt.run_to_fixpoint()
+    assert [a.name.split("(")[0] for a in rt.agents] == ["lin3_hybrid", "eq_ac"]
+    assert set(domain_values(store, xs[0])) == {v1 for v1, _ in brute}
+    assert set(domain_values(store, xs[1])) == {v2 for _, v2 in brute}
+    assert store.bind(xs[0], 2) and rt.run_to_fixpoint()
+    assert (2, store.value(xs[1])) in brute and len(rt.agents) == 2
 
 
 def test_hybrid_single_term_divisibility():
