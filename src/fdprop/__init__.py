@@ -54,9 +54,7 @@ from .oracle import (
 from .runtime import Agent, Event, Rule, Runtime
 from .search import (
     ALL_SOLUTIONS,
-    FIRST_FAIL,
     FIRST_SOLUTION,
-    LEFT_TO_RIGHT,
     LabelingSpec,
     SearchStats,
     label,

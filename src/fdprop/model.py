@@ -317,22 +317,10 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-_BINARY_LEVEL = {
-    "fc": ConsistencyLevel.FORWARD_CHECKING,
-    "ic": ConsistencyLevel.INTERVAL,
-    "ac": ConsistencyLevel.ARC,
-}
-
 _NARY_POST = {
     "fc": post_nary_forward,
     "ic": post_nary_unite,
     "ac": post_nary_hybrid,
-}
-
-_DISTINCT_STRATEGY = {
-    "naive": Strategy.NAIVE_PAIRWISE,
-    "linear": Strategy.LINEAR_SPACE,
-    "wac": Strategy.WEAK_AC,
 }
 
 
@@ -375,7 +363,7 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     diseqs = _diseq_groups(model.constraints)
     for i, con in enumerate(model.constraints):
         if isinstance(con, BinaryLinear):
-            ok = post_binary(rt, con, _BINARY_LEVEL[config.level])
+            ok = post_binary(rt, con, ConsistencyLevel(config.level))
         elif isinstance(con, NaryLinear):
             ok = _NARY_POST[config.level](rt, con)
         elif isinstance(con, Diseq):
@@ -384,7 +372,7 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
             ok = post_diseq(rt, *diseqs[i])
         elif isinstance(con, Distinct):
             ok = post_alldistinct(rt, AllDistinctPosting(
-                con.vars, _DISTINCT_STRATEGY[config.alldistinct]))
+                con.vars, Strategy(config.alldistinct)))
         else:
             raise TypeError(f"unknown constraint record {con!r}")
         if not ok:

@@ -5,10 +5,12 @@ carries an ordered list of guarded rules; the first rule whose guard
 holds is selected, in textual order.  A rule with a watch set suspends
 the agent on those events; a rule without one (a commitment rule) runs
 its body and ends the agent.  An agent's only mutable state is the
-index of the action rule it sleeps on, or END once it has committed;
-a change of that index is trailed.  Posting an event wakes every agent
-not at END that watches it and then erases the event: agents spawned
-later never see it.
+index of the action rule it sleeps on, or END once it has committed.
+The runtime alone owns suspension and its undo: suspending appends the
+agent to the watcher lists of its rule's watch set, and every change of
+the index is trailed, so a backtrack pops those appends and restores
+the index.  Posting an event wakes every agent not at END that watches
+it and then erases the event: agents spawned later never see it.
 
 Scheduling is first-generated-first-served: a post enqueues one
 (agent, event) item per woken agent, in ascending creation order, and
@@ -101,18 +103,21 @@ class Agent:
 
 
 class Runtime:
-    """Agent table, activation queue, and the fixpoint driver.
+    """Agent table, activation queue, trail, and the fixpoint driver.
 
-    Created around a store; installs itself as the store's event sink
-    and restore hook so that choice points snapshot both together.
+    Created around a store; installs itself as the store's event sink.
+    Its choice point is the store's plus its own marks, so that a
+    backtrack restores both.
 
     ``queue`` holds pending (agent, event) items.  ``pending`` maps
     (agent id, var) to the one live ins/bound item of a coalescing
     agent; an item that is no longer the map's entry for its key was
     superseded and is skipped when taken.  A choice point is only made
-    with an empty queue, so backtracking empties both.  The agent trail
-    holds (agent, old rule) for every change of an existing agent's
-    rule; a backtrack undoes those and drops the agents created since.
+    with an empty queue, so backtracking empties both.  The trail
+    holds (agent, old rule) for every change of an agent's rule, a new
+    agent's first suspension included; a backtrack undoes those, popping
+    the agent from the watcher lists of the rule it leaves, and drops
+    the agents created since.
     """
 
     def __init__(self, store: Store, *, coalescing: bool = True,
@@ -127,10 +132,8 @@ class Runtime:
         self.trace = trace
         self.activations = 0
         self._trace_seq = 0
-        self._agent_trail: list[tuple[Agent, int]] = []
+        self._trail: list[tuple[Agent, int]] = []
         store.event_sink = self._post_kind
-        store._runtime_mark = self._mark
-        store._runtime_restore = self._restore
 
     def _taker(self, policy: str, seed: Optional[int]):
         """The queue's take callable: 'fifo' (the default), or 'lifo'
@@ -151,17 +154,21 @@ class Runtime:
             return queue.pop()
         return take
 
-    # -- choice-point marks ----------------------------------------------------
-
-    def _mark(self):
-        return (len(self.agents), len(self._agent_trail))
+    # -- undo -------------------------------------------------------------------
 
     def _restore(self, marks) -> None:
+        """Undo the trail down to marks (agent count, trail length).
+        Every watcher append has a trail entry, so the pops are LIFO on
+        each list."""
         agent_count, trail_mark = marks
-        trail = self._agent_trail
-        for agent, rule in reversed(trail[trail_mark:]):
+        trail = self._trail
+        vars_ = self.store.vars
+        while len(trail) > trail_mark:
+            agent, rule = trail.pop()
+            if agent.rule != END:
+                for kind, var in agent.rules[agent.rule].watch:
+                    vars_[var].watchers[kind].pop()
             agent.rule = rule
-        del trail[trail_mark:]
         del self.agents[agent_count:]
         self.queue.clear()
         self.pending.clear()
@@ -170,7 +177,7 @@ class Runtime:
 
     def _post_kind(self, kind: int, var: int, value: Optional[int]) -> None:
         """Store-facing sink: wake the sleepers, then the event is gone."""
-        watchers = self.store.vars[var].watchers(kind)
+        watchers = self.store.vars[var].watchers[kind]
         if not watchers:
             return
         event = Event(kind, var, value)
@@ -202,58 +209,45 @@ class Runtime:
         general agents should pass False to receive every event."""
         agent = Agent(len(self.agents), rules, coalesce, name)
         self.agents.append(agent)
-        if self._select(agent, 0, generating=True):
+        if self._select(agent, 0, _GENERATED_EVENT):
             return agent
         return None
 
-    def _register(self, agent: Agent, idx: int) -> None:
-        store = self.store
-        for kind, var in agent.rules[idx].watch:
-            lst = store.vars[var].watchers(kind)
-            lst.append(agent.id)
-            store.note_watcher_push(lst)
-
-    def _select(self, agent: Agent, start: int, generating: bool,
-                event: Optional[Event] = None) -> bool:
+    def _select(self, agent: Agent, start: int, event: Event) -> bool:
         """Find the first applicable rule from ``start`` onward and
-        commit/suspend accordingly.  False = the agent fails.  A new
-        agent's rule needs no trail entry: a backtrack past its
-        creation deletes it."""
-        if event is None:
-            event = _GENERATED_EVENT
+        commit/suspend accordingly; ``event`` is _GENERATED_EVENT at
+        generation.  False = the agent fails.  A commitment at
+        generation leaves the rule at END and needs no trail entry."""
         rules = agent.rules
         for idx in range(start, len(rules)):
             rule = rules[idx]
             guard = rule.guard
             if guard is not None and not guard():
                 continue
-            if rule.watch is None:
+            watch = rule.watch
+            if watch is None:
                 self.activations += 1
                 ok = rule.action(event)
-                if self.trace is not None:
-                    self._trace_line(agent, event, idx, "end" if ok else "fail")
-                if ok and not generating:
-                    self._agent_trail.append((agent, agent.rule))
+                self._trace_line(agent, event, idx, "end" if ok else "fail")
+                if ok and agent.rule != END:
+                    self._trail.append((agent, agent.rule))
                     agent.rule = END
                 return ok
             # action rule: suspend (register first so the agent hears
             # the events its own generation-time action posts)
-            if not generating:
-                self._agent_trail.append((agent, agent.rule))
+            self._trail.append((agent, agent.rule))
             agent.rule = idx
-            self._register(agent, idx)
-            if generating and rule.run_on_generated:
-                return self._run_action(agent, rule, idx, _GENERATED_EVENT)
+            vars_ = self.store.vars
+            for kind, var in watch:
+                vars_[var].watchers[kind].append(agent.id)
+            if event is _GENERATED_EVENT and rule.run_on_generated:
+                self.activations += 1
+                ok = rule.action(event)
+                self._trace_line(agent, event, idx, "ok" if ok else "fail")
+                return ok
             return True
         self._trace_line(agent, event, -1, "fail")
         return False
-
-    def _run_action(self, agent: Agent, rule: Rule, idx: int, event: Event) -> bool:
-        self.activations += 1
-        ok = rule.action(event)
-        if self.trace is not None:
-            self._trace_line(agent, event, idx, "ok" if ok else "fail")
-        return ok
 
     def _trace_line(self, agent: Agent, event: Event, rule_idx: int,
                     outcome: str) -> None:
@@ -297,21 +291,25 @@ class Runtime:
                     return False
                 if trace is not None:
                     self._trace_line(agent, event, idx, "ok")
-            elif not self._select(agent, idx + 1, generating=False, event=event):
+            elif not self._select(agent, idx + 1, event):
                 return False
         return True
 
     # -- search support -----------------------------------------------------------
 
     def push_choice_point(self):
-        """Create a choice point.  Per the execution contract no choice
-        point may be created while activations are pending."""
+        """Create a choice point: the store's, and the runtime's marks.
+        Per the execution contract no choice point may be created while
+        activations are pending."""
         if self.queue:
             raise InvariantError("choice point requested with pending activations")
-        return self.store.push_choice_point()
+        return self.store.push_choice_point(), (len(self.agents), len(self._trail))
 
     def backtrack_to(self, cp) -> None:
-        self.store.backtrack_to(cp)
+        """Restore the store and the runtime to the instant cp was made."""
+        store_cp, marks = cp
+        self.store.backtrack_to(store_cp)
+        self._restore(marks)
 
 
 _GENERATED_EVENT = Event(GENERATED, None, None)

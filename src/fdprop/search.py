@@ -25,9 +25,6 @@ from typing import Optional, Sequence
 from .runtime import Runtime
 from .store import InvariantError
 
-LEFT_TO_RIGHT = "left_to_right"
-FIRST_FAIL = "first_fail"  # smallest-domain-first; an extra, off the beaten path
-
 FIRST_SOLUTION = "first"
 ALL_SOLUTIONS = "all"
 
@@ -51,14 +48,11 @@ class LabelingSpec:
     """max_backtracks: stop once more than this many attempts have
     failed.  deadline: stop once ``time.perf_counter()`` passes it."""
 
-    order: str = LEFT_TO_RIGHT
     mode: str = FIRST_SOLUTION
     max_backtracks: Optional[int] = None
     deadline: Optional[float] = None
 
     def __post_init__(self):
-        if self.order not in (LEFT_TO_RIGHT, FIRST_FAIL):
-            raise ValueError(f"unknown labeling order {self.order!r}")
         if self.mode not in (FIRST_SOLUTION, ALL_SOLUTIONS):
             raise ValueError(f"unknown search mode {self.mode!r}")
 
@@ -75,19 +69,9 @@ def label(rt: Runtime, var_ids: Sequence[int],
     stats = SearchStats()
     solutions: list[tuple] = []
     stop_at_first = spec.mode == FIRST_SOLUTION
-    first_fail = spec.order == FIRST_FAIL
     vars_ = store.vars
 
     def pick():
-        if first_fail:
-            best = None
-            best_count = None
-            for x in var_ids:
-                if vars_[x].bound_value is None:
-                    c = vars_[x].domain.count
-                    if best_count is None or c < best_count:
-                        best, best_count = x, c
-            return best
         for x in var_ids:
             if vars_[x].bound_value is None:
                 return x

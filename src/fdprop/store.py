@@ -1,10 +1,14 @@
 """Backtrackable variable store.
 
 The store owns the decision variables, converts domain deltas into
-posted events, auto-instantiates singletons, and provides exact state
-restoration through a trail and a choice-point stack.  Failure is a
-returned status (False), never an exception, so it composes with the
+posted events, auto-instantiates singletons, and restores domains and
+bindings exactly through a trail and a choice-point stack.  Failure is
+a returned status (False), never an exception, so it composes with the
 search loop's unwind.
+
+Each variable carries the watcher lists of the agents suspended on it,
+but the store never changes them: the runtime appends to them and
+undoes its appends on its own trail.
 
 A store and everything it owns is confined to one thread of control;
 independent stores may run in parallel.
@@ -36,33 +40,21 @@ class InvariantError(RuntimeError):
 
 
 class Variable:
-    """A decision variable: current domain, binding, and the three
-    per-event suspension lists (agent ids, in registration order).
+    """A decision variable: current domain, binding, and the per-event
+    suspension lists (agent ids, in registration order).
 
-    Watcher lists are append-only within a choice-point segment; entries
-    for agents that have since ended are skipped lazily at wake time.
+    ``watchers[kind]`` is the list for event kind ``kind``.  The
+    GENERATED slot is an empty tuple: that event is never posted.
     """
 
-    __slots__ = ("domain", "bound_value", "ins_watchers", "bound_watchers",
-                 "dom_watchers", "name", "stamp")
+    __slots__ = ("domain", "bound_value", "watchers", "name", "stamp")
 
     def __init__(self, domain: FiniteDomain, name: Optional[str] = None):
         self.domain = domain
         self.bound_value = domain.lo if domain.count == 1 else None
-        self.ins_watchers: list[int] = []
-        self.bound_watchers: list[int] = []
-        self.dom_watchers: list[int] = []
+        self.watchers: tuple = ((), [], [], [])
         self.name = name
         self.stamp = 0
-
-    def watchers(self, kind: int) -> list[int]:
-        if kind == INS:
-            return self.ins_watchers
-        if kind == BOUND:
-            return self.bound_watchers
-        if kind == DOM:
-            return self.dom_watchers
-        raise ValueError(f"no watcher list for event kind {kind}")
 
     def __repr__(self):
         label = self.name or "_"
@@ -70,18 +62,17 @@ class Variable:
 
 
 class ChoicePoint:
-    """Marks sufficient to restore store and runtime state exactly."""
+    """Marks sufficient to restore the store's domains exactly."""
 
-    __slots__ = ("trail_mark", "watch_mark", "var_mark", "parent_stamp",
-                 "runtime_marks")
+    __slots__ = ("trail_mark", "parent_stamp")
 
-    def __init__(self, trail_mark, watch_mark, var_mark, parent_stamp,
-                 runtime_marks):
+    def __init__(self, trail_mark, parent_stamp):
         self.trail_mark = trail_mark
-        self.watch_mark = watch_mark
-        self.var_mark = var_mark
         self.parent_stamp = parent_stamp
-        self.runtime_marks = runtime_marks
+
+
+def _drop_event(kind: int, var: int, value: Optional[int]) -> None:
+    pass
 
 
 class Store:
@@ -89,30 +80,28 @@ class Store:
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
     event a narrowing (``exclude``, ``intersect``, ``bind``) posts; the
-    runtime installs itself here.  With no sink attached events are
-    dropped (domains still narrow correctly).
+    runtime installs itself here.  The default sink drops the events
+    (domains still narrow correctly).
     """
 
-    def __init__(self, event_sink: Optional[Callable[[int, int, Optional[int]], None]] = None):
+    def __init__(self, event_sink: Callable[[int, int, Optional[int]], None] = _drop_event):
         self.vars: list[Variable] = []
         self.event_sink = event_sink
         self._trail: list[tuple[Variable, FiniteDomain, Optional[int], int]] = []
-        self._watch_trail: list[list[int]] = []
         self._cps: list[ChoicePoint] = []
         self._stamp_counter = 0
         self.current_stamp = 0
-        # Runtime hooks, installed by the Runtime constructor: () -> marks
-        # and (marks) -> None.
-        self._runtime_mark: Optional[Callable[[], object]] = None
-        self._runtime_restore: Optional[Callable[[object], None]] = None
 
     # -- variables ---------------------------------------------------------
 
     def new_var(self, domain: FiniteDomain, name: Optional[str] = None) -> int:
         """Add a fresh variable.  A singleton domain binds immediately
-        and silently (nothing can be watching yet)."""
+        and silently (nothing can be watching yet).  Variables are made
+        before the first choice point: a backtrack does not remove them."""
         if domain.count == 0:
             raise InvariantError("cannot create a variable with an empty domain")
+        if self._cps:
+            raise InvariantError("cannot create a variable after a choice point")
         var = Variable(domain, name)
         var.stamp = self.current_stamp
         self.vars.append(var)
@@ -136,10 +125,6 @@ class Store:
             self._trail.append((var, var.domain, var.bound_value, var.stamp))
             var.stamp = self.current_stamp
 
-    def note_watcher_push(self, watcher_list: list[int]) -> None:
-        """Record a watcher-list append so backtracking can pop it."""
-        self._watch_trail.append(watcher_list)
-
     # -- narrowing ---------------------------------------------------------
 
     def exclude(self, x: int, v: int) -> bool:
@@ -153,17 +138,13 @@ class Store:
             return False
         self._save(var)
         var.domain = nd
-        sink = self.event_sink
         if kind == DeltaKind.INSTANTIATED:
             var.bound_value = delta.value
-            if sink is not None:
-                sink(INS, x, None)
+            self.event_sink(INS, x, None)
         elif kind == DeltaKind.BOUND_CHANGED:
-            if sink is not None:
-                sink(BOUND, x, None)
+            self.event_sink(BOUND, x, None)
         else:  # INNER_EXCLUDED
-            if sink is not None:
-                sink(DOM, x, v)
+            self.event_sink(DOM, x, v)
         return True
 
     def intersect(self, x: int, lo: int, hi: int) -> bool:
@@ -177,13 +158,11 @@ class Store:
             return False
         self._save(var)
         var.domain = nd
-        sink = self.event_sink
         if kind == DeltaKind.INSTANTIATED:
             var.bound_value = delta.value
-            if sink is not None:
-                sink(INS, x, None)
-        elif sink is not None:
-            sink(BOUND, x, None)
+            self.event_sink(INS, x, None)
+        else:
+            self.event_sink(BOUND, x, None)
         return True
 
     def bind(self, x: int, v: int) -> bool:
@@ -196,18 +175,15 @@ class Store:
     # -- choice points -----------------------------------------------------
 
     def push_choice_point(self) -> ChoicePoint:
-        parent = self.current_stamp
+        cp = ChoicePoint(len(self._trail), self.current_stamp)
         self._stamp_counter += 1
         self.current_stamp = self._stamp_counter
-        runtime_marks = self._runtime_mark() if self._runtime_mark else None
-        cp = ChoicePoint(len(self._trail), len(self._watch_trail),
-                         len(self.vars), parent, runtime_marks)
         self._cps.append(cp)
         return cp
 
     def backtrack_to(self, cp: ChoicePoint) -> None:
-        """Restore every domain, binding, watcher list, and the attached
-        runtime's state to the instant cp was created."""
+        """Restore every domain and binding to the instant cp was
+        created."""
         while self._cps and self._cps[-1] is not cp:
             self._cps.pop()
         if not self._cps:
@@ -220,13 +196,7 @@ class Store:
             var.domain = dom
             var.bound_value = bound
             var.stamp = stamp
-        watch = self._watch_trail
-        while len(watch) > cp.watch_mark:
-            watch.pop().pop()
-        del self.vars[cp.var_mark:]
         self.current_stamp = cp.parent_stamp
-        if self._runtime_restore is not None:
-            self._runtime_restore(cp.runtime_marks)
 
     def depth(self) -> int:
         return len(self._cps)

@@ -79,8 +79,7 @@ def domain_values(store, x) -> tuple[int, ...]:
 def store_snapshot(store) -> tuple:
     """Observable store state for round-trip comparisons."""
     return tuple(
-        (tuple(v.domain.values()), v.bound_value,
-         tuple(v.ins_watchers), tuple(v.bound_watchers), tuple(v.dom_watchers))
+        (tuple(v.domain.values()), v.bound_value, tuple(map(tuple, v.watchers)))
         for v in store.vars
     )
 

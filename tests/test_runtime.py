@@ -195,9 +195,10 @@ def test_generated_action_hears_its_own_events():
 def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
     """Once an agent commits (rule END), none of its actions runs again
     unless a backtrack undoes the commitment; a backtrack restores
-    every surviving agent's rule.  Besides the model's propagators,
-    each run has one agent that sleeps on each variable in turn, so
-    that rule switches after a failed guard are covered too."""
+    every surviving agent's rule and every watcher list.  Besides the
+    model's propagators, each run has one agent that sleeps on each
+    variable in turn, so that rule switches after a failed guard, and
+    their undo, are covered too."""
     committed = []  # agents whose commitment rule succeeded, in order
     original_spawn = Runtime.spawn
 
@@ -235,8 +236,8 @@ def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
             unbound = [x for x in range(len(model.vars)) if store.value(x) is None]
             if not unbound:
                 break
-            stack.append(([(a, a.rule) for a in rt.agents], len(committed),
-                          rt.push_choice_point()))
+            stack.append(([(a, a.rule) for a in rt.agents], store_snapshot(store),
+                          len(committed), rt.push_choice_point()))
             x = rng.choice(unbound)
             ok = (store.bind(x, rng.choice(list(store.domain(x).values())))
                   and rt.run_to_fixpoint())
@@ -244,10 +245,11 @@ def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
             if not ok:
                 break
         while stack:
-            rules, n_committed, cp = stack.pop()
+            rules, snapshot, n_committed, cp = stack.pop()
             rt.backtrack_to(cp)
             del committed[n_committed:]
             assert [(a, a.rule) for a in rt.agents] == rules
+            assert store_snapshot(store) == snapshot
 
 
 def test_guard_purity_randomized():
@@ -299,11 +301,11 @@ def test_backtrack_restores_agent_table_and_watchers():
     cp = rt.push_choice_point()
     rt.spawn([Rule(None, ((INS, x), (BOUND, x)), lambda e: True)])
     assert len(rt.agents) == 2
-    assert len(store.vars[x].bound_watchers) == 1
+    assert len(store.vars[x].watchers[BOUND]) == 1
     rt.backtrack_to(cp)
     assert len(rt.agents) == 1
-    assert store.vars[x].bound_watchers == []
-    assert len(store.vars[x].ins_watchers) == 1
+    assert store.vars[x].watchers[BOUND] == []
+    assert len(store.vars[x].watchers[INS]) == 1
 
 
 def test_backtrack_after_failed_fixpoint_discards_queued_activations():

@@ -9,12 +9,11 @@ from conftest import random_model
 from fdprop.alldistinct import AllDistinctPosting, Strategy, post_alldistinct
 from fdprop.benchmarks import queens_model
 from fdprop.domain import make_interval
-from fdprop.model import Model, SolverConfig, VarDecl, build, solve_model
+from fdprop.model import Model, SolverConfig, VarDecl, solve_model
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
 from fdprop.search import (
     ALL_SOLUTIONS,
-    FIRST_FAIL,
     LabelingSpec,
     label,
 )
@@ -93,22 +92,6 @@ def test_backtrack_monotonicity_across_levels():
         assert counts["ac"] <= counts["ic"] <= counts["fc"]
 
 
-def test_first_fail_order_finds_same_solutions():
-    rng = random.Random(23)
-    for _ in range(20):
-        model = random_model(rng)
-        expected = enumerate_solutions(model.to_ground())
-        store, rt, ok = build(model, SolverConfig())
-        if ok:
-            ok = rt.run_to_fixpoint()
-        if not ok:
-            assert expected == set()
-            continue
-        stats, sols = label(rt, model.label_order,
-                            LabelingSpec(order=FIRST_FAIL, mode=ALL_SOLUTIONS))
-        assert set(sols) == expected
-
-
 def test_unlabeled_unbound_variable_is_an_error():
     store = Store()
     rt = Runtime(store)
@@ -143,7 +126,5 @@ def test_backtrack_budget_stops_after_one_more_failure(budget):
 
 
 def test_labeling_spec_validation():
-    with pytest.raises(ValueError):
-        LabelingSpec(order="sideways")
     with pytest.raises(ValueError):
         LabelingSpec(mode="some")

@@ -88,6 +88,17 @@ def test_backtrack_requires_live_choice_point():
         store.backtrack_to(cp)
 
 
+def test_no_variable_after_a_choice_point():
+    # a backtrack does not remove variables, so none may be made after one
+    store = Store()
+    store.new_var(make_interval(1, 3))
+    cp = store.push_choice_point()
+    with pytest.raises(InvariantError):
+        store.new_var(make_interval(1, 3))
+    store.backtrack_to(cp)
+    store.new_var(make_interval(1, 3))
+
+
 def test_tightening_is_contracting():
     rng = random.Random(5)
     store = Store()

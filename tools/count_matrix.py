@@ -14,6 +14,13 @@ which runs moved.
 Posting order 0 is the shipped constraint order; order k > 0 is the
 shipped order shuffled by ``random.Random(k)``.  The label order never
 changes.  ``--check`` exits 1 and lists the rows that differ.
+
+Rows under the ``random`` queue policy move whenever a change alters
+the agent set or the queue lengths, even when no propagation changes:
+each take draws ``randrange(len(queue))``, so one more or one fewer
+queued item reshuffles the rest of the run.  Read "no activation count
+rises" on the ``fifo`` and ``lifo`` rows, or on means over several
+queue seeds; backtracks and solutions must hold on every row.
 """
 
 from __future__ import annotations
