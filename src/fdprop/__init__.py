@@ -5,7 +5,7 @@ propagators are suspended agents woken by instantiation, bound-update,
 and inner-exclusion events; search is trail-based depth-first labeling.
 """
 
-from .alldistinct import AllDistinctPosting, Strategy, post_alldistinct, outof_reducer
+from .alldistinct import Strategy, post_alldistinct, outof_reducer
 from .domain import (
     DomainDelta,
     DomainError,

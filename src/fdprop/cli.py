@@ -38,8 +38,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from .alldistinct import Strategy
 from .benchmarks import BENCH_CORPUS, get_benchmark
-from .linear import BinaryLinear, CapacityError, NaryLinear
+from .linear import BinaryLinear, CapacityError, ConsistencyLevel, NaryLinear
 from .model import (
     Distinct,
     Model,
@@ -224,9 +225,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
-        p.add_argument("--level", choices=["fc", "ic", "ac"], default="ac")
-        p.add_argument("--alldistinct", choices=["naive", "linear", "wac"],
-                       default="linear")
+        p.add_argument("--level", default="ac",
+                       choices=[level.value for level in ConsistencyLevel])
+        p.add_argument("--alldistinct", default="linear",
+                       choices=[strategy.value for strategy in Strategy])
 
     def add_limits(p):
         p.add_argument("--max-backtracks", type=_at_least(int, 0), metavar="N",

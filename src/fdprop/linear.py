@@ -332,6 +332,21 @@ def _watch_all(terms, kinds) -> tuple:
     return tuple((kind, x) for _, x in terms for kind in kinds)
 
 
+def _more_free_than(vars_, terms, k):
+    """Guard: more than k of the terms' variables are still unbound."""
+
+    def guard():
+        free = 0
+        for _, x in terms:
+            if vars_[x].bound_value is None:
+                free += 1
+                if free > k:
+                    return True
+        return False
+
+    return guard
+
+
 def post_nary_unite(rt: Runtime, nc: NaryLinear) -> bool:
     """One interval-consistency propagator for the whole sum, woken by
     any instantiation or bound update of its variables."""
@@ -368,18 +383,8 @@ def post_nary_hybrid(rt: Runtime, nc: NaryLinear) -> bool:
     the constant and hand over to the binary machinery at arc level."""
     store = rt.store
     _check_nary_capacity(store, nc.c, nc.terms)
-    vars_ = store.vars
     terms = nc.terms
     reduce = _make_reducer(rt, nc.c, terms)
-
-    def many_free():
-        free = 0
-        for _, x in terms:
-            if vars_[x].bound_value is None:
-                free += 1
-                if free > 2:
-                    return True
-        return False
 
     def collapse(_event):
         c2, free = _collapse_terms(store, nc.c, terms)
@@ -396,8 +401,8 @@ def post_nary_hybrid(rt: Runtime, nc: NaryLinear) -> bool:
         return _post_binary_signed(rt, a, x1, b, x2, k, ConsistencyLevel.ARC)
 
     rules = [
-        Rule(many_free, _watch_all(terms, (INS, BOUND)), reduce,
-             run_on_generated=True),
+        Rule(_more_free_than(store.vars, terms, 2), _watch_all(terms, (INS, BOUND)),
+             reduce, run_on_generated=True),
         Rule(None, None, collapse),
     ]
     return rt.spawn(rules, name=f"lin{len(terms)}_hybrid") is not None
@@ -408,17 +413,7 @@ def post_nary_forward(rt: Runtime, nc: NaryLinear) -> bool:
     remains free, then solve for it (or check the ground sum)."""
     store = rt.store
     _check_nary_capacity(store, nc.c, nc.terms)
-    vars_ = store.vars
     terms = nc.terms
-
-    def many_free():
-        free = 0
-        for _, x in terms:
-            if vars_[x].bound_value is None:
-                free += 1
-                if free > 1:
-                    return True
-        return False
 
     def solve_last(_event):
         c2, free = _collapse_terms(store, nc.c, terms)
@@ -428,7 +423,7 @@ def post_nary_forward(rt: Runtime, nc: NaryLinear) -> bool:
         return _solve_unary(store, c2, a, x)
 
     rules = [
-        Rule(many_free, _watch_all(terms, (INS,)), _true),
+        Rule(_more_free_than(store.vars, terms, 1), _watch_all(terms, (INS,)), _true),
         Rule(None, None, solve_last),
     ]
     return rt.spawn(rules, name=f"lin{len(terms)}_fwd") is not None

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .alldistinct import AllDistinctPosting, Strategy, post_alldistinct
+from .alldistinct import Strategy, post_alldistinct
 from .domain import DomainError, make_interval, make_set
 from .linear import (
     BinaryLinear,
@@ -309,10 +309,8 @@ class SolverConfig:
     time_limit: Optional[float] = None
 
     def __post_init__(self):
-        if self.level not in ("fc", "ic", "ac"):
-            raise ValueError(f"unknown level {self.level!r}")
-        if self.alldistinct not in ("naive", "linear", "wac"):
-            raise ValueError(f"unknown alldistinct strategy {self.alldistinct!r}")
+        ConsistencyLevel(self.level)  # an unknown value raises ValueError
+        Strategy(self.alldistinct)
         if self.mode not in (FIRST_SOLUTION, ALL_SOLUTIONS):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -371,8 +369,7 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
                 continue  # merged into the agent of an earlier record
             ok = post_diseq(rt, *diseqs[i])
         elif isinstance(con, Distinct):
-            ok = post_alldistinct(rt, AllDistinctPosting(
-                con.vars, Strategy(config.alldistinct)))
+            ok = post_alldistinct(rt, con.vars, Strategy(config.alldistinct))
         else:
             raise TypeError(f"unknown constraint record {con!r}")
         if not ok:

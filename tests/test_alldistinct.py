@@ -2,12 +2,7 @@ import random
 
 from conftest import domain_values, random_model
 
-from fdprop.alldistinct import (
-    AllDistinctPosting,
-    Strategy,
-    outof_reducer,
-    post_alldistinct,
-)
+from fdprop.alldistinct import Strategy, outof_reducer, post_alldistinct
 from fdprop.domain import make_interval, make_set
 from fdprop.model import Distinct, SolverConfig, build, solve_model
 from fdprop.oracle import check_weak_arc_consistent
@@ -24,7 +19,7 @@ def fresh(domains):
 
 def test_linear_space_excludes_on_binding():
     store, rt, xs = fresh([make_interval(1, 5)] * 3)
-    assert post_alldistinct(rt, AllDistinctPosting(tuple(xs), Strategy.LINEAR_SPACE))
+    assert post_alldistinct(rt, xs, Strategy.LINEAR_SPACE)
     assert store.bind(xs[1], 2) and rt.run_to_fixpoint()
     assert domain_values(store, xs[0]) == (1, 3, 4, 5)
     assert domain_values(store, xs[2]) == (1, 3, 4, 5)
@@ -33,9 +28,9 @@ def test_linear_space_excludes_on_binding():
 def test_agent_counts_per_strategy():
     for strategy, expect in ((Strategy.NAIVE_PAIRWISE, 6),
                              (Strategy.LINEAR_SPACE, 4),
-                             (Strategy.WEAK_AC, 8)):
+                             (Strategy.WEAK_AC, 4)):
         store, rt, xs = fresh([make_interval(1, 9)] * 4)
-        assert post_alldistinct(rt, AllDistinctPosting(tuple(xs), strategy))
+        assert post_alldistinct(rt, xs, strategy)
         live = [a for a in rt.agents if a.rule != END]
         assert len(live) == expect, strategy
 
@@ -43,19 +38,18 @@ def test_agent_counts_per_strategy():
 def test_duplicate_variable_is_inconsistent():
     for strategy in Strategy:
         store, rt, xs = fresh([make_interval(1, 9)] * 2)
-        assert not post_alldistinct(
-            rt, AllDistinctPosting((xs[0], xs[1], xs[0]), strategy))
+        assert not post_alldistinct(rt, (xs[0], xs[1], xs[0]), strategy)
 
 
 def test_outof_reducer_pigeonhole_failure():
     store, rt, xs = fresh([make_interval(1, 2)] * 3)
-    assert not outof_reducer(store, xs[0], [], xs[1:])
+    assert not outof_reducer(store, xs[0], xs[1:])
 
 
 def test_outof_reducer_exact_fill_excludes():
     store, rt, xs = fresh([make_interval(1, 2), make_interval(1, 2),
                            make_interval(1, 3)])
-    assert outof_reducer(store, xs[0], [], xs[1:])
+    assert outof_reducer(store, xs[0], xs[1:])
     assert rt.run_to_fixpoint()
     assert store.value(xs[2]) == 3
 
@@ -63,22 +57,35 @@ def test_outof_reducer_exact_fill_excludes():
 def test_outof_reducer_disjoint_noop():
     store, rt, xs = fresh([make_interval(1, 3), make_set([4, 5]),
                            make_set([6, 7])])
-    assert outof_reducer(store, xs[0], [], xs[1:])
+    assert outof_reducer(store, xs[0], xs[1:])
     assert domain_values(store, xs[1]) == (4, 5)
     assert domain_values(store, xs[2]) == (6, 7)
 
 
 def test_weak_ac_root_failure_without_labeling():
     store, rt, xs = fresh([make_interval(1, 2)] * 3)
-    assert not post_alldistinct(rt, AllDistinctPosting(tuple(xs), Strategy.WEAK_AC))
+    assert not post_alldistinct(rt, xs, Strategy.WEAK_AC)
 
 
 def test_weak_ac_assigns_without_labeling():
     store, rt, xs = fresh([make_interval(1, 2), make_interval(1, 2),
                            make_interval(1, 3)])
-    assert post_alldistinct(rt, AllDistinctPosting(tuple(xs), Strategy.WEAK_AC))
+    assert post_alldistinct(rt, xs, Strategy.WEAK_AC)
     assert rt.run_to_fixpoint()
     assert store.value(xs[2]) == 3
+
+
+def test_weak_ac_wakes_on_inner_exclusion():
+    """Removing 2 from dom(x) leaves {1,3}, filled by y: the one agent
+    of x must hear that dom event and bar 1 and 3 from z."""
+    store, rt, xs = fresh([make_interval(1, 3), make_set([1, 3]),
+                           make_set([1, 3, 5])])
+    assert post_alldistinct(rt, xs, Strategy.WEAK_AC)
+    assert rt.run_to_fixpoint()
+    assert len(rt.agents) == 3
+    assert domain_values(store, xs[2]) == (1, 3, 5)
+    assert store.exclude(xs[0], 2) and rt.run_to_fixpoint()
+    assert store.value(xs[2]) == 5
 
 
 def _distinct_models(rng, count):

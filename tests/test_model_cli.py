@@ -203,6 +203,18 @@ def test_cli_rejects_bad_limits_and_workers(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["level", "alldistinct"])
+def test_unknown_level_or_strategy_is_rejected(option, capsys):
+    with pytest.raises(ValueError):
+        SolverConfig(**{option: "bogus"})
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "bench:queens(4)", f"--{option}", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "[--level {fc,ic,ac}]" in err
+    assert "[--alldistinct {naive,linear,wac}]" in err
+
+
 def test_cli_bench_caps_workers_at_corpus_size(monkeypatch, capsys):
     import fdprop.cli as cli
     from fdprop.benchmarks import BENCH_CORPUS

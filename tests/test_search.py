@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_model
 
-from fdprop.alldistinct import AllDistinctPosting, Strategy, post_alldistinct
+from fdprop.alldistinct import Strategy, post_alldistinct
 from fdprop.benchmarks import queens_model
 from fdprop.domain import make_interval
 from fdprop.model import Model, SolverConfig, VarDecl, solve_model
@@ -58,7 +58,7 @@ def test_root_failure_returns_zero_backtracks():
     store = Store()
     rt = Runtime(store)
     xs = [store.new_var(make_interval(1, 2)) for _ in range(3)]
-    ok = post_alldistinct(rt, AllDistinctPosting(tuple(xs), Strategy.WEAK_AC))
+    ok = post_alldistinct(rt, xs, Strategy.WEAK_AC)
     assert not ok  # refuted before any labeling
 
 
