@@ -39,6 +39,7 @@ from .model import (
     SolverConfig,
     VarDecl,
     build,
+    fixpoint_violations,
     format_model,
     parse_model,
     solve_model,

@@ -17,9 +17,14 @@ count after posting) as a JSON object.  --trace streams one
 tab-separated line per propagator activation to stderr:
 ``<seq>\\t<agent>\\t<event>\\t<rule>\\t<outcome>``.
 
-``verify`` re-solves a small model for all solutions, compares against
-the brute-force enumeration oracle, and reports whether the root
-fixpoint meets the consistency level's defining predicate.
+``verify`` prints one ``<predicate> consistent at root: yes|NO`` line
+per predicate that defines the configuration's root fixpoint: interval
+consistency of every linear equality at ic and ac; at ac, arc
+consistency of every binary equality and of every n-ary sum left with
+two unbound variables (the pair the hybrid scheme posts at arc level);
+weak arc consistency of every all_distinct under wac.  It then re-solves
+the model for all solutions and compares them against the brute-force
+enumeration oracle.
 
 --max-backtracks and --time-limit bound the search of ``solve`` and
 ``verify``.  When one is hit, ``solve`` still prints the solutions found
@@ -40,23 +45,17 @@ from pathlib import Path
 
 from .alldistinct import Strategy
 from .benchmarks import BENCH_CORPUS, get_benchmark
-from .linear import BinaryLinear, CapacityError, ConsistencyLevel, NaryLinear
+from .linear import CapacityError, ConsistencyLevel
 from .model import (
-    Distinct,
     Model,
     ModelError,
     SolverConfig,
     build,
+    fixpoint_violations,
     parse_model,
     solve_model,
 )
-from .oracle import (
-    CapExceeded,
-    check_arc_consistent,
-    check_interval_consistent,
-    check_weak_arc_consistent,
-    enumerate_solutions,
-)
+from .oracle import CapExceeded, enumerate_solutions
 from .search import ALL_SOLUTIONS, FIRST_SOLUTION
 from .store import InvariantError
 
@@ -83,8 +82,7 @@ def _load(ref: str) -> Model:
 
 def _config(args, mode: str) -> SolverConfig:
     return SolverConfig(level=args.level, alldistinct=args.alldistinct,
-                        mode=mode, trace=getattr(args, "trace", False),
-                        coalesce=not getattr(args, "no_coalesce", False),
+                        mode=mode, coalesce=not getattr(args, "no_coalesce", False),
                         max_backtracks=args.max_backtracks,
                         time_limit=args.time_limit)
 
@@ -101,7 +99,8 @@ def _cmd_solve(args) -> int:
     model = _load(args.model)
     mode = ALL_SOLUTIONS if args.all else FIRST_SOLUTION
     config = _config(args, mode)
-    result = solve_model(model, config, trace_stream=sys.stderr)
+    result = solve_model(model, config,
+                         trace_stream=sys.stderr if args.trace else None)
     names = [vd.name for vd in model.vars]
     for sol in result.solutions:
         print(" ".join(f"{n}={v}" for n, v in zip(names, sol)))
@@ -121,46 +120,17 @@ def _cmd_solve(args) -> int:
 
 
 def _root_consistency_report(model: Model, config: SolverConfig) -> list[str]:
-    """Propagate to the root fixpoint and evaluate the defining
-    consistency predicates on every constraint."""
+    """Propagate to the root fixpoint and report, per defining
+    predicate of the config's fixpoint, whether every constraint
+    meets it."""
     store, rt, ok = build(model, config)
     if ok:
         ok = rt.run_to_fixpoint()
     if not ok:
         return ["root propagation: failed (constraints are inconsistent)"]
-    lines = []
     domains = [list(store.domain(i).values()) for i in range(len(model.vars))]
-
-    def fmt(flag: bool) -> str:
-        return "yes" if flag else "NO"
-
-    if config.level in ("ic", "ac"):
-        ok_ic = True
-        for con in model.constraints:
-            if isinstance(con, NaryLinear):
-                coeffs = [a for a, _ in con.terms]
-                doms = [domains[x] for _, x in con.terms]
-                ok_ic &= check_interval_consistent(con.c, coeffs, doms)
-            elif isinstance(con, BinaryLinear):
-                ok_ic &= check_interval_consistent(
-                    con.c, [-con.a, con.b], [domains[con.x], domains[con.y]])
-        lines.append(f"interval consistent at root: {fmt(ok_ic)}")
-    if config.level == "ac":
-        ok_ac = True
-        for con in model.constraints:
-            if isinstance(con, BinaryLinear):
-                a, b, c = con.a, con.b, con.c
-                ok_ac &= check_arc_consistent(
-                    lambda vx, vy, a=a, b=b, c=c: a * vx == b * vy + c,
-                    domains[con.x], domains[con.y])
-        lines.append(f"arc consistent at root: {fmt(ok_ac)}")
-    if config.alldistinct == "wac":
-        ok_wac = True
-        for con in model.constraints:
-            if isinstance(con, Distinct):
-                ok_wac &= check_weak_arc_consistent([domains[x] for x in con.vars])
-        lines.append(f"weak arc consistent at root: {fmt(ok_wac)}")
-    return lines
+    return [f"{key} consistent at root: {'NO' if failed else 'yes'}"
+            for key, failed in fixpoint_violations(model, domains, config).items()]
 
 
 def _cmd_verify(args) -> int:

@@ -45,14 +45,6 @@ class DomainDelta:
             return f"DomainDelta({self.kind.name}, {self.value})"
         return f"DomainDelta({DeltaKind(self.kind).name})"
 
-    def __eq__(self, other):
-        return (isinstance(other, DomainDelta)
-                and self.kind == other.kind
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
-
 
 UNCHANGED = DomainDelta(DeltaKind.UNCHANGED)
 EMPTIED = DomainDelta(DeltaKind.EMPTIED)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .alldistinct import Strategy, post_alldistinct
 from .domain import DomainError, make_interval, make_set
@@ -34,7 +34,13 @@ from .linear import (
     post_nary_hybrid,
     post_nary_unite,
 )
-from .oracle import DEFAULT_CAP, GroundModel
+from .oracle import (
+    DEFAULT_CAP,
+    GroundModel,
+    check_arc_consistent,
+    check_interval_consistent,
+    check_weak_arc_consistent,
+)
 from .runtime import Runtime
 from .search import (
     ALL_SOLUTIONS,
@@ -81,12 +87,6 @@ class Model:
     constraints: list = field(default_factory=list)  # BinaryLinear | NaryLinear | Diseq | Distinct
     label_order: list[int] = field(default_factory=list)
 
-    def var_index(self, name: str) -> int:
-        for i, vd in enumerate(self.vars):
-            if vd.name == name:
-                return i
-        raise KeyError(name)
-
     def to_ground(self, cap: int = DEFAULT_CAP) -> GroundModel:
         """Reference semantics: explicit domains plus evaluable
         predicates, for the enumeration oracle."""
@@ -125,6 +125,73 @@ class Model:
             else:
                 raise TypeError(f"unknown constraint record {con!r}")
         return GroundModel(domains, constraints, cap)
+
+
+def fixpoint_violations(model: Model, domains: Sequence[Sequence[int]],
+                        config: SolverConfig) -> dict[str, list[int]]:
+    """The predicates that define config's fixpoint, each with the
+    indexes of the model's constraints that fail it on ``domains`` (the
+    values of each variable, by declaration index).  Keys, in order:
+    "interval" (every linear equality) at ic and ac; "arc" (every binary
+    equality, and every sum that collapsed_pair turns into a pair) at
+    ac; "weak arc" (every all_distinct) under wac.  An fc config without
+    wac has no defining predicate and gives {}."""
+    level = ConsistencyLevel(config.level)
+    checks = {}
+    if level is not ConsistencyLevel.FORWARD_CHECKING:
+        checks["interval"] = _interval_consistent
+    if level is ConsistencyLevel.ARC:
+        checks["arc"] = _arc_consistent
+    if Strategy(config.alldistinct) is Strategy.WEAK_AC:
+        checks["weak arc"] = _weak_arc_consistent
+    return {key: [i for i, con in enumerate(model.constraints)
+                  if not check(con, domains)]
+            for key, check in checks.items()}
+
+
+def collapsed_pair(con: NaryLinear, domains: Sequence[Sequence[int]]):
+    """The binary equality the hybrid scheme posts for an n-ary sum once
+    exactly two of its terms, on two distinct variables, have more than
+    one value: (c', (a1, x1), (a2, x2)) for c' + a1*X1 + a2*X2 = 0, with
+    the singleton terms folded into c'.  None for any other sum."""
+    c = con.c
+    free = []
+    for a, x in con.terms:
+        if len(domains[x]) == 1:
+            c += a * domains[x][0]
+        else:
+            free.append((a, x))
+    if len(free) != 2 or free[0][1] == free[1][1]:
+        return None
+    return c, free[0], free[1]
+
+
+def _interval_consistent(con, domains) -> bool:
+    if isinstance(con, NaryLinear):
+        return check_interval_consistent(
+            con.c, [a for a, _ in con.terms], [domains[x] for _, x in con.terms])
+    if isinstance(con, BinaryLinear):
+        return check_interval_consistent(
+            con.c, [-con.a, con.b], [domains[con.x], domains[con.y]])
+    return True
+
+
+def _arc_consistent(con, domains) -> bool:
+    if isinstance(con, BinaryLinear):
+        a, b, c = con.a, con.b, con.c
+        return check_arc_consistent(lambda vx, vy: a * vx == b * vy + c,
+                                    domains[con.x], domains[con.y])
+    pair = collapsed_pair(con, domains) if isinstance(con, NaryLinear) else None
+    if pair is None:
+        return True
+    c, (a1, x1), (a2, x2) = pair
+    return check_arc_consistent(lambda v1, v2: c + a1 * v1 + a2 * v2 == 0,
+                                domains[x1], domains[x2])
+
+
+def _weak_arc_consistent(con, domains) -> bool:
+    return (not isinstance(con, Distinct)
+            or check_weak_arc_consistent([domains[x] for x in con.vars]))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -303,7 +370,6 @@ class SolverConfig:
     level: str = "ac"
     alldistinct: str = "linear"
     mode: str = FIRST_SOLUTION
-    trace: bool = False
     coalesce: bool = True
     max_backtracks: Optional[int] = None
     time_limit: Optional[float] = None
@@ -316,9 +382,9 @@ class SolverConfig:
 
 
 _NARY_POST = {
-    "fc": post_nary_forward,
-    "ic": post_nary_unite,
-    "ac": post_nary_hybrid,
+    ConsistencyLevel.FORWARD_CHECKING: post_nary_forward,
+    ConsistencyLevel.INTERVAL: post_nary_unite,
+    ConsistencyLevel.ARC: post_nary_hybrid,
 }
 
 
@@ -350,26 +416,29 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     The disequalities on one variable pair become a single agent,
     posted at the place of the pair's first record.  The returned flag
     is False when posting already failed; root propagation
-    (run_to_fixpoint) is the caller's next step."""
+    (run_to_fixpoint) is the caller's next step.  A trace_stream gets
+    one line per activation."""
     store = Store()
     rt = Runtime(store, coalescing=config.coalesce, queue_policy=queue_policy,
-                 queue_seed=queue_seed,
-                 trace=trace_stream if config.trace else None)
+                 queue_seed=queue_seed, trace=trace_stream)
+    level = ConsistencyLevel(config.level)
+    post_nary = _NARY_POST[level]
+    strategy = Strategy(config.alldistinct)
     for vd in model.vars:
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
         store.new_var(dom, vd.name)
     diseqs = _diseq_groups(model.constraints)
     for i, con in enumerate(model.constraints):
         if isinstance(con, BinaryLinear):
-            ok = post_binary(rt, con, ConsistencyLevel(config.level))
+            ok = post_binary(rt, con, level)
         elif isinstance(con, NaryLinear):
-            ok = _NARY_POST[config.level](rt, con)
+            ok = post_nary(rt, con)
         elif isinstance(con, Diseq):
             if i not in diseqs:
                 continue  # merged into the agent of an earlier record
             ok = post_diseq(rt, *diseqs[i])
         elif isinstance(con, Distinct):
-            ok = post_alldistinct(rt, con.vars, Strategy(config.alldistinct))
+            ok = post_alldistinct(rt, con.vars, strategy)
         else:
             raise TypeError(f"unknown constraint record {con!r}")
         if not ok:
@@ -384,10 +453,6 @@ class SolveResult:
     root_failed: bool
     time_ms: int = 0
     agents: int = 0  # agents after posting, before root propagation
-
-    def named_solutions(self, model: Model) -> list[dict[str, int]]:
-        names = [vd.name for vd in model.vars]
-        return [dict(zip(names, sol)) for sol in self.solutions]
 
 
 def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,

@@ -12,14 +12,8 @@ from conftest import domain_snapshot, random_model, store_snapshot
 
 from fdprop.benchmarks import get_benchmark, holed_chain_model, queens_model
 from fdprop.domain import make_interval
-from fdprop.linear import BinaryLinear, NaryLinear
-from fdprop.model import Distinct, SolverConfig, build, solve_model
-from fdprop.oracle import (
-    check_arc_consistent,
-    check_interval_consistent,
-    check_weak_arc_consistent,
-    enumerate_solutions,
-)
+from fdprop.model import Distinct, SolverConfig, build, fixpoint_violations, solve_model
+from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
 
@@ -171,34 +165,16 @@ def test_criterion_7_fixpoint_definitions_500_models():
     violations = 0
     for model in _suite_models():
         for level, ad in CONFIGS:
-            store, rt, ok = build(model, SolverConfig(level=level, alldistinct=ad))
+            config = SolverConfig(level=level, alldistinct=ad)
+            store, rt, ok = build(model, config)
             if ok:
                 ok = rt.run_to_fixpoint()
             if not ok:
                 continue
             domains = [list(store.domain(i).values())
                        for i in range(len(model.vars))]
-            for con in model.constraints:
-                if isinstance(con, NaryLinear) and level in ("ic", "ac"):
-                    coeffs = [a for a, _ in con.terms]
-                    doms = [domains[x] for _, x in con.terms]
-                    if not check_interval_consistent(con.c, coeffs, doms):
-                        violations += 1
-                elif isinstance(con, BinaryLinear) and level in ("ic", "ac"):
-                    if not check_interval_consistent(
-                            con.c, [-con.a, con.b],
-                            [domains[con.x], domains[con.y]]):
-                        violations += 1
-                    if level == "ac":
-                        a, b, c = con.a, con.b, con.c
-                        if not check_arc_consistent(
-                                lambda vx, vy: a * vx == b * vy + c,
-                                domains[con.x], domains[con.y]):
-                            violations += 1
-                elif isinstance(con, Distinct) and ad == "wac":
-                    doms = [set(domains[x]) for x in con.vars]
-                    if not check_weak_arc_consistent(doms):
-                        violations += 1
+            failed = fixpoint_violations(model, domains, config)
+            violations += sum(map(len, failed.values()))
     ok = report("7 fixpoint definitions", violations == 0,
                 f"violations={violations} across 500 models x {len(CONFIGS)} configs")
     assert ok

@@ -4,8 +4,7 @@ from conftest import domain_values, random_model
 
 from fdprop.alldistinct import Strategy, outof_reducer, post_alldistinct
 from fdprop.domain import make_interval, make_set
-from fdprop.model import Distinct, SolverConfig, build, solve_model
-from fdprop.oracle import check_weak_arc_consistent
+from fdprop.model import Distinct, SolverConfig, build, fixpoint_violations, solve_model
 from fdprop.runtime import END, Runtime
 from fdprop.store import Store
 
@@ -130,16 +129,16 @@ def test_weak_ac_dominates_linear():
 
 def test_weak_ac_definition_holds_at_root():
     rng = random.Random(10)
+    config = SolverConfig(alldistinct="wac")
     for model in _distinct_models(rng, 80):
-        store, rt, ok = build(model, SolverConfig(alldistinct="wac"))
+        store, rt, ok = build(model, config)
         if ok:
             ok = rt.run_to_fixpoint()
         if not ok:
             continue
-        for con in model.constraints:
-            if isinstance(con, Distinct):
-                doms = [set(store.domain(x).values()) for x in con.vars]
-                assert check_weak_arc_consistent(doms)
+        domains = [list(store.domain(i).values()) for i in range(len(model.vars))]
+        failed = fixpoint_violations(model, domains, config)
+        assert not any(failed.values()), (model, failed)
 
 
 def test_solution_sets_match_brute_force_all_strategies():

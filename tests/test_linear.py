@@ -21,12 +21,8 @@ from fdprop.linear import (
     post_nary_hybrid,
     post_nary_unite,
 )
-from fdprop.model import Model, SolverConfig, VarDecl, build
-from fdprop.oracle import (
-    check_arc_consistent,
-    check_interval_consistent,
-    enumerate_solutions,
-)
+from fdprop.model import Model, SolverConfig, VarDecl, build, fixpoint_violations
+from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
 from fdprop.search import ALL_SOLUTIONS, LabelingSpec, label
 from fdprop.store import Store
@@ -362,24 +358,14 @@ def test_fixpoint_definitions_on_random_models():
     for _ in range(120):
         model = random_model(rng)
         for level in ("ic", "ac"):
-            store, rt, ok = build(model, SolverConfig(level=level))
+            config = SolverConfig(level=level)
+            store, rt, ok = build(model, config)
             if ok:
                 ok = rt.run_to_fixpoint()
             if not ok:
                 continue
             checked += 1
             domains = [list(store.domain(i).values()) for i in range(len(model.vars))]
-            for con in model.constraints:
-                if isinstance(con, NaryLinear):
-                    coeffs = [a for a, _ in con.terms]
-                    doms = [domains[x] for _, x in con.terms]
-                    assert check_interval_consistent(con.c, coeffs, doms)
-                elif isinstance(con, BinaryLinear):
-                    assert check_interval_consistent(
-                        con.c, [-con.a, con.b], [domains[con.x], domains[con.y]])
-                    if level == "ac":
-                        a, b, c = con.a, con.b, con.c
-                        assert check_arc_consistent(
-                            lambda vx, vy: a * vx == b * vy + c,
-                            domains[con.x], domains[con.y])
+            failed = fixpoint_violations(model, domains, config)
+            assert not any(failed.values()), (model, level, failed)
     assert checked > 60

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from fdprop.linear import BinaryLinear, Diseq, NaryLinear
+from fdprop.model import Distinct, Model, SolverConfig, VarDecl, fixpoint_violations
 from fdprop.oracle import (
     CapExceeded,
     GroundModel,
@@ -93,3 +95,34 @@ def test_weak_arc_consistency_examples():
     assert not check_weak_arc_consistent([{1, 2}, {1, 2}, {1, 2}])
     assert check_weak_arc_consistent([{1, 2}, {1, 2}, {3}])
     assert check_weak_arc_consistent([{5}])
+
+
+_HAND_DOMAINS = [[1, 2, 3, 4, 5], [1, 2], [1, 2], [1, 2, 3], [1, 3],
+                 [1, 2, 3], [1, 3], [1], [1, 2]]
+
+
+def _hand_model():
+    """One constraint per defining predicate, each failing only that
+    predicate on _HAND_DOMAINS."""
+    names = "x y z u w p q s t".split()
+    return Model("hand", vars=[VarDecl(n, d[0], d[-1])
+                               for n, d in zip(names, _HAND_DOMAINS)], constraints=[
+        NaryLinear(-6, ((1, 0), (1, 1), (1, 2))),  # x = 5 exceeds 6 - 1 - 1
+        BinaryLinear(1, 3, 1, 4, 0),               # u = 2 has no w
+        NaryLinear(-5, ((1, 5), (1, 6), (1, 7))),  # s = 1: p + q = 4, p = 2 has no q
+        Distinct((1, 2, 8)),                       # three domains within {1, 2}
+        Diseq(0, 1, 0),                            # no defining predicate
+    ], label_order=list(range(len(names))))
+
+
+@pytest.mark.parametrize("level, alldistinct, expected", [
+    ("ac", "wac", {"interval": [0], "arc": [1, 2], "weak arc": [3]}),
+    ("ac", "linear", {"interval": [0], "arc": [1, 2]}),
+    ("ic", "naive", {"interval": [0]}),
+    ("fc", "wac", {"weak arc": [3]}),
+    ("fc", "linear", {}),
+])
+def test_fixpoint_violations_name_each_failing_constraint(level, alldistinct, expected):
+    config = SolverConfig(level=level, alldistinct=alldistinct)
+    failed = fixpoint_violations(_hand_model(), _HAND_DOMAINS, config)
+    assert failed == expected and list(failed) == list(expected)

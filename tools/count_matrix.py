@@ -76,8 +76,7 @@ def run_row(name: str, level: str, alldistinct: str, order: int, queue: str,
         random.Random(order).shuffle(constraints)
         model = dataclasses.replace(model, constraints=constraints)
     trace = _TraceHash()
-    config = SolverConfig(level=level, alldistinct=alldistinct, trace=True,
-                          coalesce=coalesce)
+    config = SolverConfig(level=level, alldistinct=alldistinct, coalesce=coalesce)
     r = solve_model(model, config, queue_policy=queue, queue_seed=QUEUE_SEED,
                     trace_stream=trace)
     return {
