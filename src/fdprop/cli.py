@@ -22,9 +22,9 @@ per predicate that defines the configuration's root fixpoint: interval
 consistency of every linear equality at ic and ac; at ac, arc
 consistency of every binary equality and of every n-ary sum left with
 two unbound variables (the pair the hybrid scheme posts at arc level);
-weak arc consistency of every all_distinct under wac.  It then re-solves
-the model for all solutions and compares them against the brute-force
-enumeration oracle.
+weak arc consistency of every all_distinct under wac.  It then labels
+from that same root fixpoint for all solutions and compares them
+against the brute-force enumeration oracle.
 
 --max-backtracks and --time-limit bound the search of ``solve`` and
 ``verify``.  When one is hit, ``solve`` still prints the solutions found
@@ -52,6 +52,7 @@ from .model import (
     SolverConfig,
     build,
     fixpoint_violations,
+    label_from_root,
     parse_model,
     solve_model,
 )
@@ -119,14 +120,11 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _root_consistency_report(model: Model, config: SolverConfig) -> list[str]:
-    """Propagate to the root fixpoint and report, per defining
-    predicate of the config's fixpoint, whether every constraint
-    meets it."""
-    store, rt, ok = build(model, config)
-    if ok:
-        ok = rt.run_to_fixpoint()
-    if not ok:
+def _root_consistency_report(model: Model, config: SolverConfig, store,
+                             root_ok: bool) -> list[str]:
+    """Report, per defining predicate of the config's fixpoint, whether
+    every constraint meets it at the store's root fixpoint."""
+    if not root_ok:
         return ["root propagation: failed (constraints are inconsistent)"]
     domains = [list(store.domain(i).values()) for i in range(len(model.vars))]
     return [f"{key} consistent at root: {'NO' if failed else 'yes'}"
@@ -136,16 +134,22 @@ def _root_consistency_report(model: Model, config: SolverConfig) -> list[str]:
 def _cmd_verify(args) -> int:
     model = _load(args.model)
     config = _config(args, ALL_SOLUTIONS)
-    for line in _root_consistency_report(model, config):
+    started = time.perf_counter()
+    store, rt, ok = build(model, config)
+    ok = ok and rt.run_to_fixpoint()
+    root_s = time.perf_counter() - started
+    for line in _root_consistency_report(model, config, store, ok):
         print(line)
-    # the oracle runs first: its cap check refuses a model too large to
-    # enumerate before the engine spends time on all of its solutions
+    # the oracle runs before the search: its cap check refuses a model
+    # too large to enumerate before the engine spends time on all of
+    # its solutions
     try:
         expected = enumerate_solutions(model.to_ground(cap=args.cap))
     except CapExceeded as exc:
         print(f"oracle refused: {exc}")
         return EXIT_MODEL_ERROR
-    result = solve_model(model, config)
+    # the time limit also counts the root propagation, not the oracle
+    result = label_from_root(model, config, rt, ok, time.perf_counter() - root_s)
     if _limit_reached(result):
         return EXIT_LIMIT
     agree = set(result.solutions) == expected

@@ -273,12 +273,6 @@ def post_diseq(rt: Runtime, x: int, y: int, offsets: tuple[int, ...]) -> bool:
 # -- n-ary constraints -----------------------------------------------------------
 
 
-def _product_bounds(a: int, domain) -> tuple[int, int]:
-    if a > 0:
-        return a * domain.lo, a * domain.hi
-    return a * domain.hi, a * domain.lo
-
-
 def _make_reducer(rt, c, terms):
     """Two-phase interval reducer for c + sum(a_i * X_i) = 0.
 
@@ -289,40 +283,56 @@ def _make_reducer(rt, c, terms):
     re-tightening T_(i-1) from the already-updated X_i.  One pass need
     not reach the interval fixpoint; the events posted by its own
     reductions re-activate the agent until quiescence.
+
+    The store is called only for a bound that moves: a narrowing that
+    would change nothing posts no event either way.
     """
     store = rt.store
     vars_ = store.vars
     n = len(terms)
+    term_vars = tuple((a, x, vars_[x]) for a, x in terms)
+    backward = range(n - 1, -1, -1)
 
     def reduce(_event):
-        lts = [0] * (n + 1)
-        uts = [0] * (n + 1)
-        lts[0] = uts[0] = c
-        lo_acc = hi_acc = c
-        for i, (a, x) in enumerate(terms, start=1):
-            plo, phi = _product_bounds(a, vars_[x].domain)
-            lo_acc += plo
-            hi_acc += phi
-            lts[i] = lo_acc
-            uts[i] = hi_acc
-        if lo_acc > 0 or hi_acc < 0:
+        # los[i], his[i]: the bounds of T_i, the sum before term i
+        los = [0] * n
+        his = [0] * n
+        t_lo = t_hi = c
+        i = 0
+        for a, _, var in term_vars:
+            los[i] = t_lo
+            his[i] = t_hi
+            i += 1
+            d = var.domain
+            if a > 0:
+                t_lo += a * d.lo
+                t_hi += a * d.hi
+            else:
+                t_lo += a * d.hi
+                t_hi += a * d.lo
+        if t_lo > 0 or t_hi < 0:
             return False
         cur_lo = cur_hi = 0
-        for i in range(n, 0, -1):
-            a, x = terms[i - 1]
-            num_lo = cur_lo - uts[i - 1]
-            num_hi = cur_hi - lts[i - 1]
+        for i in backward:
+            a, x, var = term_vars[i]
+            # a*X lies in cur - T_i; divide, rounding inwards
             if a > 0:
-                new_lo = ceil_div(num_lo, a)
-                new_hi = floor_div(num_hi, a)
+                new_lo = -((his[i] - cur_lo) // a)
+                new_hi = (cur_hi - los[i]) // a
             else:
-                q = -a
-                new_lo = ceil_div(-num_hi, q)
-                new_hi = floor_div(-num_lo, q)
-            if not store.intersect(x, new_lo, new_hi):
-                return False
-            plo, phi = _product_bounds(a, vars_[x].domain)
-            cur_lo, cur_hi = cur_lo - phi, cur_hi - plo
+                new_lo = -((cur_hi - los[i]) // -a)
+                new_hi = (his[i] - cur_lo) // -a
+            d = var.domain
+            if new_lo > d.lo or new_hi < d.hi:
+                if not store.intersect(x, new_lo, new_hi):
+                    return False
+                d = var.domain
+            if a > 0:
+                cur_lo -= a * d.hi
+                cur_hi -= a * d.lo
+            else:
+                cur_lo -= a * d.lo
+                cur_hi -= a * d.hi
         return cur_lo <= c <= cur_hi
 
     return reduce

@@ -464,12 +464,20 @@ def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
     store, rt, ok = build(model, config, queue_policy=queue_policy,
                           queue_seed=queue_seed, trace_stream=trace_stream)
     agents = len(rt.agents)
-    if ok:
-        ok = rt.run_to_fixpoint()
-    if not ok:
+    result = label_from_root(model, config, rt, ok and rt.run_to_fixpoint(), started)
+    result.agents = agents
+    return result
+
+
+def label_from_root(model: Model, config: SolverConfig, rt: Runtime, root_ok: bool,
+                    started: float) -> SolveResult:
+    """Label the model from the runtime's root fixpoint; root_ok False
+    means posting or root propagation failed.  The time limit counts
+    from ``started`` (a ``time.perf_counter()`` reading)."""
+    if not root_ok:
         stats = SearchStats(backtracks=0, activations=rt.activations, solutions=0)
         elapsed = int((time.perf_counter() - started) * 1000)
-        return SolveResult(stats, [], True, elapsed, agents)
+        return SolveResult(stats, [], True, elapsed)
     deadline = None if config.time_limit is None else started + config.time_limit
     spec = LabelingSpec(mode=config.mode, max_backtracks=config.max_backtracks,
                         deadline=deadline)
@@ -478,4 +486,4 @@ def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
     except UnboundVariableError as exc:
         raise ModelError(str(exc)) from None
     elapsed = int((time.perf_counter() - started) * 1000)
-    return SolveResult(stats, solutions, False, elapsed, agents)
+    return SolveResult(stats, solutions, False, elapsed)

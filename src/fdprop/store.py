@@ -25,6 +25,12 @@ from .domain import (
     intersect_range,
 )
 
+# The delta kinds a real change can have, as plain ints: an int compare
+# needs no enum attribute lookup.
+_INSTANTIATED = int(DeltaKind.INSTANTIATED)
+_BOUND_CHANGED = int(DeltaKind.BOUND_CHANGED)
+_EMPTIED = int(DeltaKind.EMPTIED)
+
 # Event kinds shared with the runtime.  GENERATED never reaches the
 # store; it exists for generation-time rule runs.
 GENERATED = 0
@@ -128,37 +134,46 @@ class Store:
     # -- narrowing ---------------------------------------------------------
 
     def exclude(self, x: int, v: int) -> bool:
-        """Remove v from x's domain.  False on wipe-out."""
+        """Remove v from x's domain.  False on wipe-out.  A v that is
+        not a member returns at once; only a real change calls
+        ``exclude_value``."""
         var = self.vars[x]
-        nd, delta = exclude_value(var.domain, v)
-        kind = delta.kind
-        if kind == DeltaKind.UNCHANGED:
+        d = var.domain
+        if v < d.lo or v > d.hi:
             return True
-        if kind == DeltaKind.EMPTIED:
+        bits = d.bits
+        if bits is not None and not (bits >> (v - d.offset)) & 1:
+            return True
+        nd, delta = exclude_value(d, v)
+        kind = delta.kind
+        if kind == _EMPTIED:
             return False
         self._save(var)
         var.domain = nd
-        if kind == DeltaKind.INSTANTIATED:
+        if kind == _INSTANTIATED:
             var.bound_value = delta.value
             self.event_sink(INS, x, None)
-        elif kind == DeltaKind.BOUND_CHANGED:
+        elif kind == _BOUND_CHANGED:
             self.event_sink(BOUND, x, None)
         else:  # INNER_EXCLUDED
             self.event_sink(DOM, x, v)
         return True
 
     def intersect(self, x: int, lo: int, hi: int) -> bool:
-        """Narrow x's domain to its intersection with lo..hi."""
+        """Narrow x's domain to its intersection with lo..hi.  A range
+        that covers the domain returns at once; only a real change
+        calls ``intersect_range``."""
         var = self.vars[x]
-        nd, delta = intersect_range(var.domain, lo, hi)
-        kind = delta.kind
-        if kind == DeltaKind.UNCHANGED:
+        d = var.domain
+        if lo <= d.lo and d.hi <= hi:
             return True
-        if kind == DeltaKind.EMPTIED:
+        nd, delta = intersect_range(d, lo, hi)
+        kind = delta.kind
+        if kind == _EMPTIED:
             return False
         self._save(var)
         var.domain = nd
-        if kind == DeltaKind.INSTANTIATED:
+        if kind == _INSTANTIATED:
             var.bound_value = delta.value
             self.event_sink(INS, x, None)
         else:

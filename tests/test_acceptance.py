@@ -30,9 +30,11 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
 # -- criterion 1: queens(25) backtrack count -----------------------------------
 
 def test_criterion_1_queens25():
-    started = time.perf_counter()
+    # CPU time of this thread, as the benchmark harness measures it, so
+    # another process on the machine cannot fail the time bound
+    started = time.thread_time()
     r = solve_model(queens_model(25), SolverConfig(level="ic", mode="first"))
-    elapsed = time.perf_counter() - started
+    elapsed = time.thread_time() - started
     ok_count = r.stats.backtracks == 7255
     ok_time = elapsed < 5.0
     ok_92 = set(solve_model(queens_model(8), SolverConfig(mode="all")).solutions) \

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import domain_snapshot, domain_values, random_model
+from conftest import domain_snapshot, domain_values, random_domain, random_model
 
 from fdprop.domain import make_interval, make_set
 from fdprop.linear import (
@@ -256,6 +256,60 @@ def test_unite_infeasible_sum_fails():
     x = store.new_var(make_interval(1, 3))
     y = store.new_var(make_interval(1, 3))
     assert not post_nary_unite(rt, NaryLinear(-100, ((1, x), (1, y))))
+
+
+def _reference_bounds_fixpoint(c, terms, domains):
+    """The bounds fixpoint of c + sum(a*X) = 0 by plain set filtering:
+    keep each value v of X with a*v inside the range the other terms'
+    bounds leave, until nothing changes.  None on a wipe-out."""
+    doms = [set(d) for d in domains]
+    changed = True
+    while changed:
+        changed = False
+        for i, (a, x) in enumerate(terms):
+            rest_lo = rest_hi = c
+            for j, (b, y) in enumerate(terms):
+                if j != i:
+                    ends = (b * min(doms[y]), b * max(doms[y]))
+                    rest_lo += min(ends)
+                    rest_hi += max(ends)
+            keep = {v for v in doms[x] if -rest_hi <= a * v <= -rest_lo}
+            if not keep:
+                return None
+            if keep != doms[x]:
+                doms[x] = keep
+                changed = True
+    return doms
+
+
+def test_unite_reaches_reference_bounds_fixpoint():
+    """Random sums of 2-6 terms, coefficients in +-1..+-4, holed domains
+    and the odd repeated variable: the reducer's fixpoint is the
+    reference bounds fixpoint, wipe-outs included."""
+    rng = random.Random(0x5EED)
+    pruned = failed = 0
+    for _ in range(300):
+        decls = [random_domain(rng) for _ in range(rng.randint(2, 6))]
+        domains = [list(vd.values) if vd.values is not None
+                   else list(range(vd.lo, vd.hi + 1)) for vd in decls]
+        terms = tuple((rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                       rng.randrange(len(decls))) for _ in range(rng.randint(2, 6)))
+        c = -sum(a * (min(domains[x]) + max(domains[x])) // 2 for a, x in terms) \
+            + rng.randint(-4, 4)
+        expected = _reference_bounds_fixpoint(c, terms, domains)
+        store, rt = fresh()
+        for d in domains:
+            store.new_var(make_set(d))
+        ok = post_nary_unite(rt, NaryLinear(c, terms)) and rt.run_to_fixpoint()
+        if expected is None:
+            assert not ok, (c, terms, domains)
+            failed += 1
+            continue
+        assert ok, (c, terms, domains)
+        got = [set(store.domain(x).values()) for x in range(len(domains))]
+        assert got == expected, (c, terms, domains)
+        pruned += got != [set(d) for d in domains]
+    assert pruned > 100 and failed > 20, (pruned, failed)
 
 
 def test_hybrid_collapse_prunes_like_brute_force():

@@ -299,6 +299,30 @@ def test_cli_verify_reports_agreement(tmp_path, capsys):
     assert "arc consistent at root: yes" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "bench:holed_chain(3)"],
+    ["verify", "bench:queens(5)", "--level", "ic"],
+    ["verify", "bench:queens(6)", "--max-backtracks", "0"],
+])
+def test_cli_verify_builds_the_model_once(argv, monkeypatch, capsys):
+    """The fixpoint report and the labeling share one root fixpoint."""
+    import fdprop.cli
+    import fdprop.model
+
+    calls = []
+    real_build = fdprop.model.build
+
+    def counting_build(*args, **kwargs):
+        calls.append(args[0].name)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(fdprop.model, "build", counting_build)
+    monkeypatch.setattr(fdprop.cli, "build", counting_build)
+    main(argv)
+    assert len(calls) == 1
+    assert "consistent at root" in capsys.readouterr().out
+
+
 def test_cli_verify_unsat_model(tmp_path, capsys):
     path = tmp_path / "unsat.model"
     path.write_text("var x in 1..2\nvar y in 1..2\nvar z in 1..2\n"

@@ -67,6 +67,25 @@ def test_bind_posts_ins_and_sets_value():
     assert not store.bind(x, 4)
 
 
+@pytest.mark.parametrize("narrow", [
+    lambda store, x: store.exclude(x, 9),         # above the bounds
+    lambda store, x: store.exclude(x, -1),        # below the bounds
+    lambda store, x: store.exclude(x, 3),         # in a hole
+    lambda store, x: store.intersect(x, 1, 6),    # covers the domain exactly
+    lambda store, x: store.intersect(x, -4, 20),  # covers the domain with room
+], ids=["above", "below", "hole", "exact-range", "wide-range"])
+def test_noop_narrowing_posts_nothing_and_trails_nothing(narrow):
+    store, events = recording_store()
+    x = store.new_var(make_set([1, 2, 4, 6]))
+    store.push_choice_point()  # a real change would add a trail entry here
+    domain = store.domain(x)
+    trail_len = len(store._trail)
+    assert narrow(store, x)
+    assert events == []
+    assert len(store._trail) == trail_len
+    assert store.vars[x].domain is domain
+
+
 def test_trail_round_trip_single():
     store = Store()
     x = store.new_var(make_interval(1, 5))
@@ -153,6 +172,7 @@ def test_event_faithfulness_randomized():
     for _ in range(300):
         store, events = recording_store()
         x = store.new_var(make_set(sorted(rng.sample(range(-5, 15), rng.randint(2, 10)))))
+        store.push_choice_point()
         dom_before = store.domain(x)
         if rng.random() < 0.5:
             v = rng.randint(-6, 16)
@@ -164,7 +184,11 @@ def test_event_faithfulness_randomized():
             _, delta = intersect_range(dom_before, lo, hi)
             store.intersect(x, lo, hi)
         kind = delta.kind
-        if kind is DeltaKind.UNCHANGED or kind is DeltaKind.EMPTIED:
+        # one trail entry exactly when the domain changes
+        changed = kind is not DeltaKind.UNCHANGED and kind is not DeltaKind.EMPTIED
+        assert len(store._trail) == int(changed)
+        assert (store.domain(x) is dom_before) is not changed
+        if not changed:
             assert events == []
         elif kind is DeltaKind.INSTANTIATED:
             assert events == [(INS, x, None)]
