@@ -30,7 +30,7 @@ against the brute-force enumeration oracle.
 ``verify``.  When one is hit, ``solve`` still prints the solutions found
 so far and its stats line; both then exit 5.
 
-Exit codes: 0 success, 2 model/parse error, 3 unsatisfiable with
+Exit codes: 0 success, 2 model/parse/option or file I/O error, 3 unsatisfiable with
 --expect-sat, 4 internal invariant violation, 5 search limit reached.
 """
 
@@ -76,7 +76,7 @@ def _load(ref: str) -> Model:
     path = Path(ref)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read {ref}: {exc}") from None
     return parse_model(text, path.stem)
 
@@ -112,7 +112,11 @@ def _cmd_solve(args) -> int:
         payload = {"backtracks": stats.backtracks, "activations": stats.activations,
                    "solutions": stats.solutions, "time_ms": result.time_ms,
                    "agents": result.agents}
-        Path(args.stats_json).write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            Path(args.stats_json).write_text(json.dumps(payload), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.stats_json}: {exc}", file=sys.stderr)
+            return EXIT_MODEL_ERROR
     if _limit_reached(result):
         return EXIT_LIMIT
     if args.expect_sat and not result.solutions:
@@ -228,7 +232,7 @@ def _parser() -> argparse.ArgumentParser:
                             help="cross-check a model against the enumeration oracle")
     verify.add_argument("model")
     add_config(verify)
-    verify.add_argument("--cap", type=int, default=10 ** 7,
+    verify.add_argument("--cap", type=_at_least(int, 0), default=10 ** 7,
                         help="oracle assignment-count cap")
     add_limits(verify)
     verify.set_defaults(func=_cmd_verify)

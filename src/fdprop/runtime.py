@@ -23,6 +23,11 @@ Redundant wakes are coalesced for constraint propagators: within one
 batch of pending activations, duplicate bound events for one variable
 collapse to one, and a pending bound event is dropped when an ins event
 for the same variable arrives.  Distinct dom payloads are never merged.
+The bookkeeping is kept for bound wakes only.  An ins is the last event
+a variable posts before a backtrack, which empties the queue: once it
+is bound, the store posts nothing more for it.  So no later wake can
+duplicate an ins item or be shadowed by one, and an ins needs no record;
+its post only removes the pending bound it shadows.
 """
 
 from __future__ import annotations
@@ -110,10 +115,11 @@ class Runtime:
     backtrack restores both.
 
     ``queue`` holds pending (agent, event) items.  ``pending`` maps
-    (agent id, var) to the one live ins/bound item of a coalescing
-    agent; an item that is no longer the map's entry for its key was
-    superseded and is skipped when taken.  A choice point is only made
-    with an empty queue, so backtracking empties both.  The trail
+    (agent id, var) to the one live bound item of a coalescing agent;
+    ins and dom items are never in it.  A bound item that is no longer
+    the map's entry for its key was shadowed by an ins and is skipped
+    when taken.  A choice point is only made with an empty queue, so
+    backtracking empties both.  The trail
     holds (agent, old rule) for every change of an agent's rule, a new
     agent's first suspension included; a backtrack undoes those, popping
     the agent from the watcher lists of the rule it leaves, and drops
@@ -184,19 +190,31 @@ class Runtime:
         agents = self.agents
         push = self.queue.append
         pending = self.pending
-        coalescing = self.coalescing and kind != DOM
-        for aid in watchers:
-            agent = agents[aid]
-            if agent.rule == END:
-                continue
-            item = (agent, event)
-            if coalescing and agent.coalesce:
-                key = (aid, var)
-                old = pending.get(key)
-                if old is not None and (kind == BOUND or old[1].kind == INS):
-                    continue  # duplicate bound or ins, or bound shadowed by ins
-                pending[key] = item  # new, or an ins superseding a bound
-            push(item)
+        if kind == BOUND and self.coalescing:
+            for aid in watchers:
+                agent = agents[aid]
+                if agent.rule == END:
+                    continue
+                item = (agent, event)
+                if agent.coalesce:
+                    key = (aid, var)
+                    if key in pending:
+                        continue  # a duplicate bound
+                    pending[key] = item
+                push(item)
+        elif kind == INS and pending:
+            for aid in watchers:
+                agent = agents[aid]
+                if agent.rule == END:
+                    continue
+                if agent.coalesce:
+                    pending.pop((aid, var), None)  # the ins shadows a pending bound
+                push((agent, event))
+        else:
+            for aid in watchers:
+                agent = agents[aid]
+                if agent.rule != END:
+                    push((agent, event))
 
     # -- spawning ---------------------------------------------------------------
 
@@ -205,9 +223,11 @@ class Runtime:
         """Create an agent and run rule selection.  Returns the agent,
         or None when the agent fails (no applicable rule, or its
         generation-time action fails).  coalesce marks the agent as a
-        constraint propagator whose redundant wakes may be suppressed;
-        general agents should pass False to receive every event."""
-        agent = Agent(len(self.agents), rules, coalesce, name)
+        constraint propagator whose redundant bound wakes may be
+        suppressed; general agents should pass False to receive every
+        event.  The agent stores ``coalesce`` only when the runtime's
+        coalescing is on, so the hot loops test one attribute."""
+        agent = Agent(len(self.agents), rules, coalesce and self.coalescing, name)
         self.agents.append(agent)
         if self._select(agent, 0, _GENERATED_EVENT):
             return agent
@@ -228,7 +248,8 @@ class Runtime:
             if watch is None:
                 self.activations += 1
                 ok = rule.action(event)
-                self._trace_line(agent, event, idx, "end" if ok else "fail")
+                if self.trace is not None:
+                    self._trace_line(agent, event, idx, "end" if ok else "fail")
                 if ok and agent.rule != END:
                     self._trail.append((agent, agent.rule))
                     agent.rule = END
@@ -243,16 +264,17 @@ class Runtime:
             if event is _GENERATED_EVENT and rule.run_on_generated:
                 self.activations += 1
                 ok = rule.action(event)
-                self._trace_line(agent, event, idx, "ok" if ok else "fail")
+                if self.trace is not None:
+                    self._trace_line(agent, event, idx, "ok" if ok else "fail")
                 return ok
             return True
-        self._trace_line(agent, event, -1, "fail")
+        if self.trace is not None:
+            self._trace_line(agent, event, -1, "fail")
         return False
 
     def _trace_line(self, agent: Agent, event: Event, rule_idx: int,
                     outcome: str) -> None:
-        if self.trace is None:
-            return
+        """Write one activation line; callers test ``self.trace`` first."""
         self._trace_seq += 1
         label = agent.name or f"agent{agent.id}"
         self.trace.write(f"{self._trace_seq}\t{label}\t{event!r}\t{rule_idx}\t{outcome}\n")
@@ -268,15 +290,14 @@ class Runtime:
         queue = self.queue
         take = self._take
         pending = self.pending
-        coalescing = self.coalescing
         trace = self.trace
         while queue:
             item = take()
             agent, event = item
-            if coalescing and agent.coalesce and event.kind != DOM:
+            if agent.coalesce and event.kind == BOUND:
                 key = (agent.id, event.var)
                 if pending.get(key) is not item:
-                    continue  # a bound superseded by an ins
+                    continue  # a bound shadowed by an ins
                 del pending[key]
             idx = agent.rule
             if idx == END:

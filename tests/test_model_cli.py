@@ -340,6 +340,29 @@ def test_cli_verify_refuses_before_solving(capsys):
     assert "oracle refused" in capsys.readouterr().out
 
 
+def test_cli_unwritable_stats_json_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["solve", "bench:queens(6)", "--stats-json", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_cli_non_utf8_model_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.model"
+    path.write_bytes("# caf\u00e9\nvar x in 1..3\nlabel x\n".encode("latin-1"))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
+def test_cli_verify_rejects_negative_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bench:queens(4)", "--cap", "-5"])
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
 def test_cli_unknown_benchmark(capsys):
     assert main(["solve", "bench:nope"]) == 2
 

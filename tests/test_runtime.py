@@ -5,6 +5,7 @@ import pytest
 from conftest import domain_snapshot, random_model, store_snapshot
 
 from fdprop.domain import make_interval
+from fdprop.linear import post_diseq
 from fdprop.model import SolverConfig, build
 from fdprop.runtime import END, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
@@ -135,6 +136,22 @@ def test_coalescing_ins_shadows_bound(policy):
     store.bind(trigger, 1)
     assert rt.run_to_fixpoint()
     assert seen == ["ins(_0)"]
+    assert rt.pending == {}
+
+
+def test_ins_only_agents_never_enter_pending():
+    """An ins is the last event of its variable before a backtrack, so
+    agents that watch only ins have no wake to coalesce."""
+    store, rt = fresh()
+    xs = [store.new_var(make_interval(1, hi)) for hi in (3, 2, 3)]
+    for i, x in enumerate(xs):
+        for y in xs[i + 1:]:
+            assert post_diseq(rt, x, y, (0,))
+    assert store.bind(xs[0], 2)
+    assert rt.queue and rt.pending == {}
+    assert rt.run_to_fixpoint()  # binds xs[1] to 1, then xs[2] to 3
+    assert rt.pending == {}
+    assert [store.value(x) for x in xs] == [2, 1, 3]
 
 
 def test_no_coalescing_for_general_agents():
@@ -327,9 +344,9 @@ def test_backtrack_after_failed_fixpoint_discards_queued_activations():
 
     store, rt, x, y, log = setup()
     cp = rt.push_choice_point()
-    store.bind(x, 1)
+    assert store.bind(x, 1) and store.intersect(y, 2, 5)
     assert not rt.run_to_fixpoint()  # the first agent fails ...
-    assert rt.queue and rt.pending   # ... with the second still queued
+    assert rt.queue and rt.pending   # ... with the second's bound(y) still queued
     rt.backtrack_to(cp)
     assert not rt.queue and not rt.pending
     assert propagate(store, rt, x, y, log) == propagate(*setup())
