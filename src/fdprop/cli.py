@@ -30,8 +30,9 @@ against the brute-force enumeration oracle.
 ``verify``.  When one is hit, ``solve`` still prints the solutions found
 so far and its stats line; both then exit 5.
 
-Exit codes: 0 success, 2 model/parse/option or file I/O error, 3 unsatisfiable with
---expect-sat, 4 internal invariant violation, 5 search limit reached.
+Exit codes: 0 success, 2 model/parse/option or file I/O error, 3
+unsatisfiable with --expect-sat, 4 internal invariant violation, 5
+search limit reached.
 """
 
 from __future__ import annotations
