@@ -38,25 +38,49 @@ def outof_reducer(store: Store, x: int, others: Sequence[int],
     value of dom(x) be excluded from each unbound element whose domain
     is not such a subset.  ``hint`` is a value just removed from dom(x)
     and feeds the subset test's shortcut.
+
+    The filter can act only when m+1 >= n, so at most
+    ``len(others) + 1 - n`` elements may fail the subset test: the scan
+    returns True as soon as one more has failed, and at once when that
+    allowance is negative.  A bound element is tested by its value, an
+    unbound one by size and bounds first; ``is_subset_of`` runs only
+    when dom(x) has holes and those tests pass.
     """
     vars_ = store.vars
     dx = vars_[x].domain
     n = dx.count
-    m = 0
+    # how many more elements may still fail the subset test
+    spare = len(others) + 1 - n
+    if spare < 0:
+        return True
+    lo = dx.lo
+    hi = dx.hi
+    bits = dx.bits
+    offset = dx.offset
     outside = []
     for z in others:
-        if is_subset_of(vars_[z].domain, dx, hint):
-            m += 1
-        elif vars_[z].bound_value is None:
+        var = vars_[z]
+        v = var.bound_value
+        if v is not None:
+            if lo <= v <= hi and (bits is None or (bits >> (v - offset)) & 1):
+                continue
+        else:
+            dz = var.domain
+            if (dz.count <= n and lo <= dz.lo and dz.hi <= hi
+                    and (bits is None or is_subset_of(dz, dx, hint))):
+                continue
             outside.append(z)
-    if m + 1 > n:
+        spare -= 1
+        if spare < 0:
+            return True
+    if spare > 0:  # m+1 > n
         return False
-    if m + 1 == n:
-        values = list(dx.values())
-        for z in outside:
-            for v in values:
-                if not store.exclude(z, v):
-                    return False
+    # m+1 == n
+    values = list(dx.values())
+    for z in outside:
+        for v in values:
+            if not store.exclude(z, v):
+                return False
     return True
 
 

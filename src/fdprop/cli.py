@@ -13,7 +13,8 @@ Subcommands:
 declaration order) followed by
 ``stats: backtracks=<n> activations=<n> solutions=<n> time_ms=<t>``;
 --stats-json writes the same four fields plus ``agents`` (the agent
-count after posting) as a JSON object.  --trace streams one
+count after posting) as a JSON object; the file is created before the
+search, so an unwritable path exits 2 before any output.  --trace streams one
 tab-separated line per propagator activation to stderr:
 ``<seq>\\t<agent>\\t<event>\\t<rule>\\t<outcome>``.
 
@@ -72,7 +73,7 @@ def _load(ref: str) -> Model:
     if ref.startswith("bench:"):
         try:
             return get_benchmark(ref[len("bench:"):])
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:  # unknown name, size out of range
             raise ModelError(str(exc.args[0])) from None
     path = Path(ref)
     try:
@@ -97,10 +98,23 @@ def _limit_reached(result) -> bool:
     return True
 
 
+def _write_text(path: str, text: str) -> bool:
+    """Write text to path; report a failure and return False."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_solve(args) -> int:
     model = _load(args.model)
     mode = ALL_SOLUTIONS if args.all else FIRST_SOLUTION
     config = _config(args, mode)
+    # create the --stats-json file before the search: a bad path costs no solve
+    if args.stats_json and not _write_text(args.stats_json, ""):
+        return EXIT_MODEL_ERROR
     result = solve_model(model, config,
                          trace_stream=sys.stderr if args.trace else None)
     names = [vd.name for vd in model.vars]
@@ -113,10 +127,7 @@ def _cmd_solve(args) -> int:
         payload = {"backtracks": stats.backtracks, "activations": stats.activations,
                    "solutions": stats.solutions, "time_ms": result.time_ms,
                    "agents": result.agents}
-        try:
-            Path(args.stats_json).write_text(json.dumps(payload), encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.stats_json}: {exc}", file=sys.stderr)
+        if not _write_text(args.stats_json, json.dumps(payload)):
             return EXIT_MODEL_ERROR
     if _limit_reached(result):
         return EXIT_LIMIT

@@ -284,6 +284,13 @@ def _make_reducer(rt, c, terms):
     not reach the interval fixpoint; the events posted by its own
     reductions re-activate the agent until quiescence.
 
+    Between the passes sits the slack test of Harvey & Schimpf
+    ("Bounds consistency techniques for long linear constraints",
+    TRICS 2002): with the whole sum in [L, H], L <= 0 <= H, term i can
+    narrow only if |a_i|*(hi_i - lo_i) > min(-L, H).  The forward pass
+    tracks the widest term; when even that one passes the test, the
+    backward pass would change nothing and is skipped.
+
     The store is called only for a bound that moves: a narrowing that
     would change nothing posts no event either way.
     """
@@ -292,12 +299,14 @@ def _make_reducer(rt, c, terms):
     n = len(terms)
     term_vars = tuple((a, x, vars_[x]) for a, x in terms)
     backward = range(n - 1, -1, -1)
+    # los[i], his[i]: the bounds of T_i, the sum before term i.  One
+    # pair of lists per agent: an action never runs inside itself.
+    los = [0] * n
+    his = [0] * n
 
     def reduce(_event):
-        # los[i], his[i]: the bounds of T_i, the sum before term i
-        los = [0] * n
-        his = [0] * n
         t_lo = t_hi = c
+        widest = 0
         i = 0
         for a, _, var in term_vars:
             los[i] = t_lo
@@ -305,13 +314,19 @@ def _make_reducer(rt, c, terms):
             i += 1
             d = var.domain
             if a > 0:
-                t_lo += a * d.lo
-                t_hi += a * d.hi
+                w_lo = a * d.lo
+                w_hi = a * d.hi
             else:
-                t_lo += a * d.hi
-                t_hi += a * d.lo
+                w_lo = a * d.hi
+                w_hi = a * d.lo
+            t_lo += w_lo
+            t_hi += w_hi
+            if w_hi - w_lo > widest:
+                widest = w_hi - w_lo
         if t_lo > 0 or t_hi < 0:
             return False
+        if widest <= -t_lo and widest <= t_hi:
+            return True
         cur_lo = cur_hi = 0
         for i in backward:
             a, x, var = term_vars[i]

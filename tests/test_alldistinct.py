@@ -1,9 +1,9 @@
 import random
 
-from conftest import domain_values, random_model
+from conftest import domain_snapshot, domain_values, random_domain, random_model
 
 from fdprop.alldistinct import Strategy, outof_reducer, post_alldistinct
-from fdprop.domain import make_interval, make_set
+from fdprop.domain import is_subset_of, make_interval, make_set
 from fdprop.model import Distinct, SolverConfig, build, fixpoint_violations, solve_model
 from fdprop.runtime import END, Runtime
 from fdprop.store import Store
@@ -59,6 +59,76 @@ def test_outof_reducer_disjoint_noop():
     assert outof_reducer(store, xs[0], xs[1:])
     assert domain_values(store, xs[1]) == (4, 5)
     assert domain_values(store, xs[2]) == (6, 7)
+
+
+def _full_scan_outof_reducer(store, x, others, hint=None):
+    """The pigeonhole filter as a plain full scan: every neighbour goes
+    through ``is_subset_of``, whatever the outcome.  The reference the
+    early-exit reducer must match."""
+    vars_ = store.vars
+    dx = vars_[x].domain
+    n = dx.count
+    m = 0
+    outside = []
+    for z in others:
+        if is_subset_of(vars_[z].domain, dx, hint):
+            m += 1
+        elif vars_[z].bound_value is None:
+            outside.append(z)
+    if m + 1 > n:
+        return False
+    if m + 1 == n:
+        values = list(dx.values())
+        for z in outside:
+            for v in values:
+                if not store.exclude(z, v):
+                    return False
+    return True
+
+
+def _random_outof_case(rng):
+    """D(x) and 2-8 neighbours: bound ones (in and out of D(x)), holed
+    or whole subsets of D(x), and unrelated random domains; plus a hint
+    that is a value outside D(x), or None."""
+    vd = random_domain(rng, 6)
+    dx = list(vd.values) if vd.values is not None else list(range(vd.lo, vd.hi + 1))
+    domains = [dx]
+    for _ in range(rng.randint(2, 8)):
+        kind = rng.random()
+        if kind < 0.3:
+            domains.append([rng.randint(min(dx) - 1, max(dx) + 1)])
+        elif kind < 0.65:
+            domains.append(rng.sample(dx, rng.randint(1, len(dx))))
+        else:
+            other = random_domain(rng, 6)
+            domains.append(list(other.values) if other.values is not None
+                           else list(range(other.lo, other.hi + 1)))
+    missing = [v for v in range(min(dx) - 1, max(dx) + 2) if v not in dx]
+    hint = rng.choice(missing) if missing and rng.random() < 0.5 else None
+    return domains, hint
+
+
+def _run_recorded(reducer, domains, hint):
+    store = Store()
+    xs = [store.new_var(make_set(d)) for d in domains]
+    events = []
+    store.event_sink = lambda kind, var, value: events.append((kind, var, value))
+    result = reducer(store, xs[0], xs[1:], hint)
+    return result, events, domain_snapshot(store)
+
+
+def test_outof_reducer_matches_full_scan():
+    """Over random stores the early-exit reducer gives the full scan's
+    return value, events in order, and final domains."""
+    rng = random.Random(0xA11D)
+    outcomes = {"failed": 0, "excluded": 0, "no_op": 0}
+    for _ in range(3000):
+        domains, hint = _random_outof_case(rng)
+        expected = _run_recorded(_full_scan_outof_reducer, domains, hint)
+        assert _run_recorded(outof_reducer, domains, hint) == expected, (domains, hint)
+        result, events, _ = expected
+        outcomes["failed" if not result else "excluded" if events else "no_op"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_weak_ac_root_failure_without_labeling():

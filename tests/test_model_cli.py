@@ -344,8 +344,9 @@ def test_cli_verify_refuses_before_solving(capsys):
 def test_cli_unwritable_stats_json_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert main(["solve", "bench:queens(6)", "--stats-json", str(target)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: cannot write ")
+    assert out == ""  # refused before the search: no solution or stats line
     assert not target.exists()
 
 
@@ -359,6 +360,14 @@ def test_cli_non_utf8_model_exits_2(tmp_path, capsys):
 
 def test_cli_unknown_benchmark(capsys):
     assert main(["solve", "bench:nope"]) == 2
+
+
+@pytest.mark.parametrize("ref", ["bench:queens(0)", "bench:magic(1)", "bench:holed_chain(0)"])
+def test_cli_benchmark_size_out_of_range_exits_2(ref, capsys):
+    assert main(["solve", ref]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "needs" in err
 
 
 def test_domain_width_cap_is_a_model_error():
