@@ -14,8 +14,8 @@ declaration order) followed by
 ``stats: backtracks=<n> activations=<n> solutions=<n> time_ms=<t>``;
 --stats-json writes the same four fields plus ``agents`` (the agent
 count after posting) as a JSON object; the file is created before the
-search, so an unwritable path exits 2 before any output.  --trace streams one
-tab-separated line per propagator activation to stderr:
+search, so an unwritable path exits 2 before any output.  --trace
+streams one tab-separated line per propagator activation to stderr:
 ``<seq>\\t<agent>\\t<event>\\t<rule>\\t<outcome>``.
 
 ``verify`` prints one ``<predicate> consistent at root: yes|NO`` line
