@@ -14,7 +14,7 @@ failure.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .domain import is_subset_of
 from .linear import _true, post_diseq
@@ -28,16 +28,14 @@ class Strategy(enum.Enum):
     WEAK_AC = "wac"
 
 
-def outof_reducer(store: Store, x: int, others: Sequence[int],
-                  hint: Optional[int] = None) -> bool:
+def outof_reducer(store: Store, x: int, others: Sequence[int]) -> bool:
     """Pigeonhole filter for one list element.
 
     With n = |dom(x)| and m = number of other elements whose domains
     are subsets of dom(x) (an instantiated one counts through its
     singleton domain): m+1 > n is unsatisfiable; m+1 = n lets every
     value of dom(x) be excluded from each unbound element whose domain
-    is not such a subset.  ``hint`` is a value just removed from dom(x)
-    and feeds the subset test's shortcut.
+    is not such a subset.
 
     The filter can act only when m+1 >= n, so at most
     ``len(others) + 1 - n`` elements may fail the subset test: the scan
@@ -67,7 +65,7 @@ def outof_reducer(store: Store, x: int, others: Sequence[int],
         else:
             dz = var.domain
             if (dz.count <= n and lo <= dz.lo and dz.hi <= hi
-                    and (bits is None or is_subset_of(dz, dx, hint))):
+                    and (bits is None or is_subset_of(dz, dx))):
                 continue
             outside.append(z)
         spare -= 1
@@ -99,9 +97,8 @@ def _spawn_outof(rt: Runtime, x: int, others: tuple[int, ...], weak: bool) -> bo
         return True
 
     if weak:
-        def reduce(event):
-            # only a dom event carries a value: the one removed from dom(x)
-            return outof_reducer(store, x, others, event.value)
+        def reduce(_event):
+            return outof_reducer(store, x, others)
 
         first = Rule(free, ((INS, x), (BOUND, x), (DOM, x)), reduce,
                      run_on_generated=True)

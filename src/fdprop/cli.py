@@ -3,7 +3,7 @@
 Subcommands:
 
     solve <file|bench:name> [--level fc|ic|ac] [--alldistinct naive|linear|wac]
-          [--all] [--trace] [--no-coalesce] [--stats-json PATH] [--expect-sat]
+          [--all] [--trace] [--stats-json PATH] [--expect-sat]
           [--max-backtracks N] [--time-limit SECONDS]
     verify <file|bench:name> [--level ...] [--alldistinct ...] [--cap N]
            [--max-backtracks N] [--time-limit SECONDS]
@@ -84,8 +84,7 @@ def _load(ref: str) -> Model:
 
 
 def _config(args, mode: str) -> SolverConfig:
-    return SolverConfig(level=args.level, alldistinct=args.alldistinct,
-                        mode=mode, coalesce=not getattr(args, "no_coalesce", False),
+    return SolverConfig(level=args.level, alldistinct=args.alldistinct, mode=mode,
                         max_backtracks=args.max_backtracks,
                         time_limit=args.time_limit)
 
@@ -232,8 +231,6 @@ def _parser() -> argparse.ArgumentParser:
     solve.add_argument("--all", action="store_true", help="find all solutions")
     solve.add_argument("--trace", action="store_true",
                        help="stream activation trace to stderr")
-    solve.add_argument("--no-coalesce", action="store_true",
-                       help="disable redundant-wake coalescing")
     solve.add_argument("--stats-json", metavar="PATH")
     solve.add_argument("--expect-sat", action="store_true",
                        help="exit 3 when no solution exists")

@@ -233,14 +233,11 @@ def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, Do
     return nd, BOUND_CHANGED
 
 
-def is_subset_of(d1: FiniteDomain, d2: FiniteDomain,
-                 excluded_hint: Optional[int] = None) -> bool:
+def is_subset_of(d1: FiniteDomain, d2: FiniteDomain) -> bool:
     """True iff every element of d1 is in d2.
 
-    Cheap rejections run before any element scan: a larger size or a
-    wider interval rules d1 out; two hole-free intervals need no scan;
-    and when excluded_hint (a value just removed from d2) is still a
-    member of d1, d1 cannot be a subset.
+    Cheap rejections run before the bit test: a larger size or a wider
+    interval rules d1 out, and a hole-free d2 needs no test.
     """
     if d1.count > d2.count:
         return False
@@ -249,8 +246,6 @@ def is_subset_of(d1: FiniteDomain, d2: FiniteDomain,
     if d2.bits is None:
         # every d1 element lies within d2's hole-free bounds
         return True
-    if excluded_hint is not None and d1.contains(excluded_hint):
-        return False
     if d1.bits is None:
         width = d1.hi - d1.lo + 1
         a = ((1 << width) - 1) << (d1.lo - d2.offset)

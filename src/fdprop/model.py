@@ -370,7 +370,6 @@ class SolverConfig:
     level: str = "ac"
     alldistinct: str = "linear"
     mode: str = FIRST_SOLUTION
-    coalesce: bool = True
     max_backtracks: Optional[int] = None
     time_limit: Optional[float] = None
 
@@ -419,8 +418,8 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     (run_to_fixpoint) is the caller's next step.  A trace_stream gets
     one line per activation."""
     store = Store()
-    rt = Runtime(store, coalescing=config.coalesce, queue_policy=queue_policy,
-                 queue_seed=queue_seed, trace=trace_stream)
+    rt = Runtime(store, queue_policy=queue_policy, queue_seed=queue_seed,
+                 trace=trace_stream)
     level = ConsistencyLevel(config.level)
     post_nary = _NARY_POST[level]
     strategy = Strategy(config.alldistinct)

@@ -41,29 +41,34 @@ def enumerate_solutions(gm: GroundModel) -> set[tuple[int, ...]]:
     if total > gm.cap:
         raise CapExceeded(f"{total} assignments exceed cap {gm.cap}")
     n = len(gm.domains)
+    if n == 0:
+        return {()} if all(pred() for _, pred in gm.constraints) else set()
     check_at: list[list[tuple[tuple[int, ...], Callable[..., bool]]]] = [[] for _ in range(n)]
     for scope, pred in gm.constraints:
         check_at[max(scope)].append((scope, pred))
     solutions: set[tuple[int, ...]] = set()
     assignment = [0] * n
-
-    def rec(i: int) -> None:
-        if i == n:
-            solutions.add(tuple(assignment))
-            return
-        for v in gm.domains[i]:
+    # The untried values of each assigned position.  The stack is
+    # explicit so that the variable count is not bounded by the
+    # interpreter's recursion limit.
+    untried = [iter(gm.domains[0])] + [None] * (n - 1)
+    i = 0
+    while i >= 0:
+        checks = check_at[i]
+        for v in untried[i]:
             assignment[i] = v
-            ok = True
-            for scope, pred in check_at[i]:
-                if not pred(*(assignment[s] for s in scope)):
-                    ok = False
+            for scope, pred in checks:
+                if not pred(*[assignment[s] for s in scope]):
                     break
-            if ok:
-                rec(i + 1)
-
-    if n == 0:
-        return {()} if all(pred() for _, pred in gm.constraints) else set()
-    rec(0)
+            else:
+                if i == n - 1:
+                    solutions.add(tuple(assignment))
+                    continue
+                i += 1
+                untried[i] = iter(gm.domains[i])
+                break
+        else:
+            i -= 1
     return solutions
 
 

@@ -19,15 +19,17 @@ on that order; a test-only queue policy switch (lifo / random) exists
 to certify they do not.  A failed fixpoint leaves items queued; the
 backtrack that follows discards them.
 
-Redundant wakes are coalesced for constraint propagators: within one
+Redundant wakes are coalesced per agent, for those spawned with
+``coalesce`` (the default, for constraint propagators): within one
 batch of pending activations, duplicate bound events for one variable
 collapse to one, and a pending bound event is dropped when an ins event
-for the same variable arrives.  Distinct dom payloads are never merged.
-The bookkeeping is kept for bound wakes only.  An ins is the last event
-a variable posts before a backtrack, which empties the queue: once it
-is bound, the store posts nothing more for it.  So no later wake can
-duplicate an ins item or be shadowed by one, and an ins needs no record;
-its post only removes the pending bound it shadows.
+for the same variable arrives.  General agents (``coalesce=False``) get
+every event.  Distinct dom payloads are never merged.  The bookkeeping
+is kept for bound wakes only.  An ins is the last event a variable
+posts before a backtrack, which empties the queue: once it is bound,
+the store posts nothing more for it.  So no later wake can duplicate an
+ins item or be shadowed by one, and an ins needs no record; its post
+only removes the pending bound it shadows.
 """
 
 from __future__ import annotations
@@ -126,15 +128,13 @@ class Runtime:
     the agents created since.
     """
 
-    def __init__(self, store: Store, *, coalescing: bool = True,
-                 queue_policy: str = "fifo", queue_seed: Optional[int] = None,
-                 trace=None):
+    def __init__(self, store: Store, *, queue_policy: str = "fifo",
+                 queue_seed: Optional[int] = None, trace=None):
         self.store = store
         self.agents: list[Agent] = []
         self.queue: deque[tuple[Agent, Event]] = deque()
         self.pending: dict[tuple[int, int], tuple[Agent, Event]] = {}
         self._take = self._taker(queue_policy, queue_seed)
-        self.coalescing = coalescing
         self.trace = trace
         self.activations = 0
         self._trace_seq = 0
@@ -190,7 +190,7 @@ class Runtime:
         agents = self.agents
         push = self.queue.append
         pending = self.pending
-        if kind == BOUND and self.coalescing:
+        if kind == BOUND:
             for aid in watchers:
                 agent = agents[aid]
                 if agent.rule == END:
@@ -225,9 +225,8 @@ class Runtime:
         generation-time action fails).  coalesce marks the agent as a
         constraint propagator whose redundant bound wakes may be
         suppressed; general agents should pass False to receive every
-        event.  The agent stores ``coalesce`` only when the runtime's
-        coalescing is on, so the hot loops test one attribute."""
-        agent = Agent(len(self.agents), rules, coalesce and self.coalescing, name)
+        event."""
+        agent = Agent(len(self.agents), rules, coalesce, name)
         self.agents.append(agent)
         if self._select(agent, 0, _GENERATED_EVENT):
             return agent

@@ -3,6 +3,7 @@ property suites and acceptance, plus small reference oracles."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fdprop.benchmarks import get_benchmark
 from fdprop.linear import BinaryLinear, Diseq, NaryLinear
 from fdprop.model import Distinct, Model, VarDecl
 from fdprop.oracle import enumerate_solutions
+from fdprop.runtime import Runtime
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,23 @@ def sendmoney_oracle_solutions():
     10^8), the slowest enumeration in the suite, computed once per
     session for the tests that share it."""
     return enumerate_solutions(get_benchmark("sendmoney").to_ground(cap=10 ** 8))
+
+
+@contextlib.contextmanager
+def general_agents():
+    """Within the block every spawned agent is a general agent
+    (``coalesce=False``), so the runtime coalesces no wake: the
+    reference side of the coalescing equivalence checks."""
+    original = Runtime.spawn
+
+    def spawn(rt, rules, *, coalesce=True, name=""):
+        return original(rt, rules, coalesce=False, name=name)
+
+    Runtime.spawn = spawn
+    try:
+        yield
+    finally:
+        Runtime.spawn = original
 
 
 def random_domain(rng: random.Random, max_values: int = 9) -> VarDecl:

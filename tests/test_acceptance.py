@@ -8,7 +8,7 @@ prints a PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v``
 import random
 import time
 
-from conftest import domain_snapshot, random_model, store_snapshot
+from conftest import domain_snapshot, general_agents, random_model, store_snapshot
 
 from fdprop.benchmarks import get_benchmark, holed_chain_model, queens_model
 from fdprop.domain import make_interval
@@ -209,11 +209,14 @@ def _erasure_run(rng):
 
 def _coalesce_run(rng):
     model = random_model(rng)
-    results = []
-    for coalesce in (True, False):
-        r = solve_model(model, SolverConfig(mode="all", coalesce=coalesce))
-        results.append((sorted(r.solutions), r.stats.backtracks, r.root_failed))
-    return results[0] == results[1]
+
+    def outcome():
+        r = solve_model(model, SolverConfig(mode="all"))
+        return sorted(r.solutions), r.stats.backtracks, r.root_failed
+
+    coalesced = outcome()
+    with general_agents():
+        return outcome() == coalesced
 
 
 def _multi_dom_run(rng):

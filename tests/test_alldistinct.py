@@ -61,7 +61,7 @@ def test_outof_reducer_disjoint_noop():
     assert domain_values(store, xs[2]) == (6, 7)
 
 
-def _full_scan_outof_reducer(store, x, others, hint=None):
+def _full_scan_outof_reducer(store, x, others):
     """The pigeonhole filter as a plain full scan: every neighbour goes
     through ``is_subset_of``, whatever the outcome.  The reference the
     early-exit reducer must match."""
@@ -71,7 +71,7 @@ def _full_scan_outof_reducer(store, x, others, hint=None):
     m = 0
     outside = []
     for z in others:
-        if is_subset_of(vars_[z].domain, dx, hint):
+        if is_subset_of(vars_[z].domain, dx):
             m += 1
         elif vars_[z].bound_value is None:
             outside.append(z)
@@ -88,8 +88,7 @@ def _full_scan_outof_reducer(store, x, others, hint=None):
 
 def _random_outof_case(rng):
     """D(x) and 2-8 neighbours: bound ones (in and out of D(x)), holed
-    or whole subsets of D(x), and unrelated random domains; plus a hint
-    that is a value outside D(x), or None."""
+    or whole subsets of D(x), and unrelated random domains."""
     vd = random_domain(rng, 6)
     dx = list(vd.values) if vd.values is not None else list(range(vd.lo, vd.hi + 1))
     domains = [dx]
@@ -103,17 +102,15 @@ def _random_outof_case(rng):
             other = random_domain(rng, 6)
             domains.append(list(other.values) if other.values is not None
                            else list(range(other.lo, other.hi + 1)))
-    missing = [v for v in range(min(dx) - 1, max(dx) + 2) if v not in dx]
-    hint = rng.choice(missing) if missing and rng.random() < 0.5 else None
-    return domains, hint
+    return domains
 
 
-def _run_recorded(reducer, domains, hint):
+def _run_recorded(reducer, domains):
     store = Store()
     xs = [store.new_var(make_set(d)) for d in domains]
     events = []
     store.event_sink = lambda kind, var, value: events.append((kind, var, value))
-    result = reducer(store, xs[0], xs[1:], hint)
+    result = reducer(store, xs[0], xs[1:])
     return result, events, domain_snapshot(store)
 
 
@@ -123,9 +120,9 @@ def test_outof_reducer_matches_full_scan():
     rng = random.Random(0xA11D)
     outcomes = {"failed": 0, "excluded": 0, "no_op": 0}
     for _ in range(3000):
-        domains, hint = _random_outof_case(rng)
-        expected = _run_recorded(_full_scan_outof_reducer, domains, hint)
-        assert _run_recorded(outof_reducer, domains, hint) == expected, (domains, hint)
+        domains = _random_outof_case(rng)
+        expected = _run_recorded(_full_scan_outof_reducer, domains)
+        assert _run_recorded(outof_reducer, domains) == expected, domains
         result, events, _ = expected
         outcomes["failed" if not result else "excluded" if events else "no_op"] += 1
     assert min(outcomes.values()) > 100, outcomes

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import general_agents
+
 from fdprop.benchmarks import (
     get_benchmark,
     holed_chain_model,
@@ -189,7 +191,8 @@ def test_no_coalesce_identical_across_full_corpus():
     for name in BENCH_CORPUS:
         m = get_benchmark(name)
         with_c = solve_model(m, SolverConfig())
-        without = solve_model(m, SolverConfig(coalesce=False))
+        with general_agents():
+            without = solve_model(m, SolverConfig())
         assert with_c.solutions == without.solutions, name
         assert with_c.stats.backtracks == without.stats.backtracks, name
 
@@ -211,12 +214,12 @@ GOLDEN_CONFIGS = [
 
 def _golden_counts():
     """The expected counts of each golden configuration: its row in the
-    committed count matrix for the shipped posting order, fifo and
-    coalescing on (tools/count_matrix.py writes the file)."""
+    committed count matrix for the shipped posting order and fifo
+    (tools/count_matrix.py writes the file)."""
     rows = json.loads((Path(__file__).resolve().parent.parent / "COUNTS.json")
                       .read_text(encoding="utf-8"))
     stored = {(r["model"], r["level"], r["alldistinct"]): r for r in rows
-              if r["order"] == 0 and r["queue"] == "fifo" and r["coalesce"]}
+              if r["order"] == 0 and r["queue"] == "fifo"}
     return [(*config, stored[config]["backtracks"], stored[config]["activations"],
              stored[config]["solutions"]) for config in GOLDEN_CONFIGS]
 

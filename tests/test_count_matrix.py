@@ -37,7 +37,7 @@ def test_count_matrix_fast_rows_match():
 def test_count_matrix_names_a_moved_row():
     tool = _load_tool()
     expected = json.loads(COUNTS.read_text(encoding="utf-8"))
-    assert len(expected) == len(tool.CONFIGS) * len(tool.ORDERS) * len(tool.QUEUES) * 2
+    assert len(expected) == len(tool.CONFIGS) * len(tool.ORDERS) * len(tool.QUEUES)
     only = "sendmoney"
     exclude = frozenset(name for name, _, _ in tool.CONFIGS if name != only)
     moved = next(row for row in expected if row["model"] == only)

@@ -196,12 +196,15 @@ def test_cli_verify_limit_exits_5(capsys):
     ["bench", "--workers", "0"],
     ["bench", "--workers", "-3"],
     ["verify", "bench:queens(4)", "--cap", "-5"],
+    ["solve", "bench:queens(4)", "--no-coalesce"],  # retired: coalescing is per agent
 ])
 def test_cli_rejects_bad_limits_and_workers(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    retired = "--no-coalesce" in argv
+    assert ("unrecognized arguments" if retired else "must be at least") \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["level", "alldistinct"])
@@ -281,14 +284,6 @@ def test_cli_trace_format(tmp_path, capsys):
         assert outcome in ("ok", "fail", "end")
 
 
-def test_cli_no_coalesce_same_results(tmp_path, capsys):
-    r1 = solve_model(get_benchmark("zebra"), SolverConfig())
-    cfg = SolverConfig(coalesce=False)
-    r2 = solve_model(get_benchmark("zebra"), cfg)
-    assert r1.solutions == r2.solutions
-    assert r1.stats.backtracks == r2.stats.backtracks
-
-
 def test_cli_verify_reports_agreement(tmp_path, capsys):
     path = tmp_path / "tiny.model"
     path.write_text(TINY)
@@ -332,6 +327,16 @@ def test_cli_verify_unsat_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "solutions agree: yes (engine 0, oracle 0)" in out
+
+
+def test_cli_verify_deep_model(tmp_path, capsys):
+    """The oracle's enumeration depth is the variable count: 1201
+    variables must not hit the interpreter's recursion limit."""
+    path = tmp_path / "deep.model"
+    path.write_text("".join(f"var x{i} in 1..1\n" for i in range(1200))
+                    + "var y in 1..2\nlabel y\n")
+    assert main(["verify", str(path)]) == 0
+    assert "solutions agree: yes (engine 2, oracle 2)" in capsys.readouterr().out
 
 
 def test_cli_verify_refuses_before_solving(capsys):

@@ -1,9 +1,9 @@
 """Count matrix: per-run propagation counts over a fixed set of solves.
 
 Each row is one first-solution solve of a benchmark configuration in
-one posting order, under one queue policy, with coalescing on or off.
-It records backtracks, solutions, activations, agents (after posting),
-the first solution and a sha256 of the ``--trace`` activation stream.
+one posting order, under one queue policy.  It records backtracks,
+solutions, activations, agents (after posting), the first solution and
+a sha256 of the ``--trace`` activation stream.
 A change that must keep the engine's counts can be checked against the
 committed file; one that moves them shows, in the file's diff, exactly
 which runs moved.
@@ -55,7 +55,7 @@ ORDERS = (0, 1, 2)
 QUEUES = ("fifo", "lifo", "random")
 QUEUE_SEED = 0
 
-KEY = ("model", "level", "alldistinct", "order", "queue", "coalesce")
+KEY = ("model", "level", "alldistinct", "order", "queue")
 
 
 class _TraceHash:
@@ -68,20 +68,19 @@ class _TraceHash:
         self.sha.update(line.encode())
 
 
-def run_row(name: str, level: str, alldistinct: str, order: int, queue: str,
-            coalesce: bool) -> dict:
+def run_row(name: str, level: str, alldistinct: str, order: int, queue: str) -> dict:
     model = get_benchmark(name)
     if order:
         constraints = list(model.constraints)
         random.Random(order).shuffle(constraints)
         model = dataclasses.replace(model, constraints=constraints)
     trace = _TraceHash()
-    config = SolverConfig(level=level, alldistinct=alldistinct, coalesce=coalesce)
+    config = SolverConfig(level=level, alldistinct=alldistinct)
     r = solve_model(model, config, queue_policy=queue, queue_seed=QUEUE_SEED,
                     trace_stream=trace)
     return {
         "model": name, "level": level, "alldistinct": alldistinct,
-        "order": order, "queue": queue, "coalesce": coalesce,
+        "order": order, "queue": queue,
         "backtracks": r.stats.backtracks, "solutions": r.stats.solutions,
         "activations": r.stats.activations, "agents": r.agents,
         "first_solution": list(r.solutions[0]) if r.solutions else None,
@@ -95,8 +94,7 @@ def rows(exclude: frozenset = frozenset()):
             continue
         for order in ORDERS:
             for queue in QUEUES:
-                for coalesce in (True, False):
-                    yield run_row(name, level, alldistinct, order, queue, coalesce)
+                yield run_row(name, level, alldistinct, order, queue)
 
 
 def dump(table: list[dict]) -> str:
