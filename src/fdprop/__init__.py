@@ -27,9 +27,7 @@ from .linear import (
     floor_div,
     post_binary,
     post_diseq,
-    post_nary_forward,
-    post_nary_hybrid,
-    post_nary_unite,
+    post_nary,
 )
 from .model import (
     Distinct,

@@ -13,8 +13,11 @@ Subcommands:
 declaration order) followed by
 ``stats: backtracks=<n> activations=<n> solutions=<n> time_ms=<t>``;
 --stats-json writes the same four fields plus ``agents`` (the agent
-count after posting) as a JSON object; the file is created before the
-search, so an unwritable path exits 2 before any output.  --trace
+count after posting) as a JSON object.  The path is opened for
+appending before the search, so an unwritable path exits 2 before any
+output and an existing file is not truncated; the JSON is written only
+on the exits that report stats (0, 3 and 5), and on any other exit a
+file this run created is removed.  --trace
 streams one tab-separated line per propagator activation to stderr:
 ``<seq>\\t<agent>\\t<event>\\t<rule>\\t<outcome>``.
 
@@ -33,13 +36,15 @@ so far and its stats line; both then exit 5.
 
 Exit codes: 0 success, 2 model/parse/option or file I/O error, 3
 unsatisfiable with --expect-sat, 4 internal invariant violation, 5
-search limit reached.
+search limit reached, 141 standard output or the --trace stream closed
+by its reader (the code a shell reports for a tool killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,6 +72,7 @@ EXIT_MODEL_ERROR = 2
 EXIT_UNSAT = 3
 EXIT_INVARIANT = 4
 EXIT_LIMIT = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(ref: str) -> Model:
@@ -97,10 +103,12 @@ def _limit_reached(result) -> bool:
     return True
 
 
-def _write_text(path: str, text: str) -> bool:
-    """Write text to path; report a failure and return False."""
+def _write_text(path: str, text: str, mode: str = "w") -> bool:
+    """Write (or, with mode "a", append) text to path; report a failure
+    and return False."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
@@ -111,23 +119,33 @@ def _cmd_solve(args) -> int:
     model = _load(args.model)
     mode = ALL_SOLUTIONS if args.all else FIRST_SOLUTION
     config = _config(args, mode)
-    # create the --stats-json file before the search: a bad path costs no solve
-    if args.stats_json and not _write_text(args.stats_json, ""):
+    path = args.stats_json
+    created = bool(path) and not os.path.exists(path)
+    # check the --stats-json path before the search: a bad path costs no
+    # solve, and appending leaves a file that is there as it is
+    if path and not _write_text(path, "", "a"):
         return EXIT_MODEL_ERROR
-    result = solve_model(model, config,
-                         trace_stream=sys.stderr if args.trace else None)
-    names = [vd.name for vd in model.vars]
-    for sol in result.solutions:
-        print(" ".join(f"{n}={v}" for n, v in zip(names, sol)))
-    stats = result.stats
-    print(f"stats: backtracks={stats.backtracks} activations={stats.activations} "
-          f"solutions={stats.solutions} time_ms={result.time_ms}")
-    if args.stats_json:
-        payload = {"backtracks": stats.backtracks, "activations": stats.activations,
-                   "solutions": stats.solutions, "time_ms": result.time_ms,
-                   "agents": result.agents}
-        if not _write_text(args.stats_json, json.dumps(payload)):
-            return EXIT_MODEL_ERROR
+    written = False
+    try:
+        result = solve_model(model, config,
+                             trace_stream=sys.stderr if args.trace else None)
+        names = [vd.name for vd in model.vars]
+        for sol in result.solutions:
+            print(" ".join(f"{n}={v}" for n, v in zip(names, sol)))
+        stats = result.stats
+        print(f"stats: backtracks={stats.backtracks} activations={stats.activations} "
+              f"solutions={stats.solutions} time_ms={result.time_ms}")
+        if path:
+            sys.stdout.flush()  # a closed stdout fails the run before the JSON is written
+            payload = {"backtracks": stats.backtracks, "activations": stats.activations,
+                       "solutions": stats.solutions, "time_ms": result.time_ms,
+                       "agents": result.agents}
+            written = _write_text(path, json.dumps(payload))
+            if not written:
+                return EXIT_MODEL_ERROR
+    finally:
+        if created and not written:
+            os.remove(path)  # an error exit leaves no file of its own
     if _limit_reached(result):
         return EXIT_LIMIT
     if args.expect_sat and not result.solutions:
@@ -254,8 +272,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _run(args) -> int:
     try:
         return args.func(args)
     except (ModelError, CapacityError) as exc:
@@ -264,6 +281,28 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+
+
+def main(argv=None) -> int:
+    try:
+        try:
+            return _run(_parser().parse_args(argv))
+        finally:
+            # flush now, not at exit, so that a closed reader is caught
+            # below; argparse's exits (--help, a bad option) pass here too
+            sys.stdout.flush()
+            sys.stderr.flush()
+    except BrokenPipeError:
+        # point each closed stream at the null device: its pending output
+        # is dropped and the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

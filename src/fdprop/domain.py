@@ -28,27 +28,24 @@ class DeltaKind(enum.IntEnum):
 
 
 class DomainDelta:
-    """Classification of a single narrowing step.
+    """Classification of a single narrowing step.  One shared instance
+    per kind: the new domain carries the survivor of an instantiation,
+    and the caller knows the value it excluded."""
 
-    value carries the sole survivor for INSTANTIATED and the removed
-    element for INNER_EXCLUDED.
-    """
+    __slots__ = ("kind",)
 
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind, value=None):
+    def __init__(self, kind):
         self.kind = kind
-        self.value = value
 
     def __repr__(self):
-        if self.kind in (DeltaKind.INSTANTIATED, DeltaKind.INNER_EXCLUDED):
-            return f"DomainDelta({self.kind.name}, {self.value})"
         return f"DomainDelta({DeltaKind(self.kind).name})"
 
 
 UNCHANGED = DomainDelta(DeltaKind.UNCHANGED)
-EMPTIED = DomainDelta(DeltaKind.EMPTIED)
+INSTANTIATED = DomainDelta(DeltaKind.INSTANTIATED)
 BOUND_CHANGED = DomainDelta(DeltaKind.BOUND_CHANGED)
+INNER_EXCLUDED = DomainDelta(DeltaKind.INNER_EXCLUDED)
+EMPTIED = DomainDelta(DeltaKind.EMPTIED)
 
 
 class FiniteDomain:
@@ -130,25 +127,25 @@ class FiniteDomain:
 EMPTY_DOMAIN = FiniteDomain(0, -1, 0)
 
 
-def make_interval(lo: int, hi: int, max_width: int = DEFAULT_MAX_WIDTH) -> FiniteDomain:
+def make_interval(lo: int, hi: int) -> FiniteDomain:
     """Contiguous domain lo..hi.  lo > hi or an over-wide span is a
     construction error, not a runtime failure."""
     if lo > hi:
         raise DomainError(f"empty interval {lo}..{hi}")
-    if hi - lo + 1 > max_width:
-        raise DomainError(f"interval {lo}..{hi} wider than cap {max_width}")
+    if hi - lo + 1 > DEFAULT_MAX_WIDTH:
+        raise DomainError(f"interval {lo}..{hi} wider than cap {DEFAULT_MAX_WIDTH}")
     return FiniteDomain(lo, hi, hi - lo + 1)
 
 
-def make_set(values, max_width: int = DEFAULT_MAX_WIDTH) -> FiniteDomain:
+def make_set(values) -> FiniteDomain:
     """Domain holding exactly the given values (duplicates collapse).
     Contiguous value sets normalize to interval form."""
     vals = sorted(set(values))
     if not vals:
         raise DomainError("empty value list")
     lo, hi = vals[0], vals[-1]
-    if hi - lo + 1 > max_width:
-        raise DomainError(f"value span {lo}..{hi} wider than cap {max_width}")
+    if hi - lo + 1 > DEFAULT_MAX_WIDTH:
+        raise DomainError(f"value span {lo}..{hi} wider than cap {DEFAULT_MAX_WIDTH}")
     count = len(vals)
     if count == hi - lo + 1:
         return FiniteDomain(lo, hi, count)
@@ -177,7 +174,7 @@ def exclude_value(d: FiniteDomain, v: int) -> tuple[FiniteDomain, DomainDelta]:
     Delta classification: non-member -> UNCHANGED; last element ->
     EMPTIED; survivor count 1 -> INSTANTIATED; v at a bound ->
     BOUND_CHANGED (bounds re-tightened past holes); strictly interior
-    v -> INNER_EXCLUDED(v).
+    v -> INNER_EXCLUDED.
     """
     if v < d.lo or v > d.hi:
         return d, UNCHANGED
@@ -188,7 +185,7 @@ def exclude_value(d: FiniteDomain, v: int) -> tuple[FiniteDomain, DomainDelta]:
         return EMPTY_DOMAIN, EMPTIED
     if d.count == 2:
         other = d.hi if v == d.lo else d.lo
-        return FiniteDomain(other, other, 1), DomainDelta(DeltaKind.INSTANTIATED, other)
+        return FiniteDomain(other, other, 1), INSTANTIATED
     if bits is None:
         if v == d.lo:
             return FiniteDomain(v + 1, d.hi, d.count - 1), BOUND_CHANGED
@@ -196,13 +193,11 @@ def exclude_value(d: FiniteDomain, v: int) -> tuple[FiniteDomain, DomainDelta]:
             return FiniteDomain(d.lo, v - 1, d.count - 1), BOUND_CHANGED
         width = d.hi - d.lo + 1
         bits = ((1 << width) - 1) & ~(1 << (v - d.lo))
-        return (FiniteDomain(d.lo, d.hi, d.count - 1, bits, d.lo),
-                DomainDelta(DeltaKind.INNER_EXCLUDED, v))
+        return FiniteDomain(d.lo, d.hi, d.count - 1, bits, d.lo), INNER_EXCLUDED
     bits &= ~(1 << (v - d.offset))
     if v == d.lo or v == d.hi:
         return _from_bits(bits, d.offset), BOUND_CHANGED
-    return (FiniteDomain(d.lo, d.hi, d.count - 1, bits, d.offset),
-            DomainDelta(DeltaKind.INNER_EXCLUDED, v))
+    return FiniteDomain(d.lo, d.hi, d.count - 1, bits, d.offset), INNER_EXCLUDED
 
 
 def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, DomainDelta]:
@@ -221,7 +216,7 @@ def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, Do
     if d.bits is None:
         count = nhi - nlo + 1
         if count == 1:
-            return FiniteDomain(nlo, nlo, 1), DomainDelta(DeltaKind.INSTANTIATED, nlo)
+            return FiniteDomain(nlo, nlo, 1), INSTANTIATED
         return FiniteDomain(nlo, nhi, count), BOUND_CHANGED
     width = nhi - nlo + 1
     mask = ((1 << width) - 1) << (nlo - d.offset)
@@ -229,7 +224,7 @@ def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, Do
     if nd.count == 0:
         return EMPTY_DOMAIN, EMPTIED
     if nd.count == 1:
-        return nd, DomainDelta(DeltaKind.INSTANTIATED, nd.lo)
+        return nd, INSTANTIATED
     return nd, BOUND_CHANGED
 
 

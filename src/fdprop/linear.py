@@ -7,10 +7,12 @@ to the range the other side's bounds allow) and arc (also exclude the
 counterpart of each inner exclusion).  All the disequalities X != Y + c
 on one variable pair share one forward-checking agent, which holds
 their offsets c and excludes every implied value once either side is
-bound.  N-ary sums c + sum(a_i * X_i) = 0 get a single two-phase
-interval reducer, a hybrid scheme that posts one binary arc agent once
-at most two variables remain free, and a plain forward-checking
-variant.
+bound.  An n-ary sum c + sum(a_i * X_i) = 0 is also one agent at each
+level: forward checking waits until one variable is free and solves
+for it; interval runs a two-phase interval reducer on every wake; arc
+(the hybrid scheme) runs that reducer while more than two variables
+are free and then posts one binary arc agent for the two that are
+left.
 
 All propagator arithmetic is validated against a signed 64-bit budget
 at posting time; models that could overflow it are rejected with
@@ -353,102 +355,65 @@ def _make_reducer(rt, c, terms):
     return reduce
 
 
-def _watch_all(terms, kinds) -> tuple:
-    return tuple((kind, x) for _, x in terms for kind in kinds)
+# Per level: the agent's name suffix, the events of each term it wakes
+# on, and the free-variable count it waits for before it commits (None:
+# it never commits).
+_NARY_AGENT = {
+    ConsistencyLevel.FORWARD_CHECKING: ("_fwd", (INS,), 1),
+    ConsistencyLevel.INTERVAL: ("", (INS, BOUND), None),
+    ConsistencyLevel.ARC: ("_hybrid", (INS, BOUND), 2),
+}
 
 
-def _more_free_than(vars_, terms, k):
-    """Guard: more than k of the terms' variables are still unbound."""
+def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
+    """Spawn the one agent for c + sum(a_i * X_i) = 0 at the requested
+    level.  While more variables are free than the level waits for, it
+    sleeps on its terms' events; at ic and ac it runs the interval
+    reducer on each wake and once at generation.  Then it folds the
+    bound terms into the constant and checks the ground sum, solves for
+    the last free variable, or posts one binary arc agent for the two
+    that are left."""
+    store = rt.store
+    vars_ = store.vars
+    c, terms = nc.c, nc.terms
+    _check_nary_capacity(store, c, terms)
+    suffix, kinds, commit_at = _NARY_AGENT[level]
 
-    def guard():
+    def more_free():
         free = 0
         for _, x in terms:
             if vars_[x].bound_value is None:
                 free += 1
-                if free > k:
+                if free > commit_at:
                     return True
         return False
 
-    return guard
-
-
-def post_nary_unite(rt: Runtime, nc: NaryLinear) -> bool:
-    """One interval-consistency propagator for the whole sum, woken by
-    any instantiation or bound update of its variables."""
-    _check_nary_capacity(rt.store, nc.c, nc.terms)
-    reduce = _make_reducer(rt, nc.c, nc.terms)
-    rules = [Rule(None, _watch_all(nc.terms, (INS, BOUND)), reduce,
-                  run_on_generated=True)]
-    return rt.spawn(rules, name=f"lin{len(nc.terms)}") is not None
-
-
-def _collapse_terms(store, c, terms):
-    """Fold bound variables into the constant; return (c', free terms)."""
-    c2 = c
-    free = []
-    for a, x in terms:
-        bv = store.vars[x].bound_value
-        if bv is None:
-            free.append((a, x))
-        else:
-            c2 += a * bv
-    return c2, free
-
-
-def _solve_unary(store, c2, a, x) -> bool:
-    q, r = divmod(-c2, a)
-    if r:
-        return False
-    return store.bind(x, q)
-
-
-def post_nary_hybrid(rt: Runtime, nc: NaryLinear) -> bool:
-    """Interval reduction while more than two variables are free; once
-    the constraint turns binary (or tighter), fold the bound terms into
-    the constant and hand over to the binary machinery at arc level."""
-    store = rt.store
-    _check_nary_capacity(store, nc.c, nc.terms)
-    terms = nc.terms
-    reduce = _make_reducer(rt, nc.c, terms)
-
     def collapse(_event):
-        c2, free = _collapse_terms(store, nc.c, terms)
+        k = c
+        free = []
+        for a, x in terms:
+            bv = vars_[x].bound_value
+            if bv is None:
+                free.append((a, x))
+            else:
+                k += a * bv
         if not free:
-            return c2 == 0
+            return k == 0
         if len(free) == 1:
             a, x = free[0]
-            return _solve_unary(store, c2, a, x)
+            q, r = divmod(-k, a)
+            return r == 0 and store.bind(x, q)
         (a1, x1), (a2, x2) = free
-        # c2 + a1*X1 + a2*X2 = 0  ->  a1*X1 = (-a2)*X2 - c2
-        a, b, k = a1, -a2, -c2
-        if a < 0:
-            a, b, k = -a, -b, -k
-        return _post_binary_signed(rt, a, x1, b, x2, k, ConsistencyLevel.ARC)
+        # k + a1*X1 + a2*X2 = 0  ->  a1*X1 = (-a2)*X2 - k, negated if a1 < 0
+        s = 1 if a1 > 0 else -1
+        return _post_binary_signed(rt, s * a1, x1, -s * a2, x2, -s * k,
+                                   ConsistencyLevel.ARC)
 
-    rules = [
-        Rule(_more_free_than(store.vars, terms, 2), _watch_all(terms, (INS, BOUND)),
-             reduce, run_on_generated=True),
-        Rule(None, None, collapse),
-    ]
-    return rt.spawn(rules, name=f"lin{len(terms)}_hybrid") is not None
-
-
-def post_nary_forward(rt: Runtime, nc: NaryLinear) -> bool:
-    """Forward checking for an n-ary sum: sleep until a single variable
-    remains free, then solve for it (or check the ground sum)."""
-    store = rt.store
-    _check_nary_capacity(store, nc.c, nc.terms)
-    terms = nc.terms
-
-    def solve_last(_event):
-        c2, free = _collapse_terms(store, nc.c, terms)
-        if not free:
-            return c2 == 0
-        a, x = free[0]
-        return _solve_unary(store, c2, a, x)
-
-    rules = [
-        Rule(_more_free_than(store.vars, terms, 1), _watch_all(terms, (INS,)), _true),
-        Rule(None, None, solve_last),
-    ]
-    return rt.spawn(rules, name=f"lin{len(terms)}_fwd") is not None
+    interval = level is not ConsistencyLevel.FORWARD_CHECKING
+    guard = None if commit_at is None else more_free
+    watch = tuple((kind, x) for _, x in terms for kind in kinds)
+    rules = [Rule(guard, watch, _make_reducer(rt, c, terms) if interval else _true,
+                  run_on_generated=interval)]
+    if guard is not None:
+        rules.append(Rule(None, None, collapse))
+    return rt.spawn(rules, name=f"lin{len(terms)}{suffix}") is not None

@@ -30,9 +30,7 @@ from .linear import (
     NaryLinear,
     post_binary,
     post_diseq,
-    post_nary_forward,
-    post_nary_hybrid,
-    post_nary_unite,
+    post_nary,
 )
 from .oracle import (
     DEFAULT_CAP,
@@ -380,13 +378,6 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-_NARY_POST = {
-    ConsistencyLevel.FORWARD_CHECKING: post_nary_forward,
-    ConsistencyLevel.INTERVAL: post_nary_unite,
-    ConsistencyLevel.ARC: post_nary_hybrid,
-}
-
-
 def _diseq_groups(constraints) -> dict[int, tuple[int, int, tuple[int, ...]]]:
     """Merge the Diseq records on each unordered variable pair into one
     (x, y, offsets) posting, oriented as the pair's first record and
@@ -412,7 +403,8 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
           queue_policy: str = "fifo", queue_seed: Optional[int] = None,
           trace_stream=None) -> tuple[Store, Runtime, bool]:
     """Create a store and runtime for the model and post everything.
-    The disequalities on one variable pair become a single agent,
+    Each equality and each n-ary sum becomes one agent at the config's
+    level.  The disequalities on one variable pair become a single agent,
     posted at the place of the pair's first record.  The returned flag
     is False when posting already failed; root propagation
     (run_to_fixpoint) is the caller's next step.  A trace_stream gets
@@ -421,7 +413,6 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     rt = Runtime(store, queue_policy=queue_policy, queue_seed=queue_seed,
                  trace=trace_stream)
     level = ConsistencyLevel(config.level)
-    post_nary = _NARY_POST[level]
     strategy = Strategy(config.alldistinct)
     for vd in model.vars:
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
@@ -431,7 +422,7 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
         if isinstance(con, BinaryLinear):
             ok = post_binary(rt, con, level)
         elif isinstance(con, NaryLinear):
-            ok = post_nary(rt, con)
+            ok = post_nary(rt, con, level)
         elif isinstance(con, Diseq):
             if i not in diseqs:
                 continue  # merged into the agent of an earlier record

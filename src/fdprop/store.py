@@ -151,7 +151,7 @@ class Store:
         self._save(var)
         var.domain = nd
         if kind == _INSTANTIATED:
-            var.bound_value = delta.value
+            var.bound_value = nd.lo
             self.event_sink(INS, x, None)
         elif kind == _BOUND_CHANGED:
             self.event_sink(BOUND, x, None)
@@ -174,7 +174,7 @@ class Store:
         self._save(var)
         var.domain = nd
         if kind == _INSTANTIATED:
-            var.bound_value = delta.value
+            var.bound_value = nd.lo
             self.event_sink(INS, x, None)
         else:
             self.event_sink(BOUND, x, None)

@@ -18,9 +18,7 @@ from fdprop.linear import (
     floor_div,
     post_binary,
     post_diseq,
-    post_nary_forward,
-    post_nary_hybrid,
-    post_nary_unite,
+    post_nary,
 )
 from fdprop.model import Model, SolverConfig, VarDecl, build, fixpoint_violations
 from fdprop.oracle import enumerate_solutions
@@ -222,7 +220,7 @@ def test_unite_two_var_sum():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 9))
     y = store.new_var(make_interval(1, 9))
-    assert post_nary_unite(rt, NaryLinear(-5, ((1, x), (1, y))))
+    assert post_nary(rt, NaryLinear(-5, ((1, x), (1, y))), IC)
     assert rt.run_to_fixpoint()
     assert domain_values(store, x) == (1, 2, 3, 4)
     assert domain_values(store, y) == (1, 2, 3, 4)
@@ -231,7 +229,7 @@ def test_unite_two_var_sum():
 def test_unite_three_var_already_consistent():
     store, rt = fresh()
     xs = [store.new_var(make_interval(1, 3)) for _ in range(3)]
-    assert post_nary_unite(rt, NaryLinear(-6, tuple((1, x) for x in xs)))
+    assert post_nary(rt, NaryLinear(-6, tuple((1, x) for x in xs)), IC)
     assert rt.run_to_fixpoint()
     for x in xs:
         assert domain_values(store, x) == (1, 2, 3)
@@ -246,7 +244,7 @@ def test_unite_mixed_signs():
     store, rt = fresh()
     x = store.new_var(make_interval(0, 10))
     y = store.new_var(make_interval(0, 10))
-    assert post_nary_unite(rt, NaryLinear(1, ((2, x), (-1, y))))
+    assert post_nary(rt, NaryLinear(1, ((2, x), (-1, y))), IC)
     assert rt.run_to_fixpoint()
     assert (store.domain(x).lo, store.domain(x).hi) == (0, 4)
     assert (store.domain(y).lo, store.domain(y).hi) == (1, 9)
@@ -256,7 +254,7 @@ def test_unite_infeasible_sum_fails():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 3))
     y = store.new_var(make_interval(1, 3))
-    assert not post_nary_unite(rt, NaryLinear(-100, ((1, x), (1, y))))
+    assert not post_nary(rt, NaryLinear(-100, ((1, x), (1, y))), IC)
 
 
 def _reference_bounds_fixpoint(c, terms, domains):
@@ -301,7 +299,7 @@ def test_unite_reaches_reference_bounds_fixpoint():
         store, rt = fresh()
         for d in domains:
             store.new_var(make_set(d))
-        ok = post_nary_unite(rt, NaryLinear(c, terms)) and rt.run_to_fixpoint()
+        ok = post_nary(rt, NaryLinear(c, terms), IC) and rt.run_to_fixpoint()
         if expected is None:
             assert not ok, (c, terms, domains)
             failed += 1
@@ -407,7 +405,7 @@ def test_hybrid_collapse_prunes_like_brute_force():
                    if 1 + x2 + x3 == 6)
     store, rt = fresh()
     xs = [store.new_var(make_interval(1, 3)) for _ in range(3)]
-    assert post_nary_hybrid(rt, NaryLinear(-6, tuple((1, x) for x in xs)))
+    assert post_nary(rt, NaryLinear(-6, tuple((1, x) for x in xs)), AC)
     assert rt.run_to_fixpoint()
     assert store.bind(xs[0], 1) and rt.run_to_fixpoint()
     assert set(domain_values(store, xs[1])) == {x2 for x2, _ in brute}
@@ -422,7 +420,7 @@ def test_hybrid_collapse_spawns_one_agent(s, c):
              if c + 2 * v1 + s * v2 + 2 == 0}
     store, rt = fresh()
     xs = [store.new_var(make_interval(0, 6)) for _ in range(3)]
-    assert post_nary_hybrid(rt, NaryLinear(c, ((2, xs[0]), (s, xs[1]), (1, xs[2]))))
+    assert post_nary(rt, NaryLinear(c, ((2, xs[0]), (s, xs[1]), (1, xs[2]))), AC)
     assert rt.run_to_fixpoint() and len(rt.agents) == 1
     assert store.bind(xs[2], 2) and rt.run_to_fixpoint()
     assert [a.name.split("(")[0] for a in rt.agents] == ["lin3_hybrid", "eq_ac"]
@@ -437,22 +435,22 @@ def test_hybrid_single_term_divisibility():
     assert not any(3 * x == 7 for x in range(11))
     store, rt = fresh()
     x = store.new_var(make_interval(0, 10))
-    assert not post_nary_hybrid(rt, NaryLinear(-7, ((3, x),)))
+    assert not post_nary(rt, NaryLinear(-7, ((3, x),)), AC)
 
 
 def test_hybrid_ground_check():
     store, rt = fresh()
     x = store.new_var(make_interval(2, 2))
     y = store.new_var(make_interval(3, 3))
-    assert post_nary_hybrid(rt, NaryLinear(-5, ((1, x), (1, y))))
+    assert post_nary(rt, NaryLinear(-5, ((1, x), (1, y))), AC)
     assert rt.run_to_fixpoint()
-    assert not post_nary_hybrid(rt, NaryLinear(-6, ((1, x), (1, y))))
+    assert not post_nary(rt, NaryLinear(-6, ((1, x), (1, y))), AC)
 
 
 def test_nary_forward_waits_for_last_variable():
     store, rt = fresh()
     xs = [store.new_var(make_interval(0, 9)) for _ in range(3)]
-    assert post_nary_forward(rt, NaryLinear(-10, tuple((1, x) for x in xs)))
+    assert post_nary(rt, NaryLinear(-10, tuple((1, x) for x in xs)), FC)
     assert rt.run_to_fixpoint()
     assert domain_values(store, xs[2]) == tuple(range(10))  # no pruning yet
     assert store.bind(xs[0], 2) and rt.run_to_fixpoint()
@@ -465,7 +463,7 @@ def test_capacity_rejection():
     x = store.new_var(make_interval(1, 2 ** 19))
     y = store.new_var(make_interval(1, 2 ** 19))
     with pytest.raises(CapacityError):
-        post_nary_unite(rt, NaryLinear(0, ((2 ** 50, x), (-1, y))))
+        post_nary(rt, NaryLinear(0, ((2 ** 50, x), (-1, y))), IC)
 
 
 def _root_domains(model, level):

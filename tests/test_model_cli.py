@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,58 @@ def test_underdetermined_label_list_exits_2(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'y'" in err
+
+
+# models whose solve exits 2 after --stats-json was checked: a posting
+# that overflows the 64-bit budget, and a label line that leaves y unbound
+STATS_ERROR_MODELS = [
+    "var x in 0..1\nvar y in 0..1\nlin 0 9223372036854775807*x -1*y = 0\nlabel x y\n",
+    "var x in 1..3\nvar y in 1..3\nneq x y 0\nlabel x\n",
+]
+
+
+@pytest.mark.parametrize("text", STATS_ERROR_MODELS, ids=["capacity", "unbound"])
+def test_cli_error_exit_keeps_existing_stats_json(text, tmp_path, capsys):
+    path = tmp_path / "err.model"
+    path.write_text(text)
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text('{"earlier": 1}')
+    assert main(["solve", str(path), "--stats-json", str(stats_path)]) == 2
+    assert stats_path.read_text() == '{"earlier": 1}'
+
+
+@pytest.mark.parametrize("text", STATS_ERROR_MODELS, ids=["capacity", "unbound"])
+def test_cli_error_exit_leaves_no_new_stats_json(text, tmp_path, capsys):
+    path = tmp_path / "err.model"
+    path.write_text(text)
+    stats_path = tmp_path / "stats.json"
+    assert main(["solve", str(path), "--stats-json", str(stats_path)]) == 2
+    assert not stats_path.exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv,closed", [
+    (["solve", "bench:queens(6)", "--all"], "stdout"),  # buffered: fails at the last flush
+    (["solve", "many.model", "--all"], "stdout"),  # more than a pipe holds: fails mid-run
+    (["solve", "bench:queens(8)", "--all", "--trace"], "stderr"),
+    (["solve", "--help"], "stdout"),
+], ids=["stdout-buffered", "stdout-mid-run", "trace", "help"])
+def test_cli_closed_reader_exits_141(argv, closed, tmp_path):
+    # the read end is closed right after the child starts, long before
+    # its first write; many.model also prints more than a pipe holds,
+    # so its writes fail whatever the timing
+    (tmp_path / "many.model").write_text("var x in 1..20000\nlabel x\n")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "fdprop.cli", *argv],
+                            cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    getattr(proc, closed).close()
+    other = proc.stderr if closed == "stdout" else proc.stdout
+    text = other.read().decode()
+    other.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in text and "Exception ignored" not in text, text

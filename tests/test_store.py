@@ -195,4 +195,4 @@ def test_event_faithfulness_randomized():
         elif kind is DeltaKind.BOUND_CHANGED:
             assert events == [(BOUND, x, None)]
         else:
-            assert events == [(DOM, x, delta.value)]
+            assert events == [(DOM, x, v)]  # only exclude excludes inside
