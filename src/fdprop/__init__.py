@@ -30,6 +30,8 @@ from .linear import (
     post_nary,
 )
 from .model import (
+    ALL_SOLUTIONS,
+    FIRST_SOLUTION,
     Distinct,
     Model,
     ModelError,
@@ -51,13 +53,7 @@ from .oracle import (
     enumerate_solutions,
 )
 from .runtime import Agent, Event, Rule, Runtime
-from .search import (
-    ALL_SOLUTIONS,
-    FIRST_SOLUTION,
-    LabelingSpec,
-    SearchStats,
-    label,
-)
+from .search import SearchStats, label
 from .store import (
     BOUND,
     DOM,

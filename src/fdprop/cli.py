@@ -54,6 +54,8 @@ from .alldistinct import Strategy
 from .benchmarks import BENCH_CORPUS, get_benchmark
 from .linear import CapacityError, ConsistencyLevel
 from .model import (
+    ALL_SOLUTIONS,
+    FIRST_SOLUTION,
     Model,
     ModelError,
     SolverConfig,
@@ -63,8 +65,7 @@ from .model import (
     parse_model,
     solve_model,
 )
-from .oracle import CapExceeded, enumerate_solutions
-from .search import ALL_SOLUTIONS, FIRST_SOLUTION
+from .oracle import DEFAULT_CAP, CapExceeded, enumerate_solutions
 from .store import InvariantError
 
 EXIT_OK = 0
@@ -97,9 +98,9 @@ def _config(args, mode: str) -> SolverConfig:
 
 def _limit_reached(result) -> bool:
     """Report a search cut short by --max-backtracks or --time-limit."""
-    if result.stats.limit is None:
+    if result.limit is None:
         return False
-    print(f"error: search limit reached ({result.stats.limit})", file=sys.stderr)
+    print(f"error: search limit reached ({result.limit})", file=sys.stderr)
     return True
 
 
@@ -132,14 +133,12 @@ def _cmd_solve(args) -> int:
         names = [vd.name for vd in model.vars]
         for sol in result.solutions:
             print(" ".join(f"{n}={v}" for n, v in zip(names, sol)))
-        stats = result.stats
-        print(f"stats: backtracks={stats.backtracks} activations={stats.activations} "
-              f"solutions={stats.solutions} time_ms={result.time_ms}")
+        payload = {"backtracks": result.backtracks, "activations": result.activations,
+                   "solutions": len(result.solutions), "time_ms": result.time_ms}
+        print("stats: " + " ".join(f"{k}={v}" for k, v in payload.items()))
         if path:
             sys.stdout.flush()  # a closed stdout fails the run before the JSON is written
-            payload = {"backtracks": stats.backtracks, "activations": stats.activations,
-                       "solutions": stats.solutions, "time_ms": result.time_ms,
-                       "agents": result.agents}
+            payload["agents"] = result.agents
             written = _write_text(path, json.dumps(payload))
             if not written:
                 return EXIT_MODEL_ERROR
@@ -177,7 +176,7 @@ def _cmd_verify(args) -> int:
     # too large to enumerate before the engine spends time on all of
     # its solutions
     try:
-        expected = enumerate_solutions(model.to_ground(cap=args.cap))
+        expected = enumerate_solutions(model.to_ground(), args.cap)
     except CapExceeded as exc:
         print(f"oracle refused: {exc}")
         return EXIT_MODEL_ERROR
@@ -196,7 +195,7 @@ def _bench_one(spec: tuple[str, str, str]) -> tuple[str, int, int, int]:
     model = get_benchmark(name)
     config = SolverConfig(level=level, alldistinct=alldistinct, mode=FIRST_SOLUTION)
     result = solve_model(model, config)
-    return name, result.stats.backtracks, result.stats.solutions, result.time_ms
+    return name, result.backtracks, len(result.solutions), result.time_ms
 
 
 def _cmd_bench(args) -> int:
@@ -259,7 +258,7 @@ def _parser() -> argparse.ArgumentParser:
                             help="cross-check a model against the enumeration oracle")
     verify.add_argument("model")
     add_config(verify)
-    verify.add_argument("--cap", type=_at_least(int, 0), default=10 ** 7,
+    verify.add_argument("--cap", type=_at_least(int, 0), default=DEFAULT_CAP,
                         help="oracle assignment-count cap")
     add_limits(verify)
     verify.set_defaults(func=_cmd_verify)

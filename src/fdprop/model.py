@@ -33,21 +33,13 @@ from .linear import (
     post_nary,
 )
 from .oracle import (
-    DEFAULT_CAP,
     GroundModel,
     check_arc_consistent,
     check_interval_consistent,
     check_weak_arc_consistent,
 )
 from .runtime import Runtime
-from .search import (
-    ALL_SOLUTIONS,
-    FIRST_SOLUTION,
-    LabelingSpec,
-    SearchStats,
-    UnboundVariableError,
-    label,
-)
+from .search import UnboundVariableError, label
 from .store import Store
 
 
@@ -85,7 +77,7 @@ class Model:
     constraints: list = field(default_factory=list)  # BinaryLinear | NaryLinear | Diseq | Distinct
     label_order: list[int] = field(default_factory=list)
 
-    def to_ground(self, cap: int = DEFAULT_CAP) -> GroundModel:
+    def to_ground(self) -> GroundModel:
         """Reference semantics: explicit domains plus evaluable
         predicates, for the enumeration oracle."""
         domains = []
@@ -122,7 +114,7 @@ class Model:
                         ))
             else:
                 raise TypeError(f"unknown constraint record {con!r}")
-        return GroundModel(domains, constraints, cap)
+        return GroundModel(domains, constraints)
 
 
 def fixpoint_violations(model: Model, domains: Sequence[Sequence[int]],
@@ -357,11 +349,16 @@ def format_model(model: Model) -> str:
 # -- solving --------------------------------------------------------------------
 
 
+FIRST_SOLUTION = "first"
+ALL_SOLUTIONS = "all"
+
+
 @dataclass
 class SolverConfig:
-    """Solver settings.  level 'ac' means arc consistency for binary
-    constraints and the hybrid scheme for n-ary ones; 'ic' keeps
-    interval consistency everywhere; 'fc' is plain forward checking.
+    """Solver settings, the one place they are checked.  level 'ac' means
+    arc consistency for binary constraints and the hybrid scheme for
+    n-ary ones; 'ic' keeps interval consistency everywhere; 'fc' is plain
+    forward checking.  mode is FIRST_SOLUTION or ALL_SOLUTIONS.
     max_backtracks and time_limit (seconds from the start of the solve)
     bound the search; None leaves it unbounded."""
 
@@ -438,42 +435,45 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
 
 @dataclass
 class SolveResult:
-    stats: SearchStats
     solutions: list[tuple]
+    backtracks: int
+    activations: int
+    agents: int  # agents after posting, before root propagation
+    time_ms: int
+    limit: Optional[str]  # the config's limit that cut the search short
     root_failed: bool
-    time_ms: int = 0
-    agents: int = 0  # agents after posting, before root propagation
 
 
 def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
                 queue_policy: str = "fifo", queue_seed: Optional[int] = None,
                 trace_stream=None) -> SolveResult:
     """Post, propagate to the root fixpoint, and label.  A search cut
-    short by a limit of the config names it in ``stats.limit``."""
+    short by a limit of the config names it in ``SolveResult.limit``."""
     started = time.perf_counter()
     store, rt, ok = build(model, config, queue_policy=queue_policy,
                           queue_seed=queue_seed, trace_stream=trace_stream)
     agents = len(rt.agents)
-    result = label_from_root(model, config, rt, ok and rt.run_to_fixpoint(), started)
-    result.agents = agents
-    return result
+    return label_from_root(model, config, rt, ok and rt.run_to_fixpoint(), started,
+                           agents)
 
 
 def label_from_root(model: Model, config: SolverConfig, rt: Runtime, root_ok: bool,
-                    started: float) -> SolveResult:
+                    started: float, agents: int = 0) -> SolveResult:
     """Label the model from the runtime's root fixpoint; root_ok False
     means posting or root propagation failed.  The time limit counts
-    from ``started`` (a ``time.perf_counter()`` reading)."""
-    if not root_ok:
-        stats = SearchStats(backtracks=0, activations=rt.activations, solutions=0)
-        elapsed = int((time.perf_counter() - started) * 1000)
-        return SolveResult(stats, [], True, elapsed)
-    deadline = None if config.time_limit is None else started + config.time_limit
-    spec = LabelingSpec(mode=config.mode, max_backtracks=config.max_backtracks,
-                        deadline=deadline)
-    try:
-        stats, solutions = label(rt, model.label_order, spec)
-    except UnboundVariableError as exc:
-        raise ModelError(str(exc)) from None
+    from ``started`` (a ``time.perf_counter()`` reading); agents is the
+    count the caller saw after posting."""
+    backtracks, limit, solutions = 0, None, []
+    if root_ok:
+        deadline = None if config.time_limit is None else started + config.time_limit
+        try:
+            stats, solutions = label(rt, model.label_order,
+                                     all_solutions=config.mode == ALL_SOLUTIONS,
+                                     max_backtracks=config.max_backtracks,
+                                     deadline=deadline)
+        except UnboundVariableError as exc:
+            raise ModelError(str(exc)) from None
+        backtracks, limit = stats.backtracks, stats.limit
     elapsed = int((time.perf_counter() - started) * 1000)
-    return SolveResult(stats, solutions, False, elapsed)
+    return SolveResult(solutions, backtracks, rt.activations, agents, elapsed, limit,
+                       not root_ok)

@@ -29,17 +29,16 @@ class GroundModel:
 
     domains: list[list[int]]
     constraints: list[tuple[tuple[int, ...], Callable[..., bool]]] = field(default_factory=list)
-    cap: int = DEFAULT_CAP
 
 
-def enumerate_solutions(gm: GroundModel) -> set[tuple[int, ...]]:
+def enumerate_solutions(gm: GroundModel, cap: int = DEFAULT_CAP) -> set[tuple[int, ...]]:
     """All satisfying total assignments, by exhaustive tree search with
     no propagation (a constraint is tested as soon as its variables are
     assigned).  Refuses instances whose raw assignment count exceeds
     the cap."""
     total = math.prod(len(d) for d in gm.domains)
-    if total > gm.cap:
-        raise CapExceeded(f"{total} assignments exceed cap {gm.cap}")
+    if total > cap:
+        raise CapExceeded(f"{total} assignments exceed cap {cap}")
     n = len(gm.domains)
     if n == 0:
         return {()} if all(pred() for _, pred in gm.constraints) else set()

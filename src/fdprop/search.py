@@ -25,10 +25,6 @@ from typing import Optional, Sequence
 from .runtime import Runtime
 from .store import InvariantError
 
-FIRST_SOLUTION = "first"
-ALL_SOLUTIONS = "all"
-
-
 class UnboundVariableError(InvariantError):
     """Labeling reached a leaf with a variable still unbound: the
     variables given to label() do not determine the store.  solve_model
@@ -38,29 +34,17 @@ class UnboundVariableError(InvariantError):
 @dataclass
 class SearchStats:
     backtracks: int = 0
-    activations: int = 0
-    solutions: int = 0
     limit: Optional[str] = None  # the limit that stopped the search early
 
 
-@dataclass
-class LabelingSpec:
-    """max_backtracks: stop once more than this many attempts have
-    failed.  deadline: stop once ``time.perf_counter()`` passes it."""
-
-    mode: str = FIRST_SOLUTION
-    max_backtracks: Optional[int] = None
-    deadline: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in (FIRST_SOLUTION, ALL_SOLUTIONS):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-
-
-def label(rt: Runtime, var_ids: Sequence[int],
-          spec: LabelingSpec = LabelingSpec()) -> tuple[SearchStats, list[tuple]]:
+def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
+          max_backtracks: Optional[int] = None,
+          deadline: Optional[float] = None) -> tuple[SearchStats, list[tuple]]:
     """Label the given variables.  Requires root propagation to have
     run already (run_to_fixpoint after posting all constraints).
+    all_solutions: go on past the first solution.  max_backtracks: stop
+    once more than this many attempts have failed.  deadline: stop once
+    ``time.perf_counter()`` passes it.
 
     Returns the stats and the solutions found, each solution a tuple of
     the values of *all* store variables in creation order.
@@ -68,7 +52,6 @@ def label(rt: Runtime, var_ids: Sequence[int],
     store = rt.store
     stats = SearchStats()
     solutions: list[tuple] = []
-    stop_at_first = spec.mode == FIRST_SOLUTION
     vars_ = store.vars
 
     def pick():
@@ -77,8 +60,6 @@ def label(rt: Runtime, var_ids: Sequence[int],
                 return x
         return None
 
-    max_backtracks = spec.max_backtracks
-    deadline = spec.deadline
     bounded = max_backtracks is not None or deadline is not None
 
     def limit_hit() -> bool:
@@ -127,12 +108,10 @@ def label(rt: Runtime, var_ids: Sequence[int],
                         f"the label list leaves variable {store.name_of(i)!r} unbound")
                 values.append(v.bound_value)
             solutions.append(tuple(values))
-            stats.solutions += 1
-            if stop_at_first:
+            if not all_solutions:
                 break
         else:
             stack.append([x, iter(list(vars_[x].domain.values())), None])
         if not advance():
             break
-    stats.activations = rt.activations
     return stats, solutions

@@ -20,7 +20,7 @@ def sendmoney_oracle_solutions():
     """The brute-force solution set of sendmoney's ground model (cap
     10^8), the slowest enumeration in the suite, computed once per
     session for the tests that share it."""
-    return enumerate_solutions(get_benchmark("sendmoney").to_ground(cap=10 ** 8))
+    return enumerate_solutions(get_benchmark("sendmoney").to_ground(), cap=10 ** 8)
 
 
 @contextlib.contextmanager

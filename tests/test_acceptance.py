@@ -35,12 +35,12 @@ def test_criterion_1_queens25():
     started = time.thread_time()
     r = solve_model(queens_model(25), SolverConfig(level="ic", mode="first"))
     elapsed = time.thread_time() - started
-    ok_count = r.stats.backtracks == 7255
+    ok_count = r.backtracks == 7255
     ok_time = elapsed < 5.0
     ok_92 = set(solve_model(queens_model(8), SolverConfig(mode="all")).solutions) \
         == brute_queens(8)
     ok = report("1 queens(25)", ok_count and ok_time and ok_92,
-                f"backtracks={r.stats.backtracks} (want 7255), "
+                f"backtracks={r.backtracks} (want 7255), "
                 f"time={elapsed:.2f}s, queens(8) oracle={'ok' if ok_92 else 'BAD'}")
     assert ok
 
@@ -66,8 +66,8 @@ def test_criterion_2_sendmoney_backtracks():
     criterion cannot hold together with criteria 1, 6, and 7; see the
     build notes.  The assertion states the criterion as written."""
     r = solve_model(get_benchmark("sendmoney"), SolverConfig(level="ac"))
-    ok = report("2 sendmoney backtracks", r.stats.backtracks == 2,
-                f"backtracks={r.stats.backtracks} (published: 2; "
+    ok = report("2 sendmoney backtracks", r.backtracks == 2,
+                f"backtracks={r.backtracks} (published: 2; "
                 "full-fixpoint propagation yields 1 on this formulation)")
     assert ok
 
@@ -82,9 +82,9 @@ def test_criterion_3_zebra():
     sol = dict(zip(names, r.solutions[0])) if r.solutions else {}
     ok_solution = len(oracle) == 1 and all(sol.get(k) == v
                                            for k, v in oracle[0].items())
-    ok_count = r.stats.backtracks == 2
+    ok_count = r.backtracks == 2
     ok = report("3 zebra", ok_solution and ok_count,
-                f"backtracks={r.stats.backtracks} (want 2), solution "
+                f"backtracks={r.backtracks} (want 2), solution "
                 f"{'matches' if ok_solution else 'DIFFERS FROM'} oracle")
     assert ok
 
@@ -99,7 +99,7 @@ def test_criterion_4_weak_ac_showcases():
                constraints=[Distinct((0, 1, 2))],
                label_order=[0, 1, 2])
     r1 = solve_model(q1, SolverConfig(alldistinct="wac"))
-    ok1 = r1.root_failed and r1.stats.backtracks == 0 and r1.stats.solutions == 0
+    ok1 = r1.root_failed and r1.backtracks == 0 and len(r1.solutions) == 0
 
     q2 = Model("wac2",
                vars=[VarDecl("x", 1, 2), VarDecl("y", 1, 2), VarDecl("z", 1, 3)],
@@ -121,13 +121,13 @@ def test_criterion_5_ac_beats_ic():
     strict = True
     for k in (1, 3, 6):
         m = holed_chain_model(k)
-        b_ac = solve_model(m, SolverConfig(level="ac")).stats.backtracks
-        b_ic = solve_model(m, SolverConfig(level="ic")).stats.backtracks
+        b_ac = solve_model(m, SolverConfig(level="ac")).backtracks
+        b_ic = solve_model(m, SolverConfig(level="ic")).backtracks
         gaps.append((k, b_ac, b_ic))
         strict = strict and b_ac < b_ic
     alpha = get_benchmark("alpha")
-    a_ac = solve_model(alpha, SolverConfig(level="ac")).stats.backtracks
-    a_ic = solve_model(alpha, SolverConfig(level="ic")).stats.backtracks
+    a_ac = solve_model(alpha, SolverConfig(level="ac")).backtracks
+    a_ic = solve_model(alpha, SolverConfig(level="ic")).backtracks
     ok_alpha = (a_ac, a_ic) == (4605, 8440)
     ok = report("5 ac<ic", strict and ok_alpha,
                 f"holed_chain (k, ac, ic)={gaps}; alpha ac={a_ac} ic={a_ic} "
@@ -212,7 +212,7 @@ def _coalesce_run(rng):
 
     def outcome():
         r = solve_model(model, SolverConfig(mode="all"))
-        return sorted(r.solutions), r.stats.backtracks, r.root_failed
+        return sorted(r.solutions), r.backtracks, r.root_failed
 
     coalesced = outcome()
     with general_agents():

@@ -8,11 +8,13 @@ import pytest
 from conftest import general_agents
 
 from fdprop.benchmarks import (
+    MAX_QUEENS_RECORDS,
     get_benchmark,
     holed_chain_model,
     magic_model,
     queens_model,
 )
+from fdprop.domain import DEFAULT_MAX_WIDTH
 from fdprop.linear import Diseq
 from fdprop.model import SolverConfig, build, parse_model, solve_model
 from fdprop.oracle import enumerate_solutions
@@ -38,6 +40,18 @@ def test_queens_unknown_and_bad_args():
         get_benchmark("mystery")
     with pytest.raises(ValueError):
         queens_model(0)
+
+
+def test_generator_sizes_over_cap_are_refused():
+    # queens first: the cheapest to build where a cap is missing
+    with pytest.raises(ValueError):
+        queens_model(448)  # 300,384 records, just over MAX_QUEENS_RECORDS
+    assert len(queens_model(447).constraints) <= MAX_QUEENS_RECORDS
+    with pytest.raises(ValueError):
+        holed_chain_model(DEFAULT_MAX_WIDTH - 2)
+    holed_chain_model(DEFAULT_MAX_WIDTH - 3)  # the widest domain accepted
+    with pytest.raises(ValueError):
+        magic_model(1025)
 
 
 def test_sendmoney_unique_solution_matches_oracle(sendmoney_oracle_solutions):
@@ -104,7 +118,7 @@ def test_zebra_matches_permutation_oracle():
     assert len(oracle) == 1
     m = get_benchmark("zebra")
     r = solve_model(m, SolverConfig(level="ac"))
-    assert r.stats.solutions == 1
+    assert len(r.solutions) == 1
     names = [vd.name for vd in m.vars]
     sol = dict(zip(names, r.solutions[0]))
     for key, value in oracle[0].items():
@@ -116,7 +130,7 @@ def test_zebra_matches_permutation_oracle():
 def test_alpha_solution_satisfies_every_word_sum():
     m = get_benchmark("alpha")
     r = solve_model(m, SolverConfig(level="ac"))
-    assert r.stats.solutions == 1
+    assert len(r.solutions) == 1
     values = r.solutions[0]
     assert sorted(values) == sorted(set(values))  # all distinct
     for con in m.constraints:
@@ -128,14 +142,14 @@ def test_alpha_has_two_total_solutions():
     # d and x appear in no word; they swap the two leftover values
     m = get_benchmark("alpha")
     r = solve_model(m, SolverConfig(level="ac", mode="all"))
-    assert r.stats.solutions == 2
+    assert len(r.solutions) == 2
 
 
 def test_eq_systems_unique_solutions():
     for name in ("eq10", "eq20"):
         m = get_benchmark(name)
         r = solve_model(m, SolverConfig(level="ic", mode="all"))
-        assert r.stats.solutions == 1
+        assert len(r.solutions) == 1
         values = r.solutions[0]
         for con in m.constraints:
             assert con.c + sum(a * values[x] for a, x in con.terms) == 0
@@ -194,7 +208,7 @@ def test_no_coalesce_identical_across_full_corpus():
         with general_agents():
             without = solve_model(m, SolverConfig())
         assert with_c.solutions == without.solutions, name
-        assert with_c.stats.backtracks == without.stats.backtracks, name
+        assert with_c.backtracks == without.backtracks, name
 
 
 GOLDEN_CONFIGS = [
@@ -231,6 +245,5 @@ def test_golden_counts(name, level, alldistinct, backtracks, activations, soluti
     change how often propagators run."""
     r = solve_model(get_benchmark(name),
                     SolverConfig(level=level, alldistinct=alldistinct))
-    stats = r.stats
-    assert (stats.backtracks, stats.activations, stats.solutions) == \
+    assert (r.backtracks, r.activations, len(r.solutions)) == \
         (backtracks, activations, solutions)

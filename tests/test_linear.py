@@ -23,7 +23,7 @@ from fdprop.linear import (
 from fdprop.model import Model, SolverConfig, VarDecl, build, fixpoint_violations
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
-from fdprop.search import ALL_SOLUTIONS, LabelingSpec, label
+from fdprop.search import label
 from fdprop.store import Store
 
 FC = ConsistencyLevel.FORWARD_CHECKING
@@ -182,7 +182,7 @@ def _root_and_solutions(store, rt, ok, model):
     if not ok:
         return None, set()
     root = domain_snapshot(store)
-    _, solutions = label(rt, model.label_order, LabelingSpec(mode=ALL_SOLUTIONS))
+    _, solutions = label(rt, model.label_order, all_solutions=True)
     return root, set(solutions)
 
 

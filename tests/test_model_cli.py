@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -453,3 +454,24 @@ def test_cli_closed_reader_exits_141(argv, closed, tmp_path):
     other.close()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in text and "Exception ignored" not in text, text
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("ref", [
+    "bench:magic(1100)", "bench:holed_chain(2000000)", "bench:queens(3000)"])
+def test_cli_benchmark_size_over_cap_exits_2(ref, tmp_path):
+    # the child runs under a 1 GB address-space limit, so a generator
+    # that built its records before refusing the size fails here with a
+    # MemoryError, not by exhausting the machine's memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-m", "fdprop.cli", "solve", ref],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=120, preexec_fn=_limit_address_space)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr, r.stderr

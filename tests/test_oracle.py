@@ -32,9 +32,9 @@ def test_enumerate_offset_equality():
 
 
 def test_enumerate_cap_refusal():
-    gm = GroundModel([list(range(1000))] * 3, [], cap=10 ** 6)
+    gm = GroundModel([list(range(1000))] * 3, [])
     with pytest.raises(CapExceeded):
-        enumerate_solutions(gm)
+        enumerate_solutions(gm, cap=10 ** 6)
 
 
 def test_interval_consistency_worked_example():

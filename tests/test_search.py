@@ -12,11 +12,7 @@ from fdprop.domain import make_interval
 from fdprop.model import Model, SolverConfig, VarDecl, solve_model
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
-from fdprop.search import (
-    ALL_SOLUTIONS,
-    LabelingSpec,
-    label,
-)
+from fdprop.search import label
 from fdprop.store import InvariantError, Store
 
 
@@ -25,7 +21,7 @@ def test_single_variable_no_constraints():
     rt = Runtime(store)
     x = store.new_var(make_interval(3, 3))
     stats, sols = label(rt, [x])
-    assert stats.solutions == 1 and stats.backtracks == 0
+    assert len(sols) == 1 and stats.backtracks == 0
     assert sols == [(3,)]
 
 
@@ -34,7 +30,7 @@ def test_long_branch_does_not_recurse():
     model.vars = [VarDecl(f"x{i}", 0, 1) for i in range(1200)]
     model.label_order = list(range(1200))
     r = solve_model(model, SolverConfig())
-    assert r.stats.solutions == 1 and r.stats.backtracks == 0
+    assert len(r.solutions) == 1 and r.backtracks == 0
     assert r.solutions == [(0,) * 1200]
 
 
@@ -51,7 +47,7 @@ def test_queens8_all_solutions_match_permutation_oracle():
     expected = brute_queens(8)
     r = solve_model(queens_model(8), SolverConfig(mode="all"))
     assert set(r.solutions) == expected
-    assert r.stats.solutions == 92
+    assert len(r.solutions) == 92
 
 
 def test_root_failure_returns_zero_backtracks():
@@ -68,7 +64,7 @@ def test_determinism():
     a = solve_model(model, SolverConfig(mode="all"))
     b = solve_model(model, SolverConfig(mode="all"))
     assert a.solutions == b.solutions
-    assert (a.stats.backtracks, a.stats.solutions) == (b.stats.backtracks, b.stats.solutions)
+    assert (a.backtracks, len(a.solutions)) == (b.backtracks, len(b.solutions))
 
 
 def test_completeness_on_random_models():
@@ -88,7 +84,7 @@ def test_backtrack_monotonicity_across_levels():
         counts = {}
         for level in ("fc", "ic", "ac"):
             r = solve_model(model, SolverConfig(level=level, mode="first"))
-            counts[level] = r.stats.backtracks
+            counts[level] = r.backtracks
         assert counts["ac"] <= counts["ic"] <= counts["fc"]
 
 
@@ -107,11 +103,9 @@ def test_deadline_stops_a_search_without_failures():
     store = Store()
     rt = Runtime(store)
     xs = [store.new_var(make_interval(0, 1)) for _ in range(12)]
-    stats, sols = label(rt, xs, LabelingSpec(mode=ALL_SOLUTIONS,
-                                             deadline=time.perf_counter()))
+    stats, sols = label(rt, xs, all_solutions=True, deadline=time.perf_counter())
     assert (stats.limit, stats.backtracks, sols) == ("time limit", 0, [])
-    stats, sols = label(rt, xs, LabelingSpec(mode=ALL_SOLUTIONS,
-                                             deadline=time.perf_counter() + 60))
+    stats, sols = label(rt, xs, all_solutions=True, deadline=time.perf_counter() + 60)
     assert stats.limit is None and len(sols) == 2 ** 12
 
 
@@ -119,12 +113,12 @@ def test_deadline_stops_a_search_without_failures():
 def test_backtrack_budget_stops_after_one_more_failure(budget):
     # queens(8) needs 24 failed attempts before its first solution
     r = solve_model(queens_model(8), SolverConfig(max_backtracks=budget))
-    assert r.stats.limit == f"more than {budget} backtracks"
-    assert r.stats.backtracks == budget + 1 and r.solutions == []
+    assert r.limit == f"more than {budget} backtracks"
+    assert r.backtracks == budget + 1 and r.solutions == []
     r = solve_model(queens_model(8), SolverConfig(max_backtracks=24))
-    assert r.stats.limit is None and r.stats.backtracks == 24
+    assert r.limit is None and r.backtracks == 24
 
 
-def test_labeling_spec_validation():
+def test_solver_config_mode_validation():
     with pytest.raises(ValueError):
-        LabelingSpec(mode="some")
+        SolverConfig(mode="some")

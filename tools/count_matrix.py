@@ -81,8 +81,8 @@ def run_row(name: str, level: str, alldistinct: str, order: int, queue: str) -> 
     return {
         "model": name, "level": level, "alldistinct": alldistinct,
         "order": order, "queue": queue,
-        "backtracks": r.stats.backtracks, "solutions": r.stats.solutions,
-        "activations": r.stats.activations, "agents": r.agents,
+        "backtracks": r.backtracks, "solutions": len(r.solutions),
+        "activations": r.activations, "agents": r.agents,
         "first_solution": list(r.solutions[0]) if r.solutions else None,
         "trace_sha256": trace.sha.hexdigest(),
     }
