@@ -1,14 +1,15 @@
 """The all-distinct global constraint in three strategies.
 
 NAIVE_PAIRWISE posts a disequality agent for every unordered pair
-(quadratic space).  The other two post one agent per list element.
-Under LINEAR_SPACE it sleeps until its variable is bound and then
-excludes the value from every other element; pruning is identical to
-the pairwise encoding.  WEAK_AC adds pigeonhole filtering on ins, bound
-and dom events of the element's variable: whenever the number of other
-domains contained in dom(X) reaches |dom(X)| - 1, the values of dom(X)
-are barred from every other domain, and exceeding it is an outright
-failure.
+(quadratic space).  The other two post one agent per list element;
+all of them share the constraint's one variable tuple, so posting
+takes memory linear in its length.  Under LINEAR_SPACE the agent
+sleeps until its variable is bound and then excludes the value from
+every other element; pruning is identical to the pairwise encoding.
+WEAK_AC adds pigeonhole filtering on ins, bound and dom events of the
+element's variable: whenever the number of other domains contained in
+dom(X) reaches |dom(X)| - 1, the values of dom(X) are barred from
+every other domain, and exceeding it is an outright failure.
 """
 
 from __future__ import annotations
@@ -28,27 +29,29 @@ class Strategy(enum.Enum):
     WEAK_AC = "wac"
 
 
-def outof_reducer(store: Store, x: int, others: Sequence[int]) -> bool:
+def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
     """Pigeonhole filter for one list element.
 
-    With n = |dom(x)| and m = number of other elements whose domains
-    are subsets of dom(x) (an instantiated one counts through its
-    singleton domain): m+1 > n is unsatisfiable; m+1 = n lets every
-    value of dom(x) be excluded from each unbound element whose domain
-    is not such a subset.
+    ``scope`` is the whole list, x included.  With n = |dom(x)| and m
+    = number of elements of scope whose domains are subsets of dom(x)
+    (x always counts; an instantiated element counts through its
+    singleton domain): m > n is unsatisfiable; m = n lets every value
+    of dom(x) be excluded from each unbound element whose domain is not
+    such a subset.
 
-    The filter can act only when m+1 >= n, so at most
-    ``len(others) + 1 - n`` elements may fail the subset test: the scan
-    returns True as soon as one more has failed, and at once when that
-    allowance is negative.  A bound element is tested by its value, an
-    unbound one by size and bounds first; ``is_subset_of`` runs only
-    when dom(x) has holes and those tests pass.
+    The filter can act only when m >= n, so at most ``len(scope) - n``
+    elements may fail the subset test: the scan returns True as soon as
+    one more has failed, and at once when that allowance is negative.
+    A bound element is tested by its value, an unbound one by size and
+    bounds first; ``is_subset_of`` runs only when dom(x) has holes,
+    those tests pass and the domain is not the very object dom(x), as
+    x's own entry's is.
     """
     vars_ = store.vars
     dx = vars_[x].domain
     n = dx.count
     # how many more elements may still fail the subset test
-    spare = len(others) + 1 - n
+    spare = len(scope) - n
     if spare < 0:
         return True
     lo = dx.lo
@@ -56,7 +59,7 @@ def outof_reducer(store: Store, x: int, others: Sequence[int]) -> bool:
     bits = dx.bits
     offset = dx.offset
     outside = []
-    for z in others:
+    for z in scope:
         var = vars_[z]
         v = var.bound_value
         if v is not None:
@@ -65,15 +68,15 @@ def outof_reducer(store: Store, x: int, others: Sequence[int]) -> bool:
         else:
             dz = var.domain
             if (dz.count <= n and lo <= dz.lo and dz.hi <= hi
-                    and (bits is None or is_subset_of(dz, dx))):
+                    and (bits is None or dz is dx or is_subset_of(dz, dx))):
                 continue
             outside.append(z)
         spare -= 1
         if spare < 0:
             return True
-    if spare > 0:  # m+1 > n
+    if spare > 0:  # m > n
         return False
-    # m+1 == n
+    # m == n
     values = list(dx.values())
     for z in outside:
         for v in values:
@@ -82,7 +85,10 @@ def outof_reducer(store: Store, x: int, others: Sequence[int]) -> bool:
     return True
 
 
-def _spawn_outof(rt: Runtime, x: int, others: tuple[int, ...], weak: bool) -> bool:
+def _spawn_outof(rt: Runtime, x: int, scope: tuple[int, ...], weak: bool) -> bool:
+    """Spawn the agent of element x.  ``scope`` is the constraint's one
+    shared tuple, x included: every agent of the constraint keeps the
+    same tuple and skips its own x."""
     store = rt.store
     vx = store.vars[x]
 
@@ -91,14 +97,14 @@ def _spawn_outof(rt: Runtime, x: int, others: tuple[int, ...], weak: bool) -> bo
 
     def exclude_from_others(_event):
         v = vx.bound_value
-        for z in others:
-            if not store.exclude(z, v):
+        for z in scope:
+            if z != x and not store.exclude(z, v):
                 return False
         return True
 
     if weak:
         def reduce(_event):
-            return outof_reducer(store, x, others)
+            return outof_reducer(store, x, scope)
 
         first = Rule(free, ((INS, x), (BOUND, x), (DOM, x)), reduce,
                      run_on_generated=True)
@@ -122,7 +128,7 @@ def post_alldistinct(rt: Runtime, vars: Sequence[int], strategy: Strategy) -> bo
     if len(set(vars)) < len(vars):
         return False
     weak = strategy is Strategy.WEAK_AC
-    for k, x in enumerate(vars):
-        if not _spawn_outof(rt, x, vars[:k] + vars[k + 1:], weak):
+    for x in vars:
+        if not _spawn_outof(rt, x, vars, weak):
             return False
     return True

@@ -98,24 +98,6 @@ class FiniteDomain:
             yield offset + low.bit_length() - 1
             bits ^= low
 
-    def __iter__(self):
-        return self.values()
-
-    def __len__(self):
-        return self.count
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteDomain):
-            return NotImplemented
-        if self.count != other.count or self.lo != other.lo or self.hi != other.hi:
-            return False
-        if self.bits is None and other.bits is None:
-            return True
-        return tuple(self.values()) == tuple(other.values())
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.count, tuple(self.values())))
-
     def __repr__(self):
         if self.count == 0:
             return "FiniteDomain(empty)"

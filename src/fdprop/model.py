@@ -263,9 +263,6 @@ def parse_model(text: str, name: str = "model") -> Model:
                 if a == 0:
                     raise ModelError("zero coefficient", line_no, col)
                 terms.append((a, resolve(vname, line_no, col)))
-            if not terms:
-                raise ModelError("linear constraint needs at least one term",
-                                 line_no, cols[0])
             model.constraints.append(NaryLinear(c0, tuple(terms)))
 
         elif head == "eq":

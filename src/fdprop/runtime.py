@@ -89,17 +89,19 @@ class Rule:
 class Agent:
     """A suspended propagator.
 
-    ``rule`` is the index of the action rule the agent sleeps on.  It
-    is END before the first suspension and after a commitment rule has
-    run; END is absorbing.  The agent stays on the watcher lists of
-    every rule it has slept on; a wake is ignored once it is at END.
+    ``rules`` is the caller's sequence, kept as given: it must not
+    change once spawned.  ``rule`` is the index of the action rule the
+    agent sleeps on.  It is END before the first suspension and after a
+    commitment rule has run; END is absorbing.  The agent stays on the
+    watcher lists of every rule it has slept on; a wake is ignored once
+    it is at END.
     """
 
     __slots__ = ("id", "rules", "rule", "coalesce", "name")
 
     def __init__(self, aid: int, rules: Sequence[Rule], coalesce: bool, name: str):
         self.id = aid
-        self.rules = list(rules)
+        self.rules = rules
         self.rule = END
         self.coalesce = coalesce
         self.name = name
@@ -187,32 +189,28 @@ class Runtime:
         if not watchers:
             return
         event = Event(kind, var, value)
-        agents = self.agents
         push = self.queue.append
         pending = self.pending
         if kind == BOUND:
-            for aid in watchers:
-                agent = agents[aid]
+            for agent in watchers:
                 if agent.rule == END:
                     continue
                 item = (agent, event)
                 if agent.coalesce:
-                    key = (aid, var)
+                    key = (agent.id, var)
                     if key in pending:
                         continue  # a duplicate bound
                     pending[key] = item
                 push(item)
         elif kind == INS and pending:
-            for aid in watchers:
-                agent = agents[aid]
+            for agent in watchers:
                 if agent.rule == END:
                     continue
                 if agent.coalesce:
-                    pending.pop((aid, var), None)  # the ins shadows a pending bound
+                    pending.pop((agent.id, var), None)  # the ins shadows a pending bound
                 push((agent, event))
         else:
-            for aid in watchers:
-                agent = agents[aid]
+            for agent in watchers:
                 if agent.rule != END:
                     push((agent, event))
 
@@ -259,7 +257,7 @@ class Runtime:
             agent.rule = idx
             vars_ = self.store.vars
             for kind, var in watch:
-                vars_[var].watchers[kind].append(agent.id)
+                vars_[var].watchers[kind].append(agent)
             if event is _GENERATED_EVENT and rule.run_on_generated:
                 self.activations += 1
                 ok = rule.action(event)

@@ -111,7 +111,7 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
             if not all_solutions:
                 break
         else:
-            stack.append([x, iter(list(vars_[x].domain.values())), None])
+            stack.append([x, vars_[x].domain.values(), None])
         if not advance():
             break
     return stats, solutions

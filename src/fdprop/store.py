@@ -47,7 +47,7 @@ class InvariantError(RuntimeError):
 
 class Variable:
     """A decision variable: current domain, binding, and the per-event
-    suspension lists (agent ids, in registration order).
+    suspension lists (the agents, in registration order).
 
     ``watchers[kind]`` is the list for event kind ``kind``.  The
     GENERATED slot is an empty tuple: that event is never posted.

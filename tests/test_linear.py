@@ -107,6 +107,13 @@ def test_binary_rejects_nonpositive_coefficients():
         BinaryLinear(1, 0, -1, 1, 0)
 
 
+def test_nary_rejects_empty_sum_and_zero_coefficient():
+    with pytest.raises(ValueError, match="at least one term"):
+        NaryLinear(0, ())
+    with pytest.raises(ValueError, match="zero coefficient"):
+        NaryLinear(0, ((1, 0), (0, 1)))
+
+
 @pytest.mark.parametrize("level,family", [(FC, "eq_fwd"), (IC, "eq_ic"), (AC, "eq_ac")],
                          ids=["fc", "ic", "ac"])
 def test_binary_posts_one_agent_per_level(level, family):

@@ -62,6 +62,12 @@ def test_parse_errors_carry_location():
         parse_model("var x in 1..3\n")  # label line is required
     with pytest.raises(ModelError):
         parse_model("frob x\n")
+    with pytest.raises(ModelError) as exc:
+        parse_model("var x in 1..3\nlabel x\n  label x\n")
+    assert str(exc.value) == "line 3, column 3: duplicate label line"
+    with pytest.raises(ModelError) as exc:
+        parse_model("var x in 1..3\nvar y in 1..3\nlabel x  y x\n")
+    assert str(exc.value) == "line 3, column 12: variable 'x' labeled twice"
 
 
 def test_round_trip_all_shipped_and_generated_models():
@@ -390,6 +396,22 @@ def test_posting_capacity_cap_exits_2(tmp_path, capsys):
     path.write_text("var x in 0..1000\nvar y in 0..1000\n"
                     "lin 0 9000000000000000000*x 1*y = 0\nlabel x y\n")
     assert main(["solve", str(path)]) == 2
+
+
+def test_binary_posting_capacity_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.model"
+    path.write_text("var x in 0..2\nvar y in 0..2\n"
+                    "eq 9000000000000000000*x = 1*y + 0\nlabel x y\n")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: binary constraint exceeds 64-bit budget")
+
+
+def test_same_variable_equality_without_integer_solution_fails_at_root():
+    # 3x = x + 1 reduces to 2x = 1: posting fails, nothing is labeled
+    m = parse_model("var x in 0..5\neq 3*x = 1*x + 1\nlabel x\n")
+    r = solve_model(m, SolverConfig(mode="all"))
+    assert r.root_failed and r.solutions == [] and r.backtracks == 0
 
 
 def test_underdetermined_label_list_exits_2(tmp_path, capsys):

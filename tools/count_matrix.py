@@ -50,6 +50,8 @@ CONFIGS = (
     ("zebra", "ic", "linear"),
     ("zebra", "fc", "linear"),
     ("holed_chain(3)", "ic", "linear"),
+    ("magic(4)", "fc", "linear"),
+    ("magic(4)", "ac", "naive"),
 )
 ORDERS = (0, 1, 2)
 QUEUES = ("fifo", "lifo", "random")
