@@ -34,10 +34,10 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
 
     ``scope`` is the whole list, x included.  With n = |dom(x)| and m
     = number of elements of scope whose domains are subsets of dom(x)
-    (x always counts; an instantiated element counts through its
-    singleton domain): m > n is unsatisfiable; m = n lets every value
-    of dom(x) be excluded from each unbound element whose domain is not
-    such a subset.
+    (x always counts; a bound element, one with a singleton domain,
+    counts when its value is in dom(x)): m > n is unsatisfiable; m = n
+    lets every value of dom(x) be excluded from each unbound element
+    whose domain is not such a subset.
 
     The filter can act only when m >= n, so at most ``len(scope) - n``
     elements may fail the subset test: the scan returns True as soon as
@@ -60,14 +60,14 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
     offset = dx.offset
     outside = []
     for z in scope:
-        var = vars_[z]
-        v = var.bound_value
-        if v is not None:
+        dz = vars_[z].domain
+        count = dz.count
+        if count == 1:
+            v = dz.lo
             if lo <= v <= hi and (bits is None or (bits >> (v - offset)) & 1):
                 continue
         else:
-            dz = var.domain
-            if (dz.count <= n and lo <= dz.lo and dz.hi <= hi
+            if (count <= n and lo <= dz.lo and dz.hi <= hi
                     and (bits is None or dz is dx or is_subset_of(dz, dx))):
                 continue
             outside.append(z)
@@ -93,10 +93,10 @@ def _spawn_outof(rt: Runtime, x: int, scope: tuple[int, ...], weak: bool) -> boo
     vx = store.vars[x]
 
     def free():
-        return vx.bound_value is None
+        return vx.domain.count != 1
 
     def exclude_from_others(_event):
-        v = vx.bound_value
+        v = vx.domain.lo
         for z in scope:
             if z != x and not store.exclude(z, v):
                 return False

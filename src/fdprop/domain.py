@@ -78,9 +78,6 @@ class FiniteDomain:
 
     __contains__ = contains
 
-    def is_singleton(self) -> bool:
-        return self.count == 1
-
     def is_interval(self) -> bool:
         return self.bits is None
 

@@ -119,6 +119,8 @@ def post_binary(rt: Runtime, bc: BinaryLinear, level: ConsistencyLevel) -> bool:
     """Spawn the one agent for a*X = b*Y + c at the requested level.
     Returns False on inconsistency found during generation-time
     reduction."""
+    if bc.x != bc.y:
+        _check_binary_capacity(rt.store, bc.a, bc.x, bc.b, bc.y, bc.c)
     return _post_binary_signed(rt, bc.a, bc.x, bc.b, bc.y, bc.c, level)
 
 
@@ -126,7 +128,9 @@ def _post_binary_signed(rt: Runtime, a: int, x: int, b: int, y: int, c: int,
                         level: ConsistencyLevel) -> bool:
     """Internal binary form with a >= 1 and b of either sign (the shape
     an n-ary collapse produces; reflecting Y through an auxiliary
-    variable is deliberately avoided)."""
+    variable is deliberately avoided).  It checks no capacity: a
+    collapse's constant is c plus the bound terms, so its worst case is
+    within the one ``post_nary`` checked for the whole sum."""
     store = rt.store
     if x == y:
         # a*X = b*X + c  ->  (a-b)*X = c
@@ -137,7 +141,6 @@ def _post_binary_signed(rt: Runtime, a: int, x: int, b: int, y: int, c: int,
         if r:
             return False
         return store.bind(x, q)
-    _check_binary_capacity(store, a, x, b, y, c)
     return _spawn_binary(rt, a, x, b, y, c, level)
 
 
@@ -187,10 +190,10 @@ def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
     arc = level is ConsistencyLevel.ARC
 
     def both_free():
-        return vx.bound_value is None and vy.bound_value is None
+        return vx.domain.count != 1 and vy.domain.count != 1
 
     def x_free():
-        return vx.bound_value is None
+        return vx.domain.count != 1
 
     def propagate(event):
         kind = event.kind
@@ -212,11 +215,11 @@ def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
                            and _revise(store, y, vy.domain, ma, vx.domain, mb, mc))
 
     def solve_x(_event):
-        q, r = divmod(b * vy.bound_value + c, a)
+        q, r = divmod(b * vy.domain.lo + c, a)
         return r == 0 and store.bind(x, q)
 
     def solve_y(_event):
-        q, r = divmod(mb * vx.bound_value + mc, ma)
+        q, r = divmod(mb * vx.domain.lo + mc, ma)
         return r == 0 and store.bind(y, q)
 
     family, kinds = _BINARY_AGENT[level]
@@ -244,20 +247,20 @@ def post_diseq(rt: Runtime, x: int, y: int, offsets: tuple[int, ...]) -> bool:
     vy = store.vars[y]
 
     def both_free():
-        return vx.bound_value is None and vy.bound_value is None
+        return vx.domain.count != 1 and vy.domain.count != 1
 
     def x_free():
-        return vx.bound_value is None
+        return vx.domain.count != 1
 
     def exclude_from_x(_event):
-        v = vy.bound_value
+        v = vy.domain.lo
         for c in offsets:
             if not store.exclude(x, v + c):
                 return False
         return True
 
     def exclude_from_y(_event):
-        v = vx.bound_value
+        v = vx.domain.lo
         for c in offsets:
             if not store.exclude(y, v - c):
                 return False
@@ -382,7 +385,7 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
     def more_free():
         free = 0
         for _, x in terms:
-            if vars_[x].bound_value is None:
+            if vars_[x].domain.count != 1:
                 free += 1
                 if free > commit_at:
                     return True
@@ -392,11 +395,11 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
         k = c
         free = []
         for a, x in terms:
-            bv = vars_[x].bound_value
-            if bv is None:
+            d = vars_[x].domain
+            if d.count != 1:
                 free.append((a, x))
             else:
-                k += a * bv
+                k += a * d.lo
         if not free:
             return k == 0
         if len(free) == 1:

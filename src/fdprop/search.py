@@ -56,7 +56,7 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
 
     def pick():
         for x in var_ids:
-            if vars_[x].bound_value is None:
+            if vars_[x].domain.count != 1:
                 return x
         return None
 
@@ -103,10 +103,11 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
         if x is None:
             values = []
             for i, v in enumerate(vars_):
-                if v.bound_value is None:
+                d = v.domain
+                if d.count != 1:
                     raise UnboundVariableError(
                         f"the label list leaves variable {store.name_of(i)!r} unbound")
-                values.append(v.bound_value)
+                values.append(d.lo)
             solutions.append(tuple(values))
             if not all_solutions:
                 break

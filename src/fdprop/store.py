@@ -1,10 +1,11 @@
 """Backtrackable variable store.
 
 The store owns the decision variables, converts domain deltas into
-posted events, auto-instantiates singletons, and restores domains and
-bindings exactly through a trail and a choice-point stack.  Failure is
-a returned status (False), never an exception, so it composes with the
-search loop's unwind.
+posted events, and restores domains exactly through a trail and a
+choice-point stack.  A variable's only trailed state is its domain; it
+is bound when that is a singleton.  Failure is a returned status
+(False), never an exception, so it composes with the search loop's
+unwind.
 
 Each variable carries the watcher lists of the agents suspended on it,
 but the store never changes them: the runtime appends to them and
@@ -19,17 +20,13 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .domain import (
-    DeltaKind,
+    BOUND_CHANGED,
+    EMPTIED,
+    INSTANTIATED,
     FiniteDomain,
     exclude_value,
     intersect_range,
 )
-
-# The delta kinds a real change can have, as plain ints: an int compare
-# needs no enum attribute lookup.
-_INSTANTIATED = int(DeltaKind.INSTANTIATED)
-_BOUND_CHANGED = int(DeltaKind.BOUND_CHANGED)
-_EMPTIED = int(DeltaKind.EMPTIED)
 
 # Event kinds shared with the runtime.  GENERATED never reaches the
 # store; it exists for generation-time rule runs.
@@ -46,18 +43,19 @@ class InvariantError(RuntimeError):
 
 
 class Variable:
-    """A decision variable: current domain, binding, and the per-event
-    suspension lists (the agents, in registration order).
+    """A decision variable: its domain (bound when a singleton, to
+    ``domain.lo``), the per-event suspension lists (the agents, in
+    registration order) and ``stamp``, the choice-point depth whose
+    trail segment holds its saved domain (0: none does).
 
     ``watchers[kind]`` is the list for event kind ``kind``.  The
     GENERATED slot is an empty tuple: that event is never posted.
     """
 
-    __slots__ = ("domain", "bound_value", "watchers", "name", "stamp")
+    __slots__ = ("domain", "watchers", "name", "stamp")
 
     def __init__(self, domain: FiniteDomain, name: Optional[str] = None):
         self.domain = domain
-        self.bound_value = domain.lo if domain.count == 1 else None
         self.watchers: tuple = ((), [], [], [])
         self.name = name
         self.stamp = 0
@@ -68,13 +66,13 @@ class Variable:
 
 
 class ChoicePoint:
-    """Marks sufficient to restore the store's domains exactly."""
+    """The trail length at the choice point: enough to restore every
+    domain.  An object, so ``backtrack_to`` knows a stale one by identity."""
 
-    __slots__ = ("trail_mark", "parent_stamp")
+    __slots__ = ("trail_mark",)
 
-    def __init__(self, trail_mark, parent_stamp):
+    def __init__(self, trail_mark):
         self.trail_mark = trail_mark
-        self.parent_stamp = parent_stamp
 
 
 def _drop_event(kind: int, var: int, value: Optional[int]) -> None:
@@ -83,6 +81,10 @@ def _drop_event(kind: int, var: int, value: Optional[int]) -> None:
 
 class Store:
     """Variable table + trail + choice-point stack.
+
+    The trail holds (variable, old domain, old stamp) entries, one per
+    variable per choice-point depth at most (Aggoun & Beldiceanu's
+    time-stamping).
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
     event a narrowing (``exclude``, ``intersect``, ``bind``) posts; the
@@ -93,31 +95,28 @@ class Store:
     def __init__(self, event_sink: Callable[[int, int, Optional[int]], None] = _drop_event):
         self.vars: list[Variable] = []
         self.event_sink = event_sink
-        self._trail: list[tuple[Variable, FiniteDomain, Optional[int], int]] = []
+        self._trail: list[tuple[Variable, FiniteDomain, int]] = []
         self._cps: list[ChoicePoint] = []
-        self._stamp_counter = 0
-        self.current_stamp = 0
 
     # -- variables ---------------------------------------------------------
 
     def new_var(self, domain: FiniteDomain, name: Optional[str] = None) -> int:
-        """Add a fresh variable.  A singleton domain binds immediately
-        and silently (nothing can be watching yet).  Variables are made
-        before the first choice point: a backtrack does not remove them."""
+        """Add a fresh variable at depth 0, bound if its domain is a
+        singleton.  Variables are made before the first choice point: a
+        backtrack does not remove them."""
         if domain.count == 0:
             raise InvariantError("cannot create a variable with an empty domain")
         if self._cps:
             raise InvariantError("cannot create a variable after a choice point")
-        var = Variable(domain, name)
-        var.stamp = self.current_stamp
-        self.vars.append(var)
+        self.vars.append(Variable(domain, name))
         return len(self.vars) - 1
 
     def domain(self, x: int) -> FiniteDomain:
         return self.vars[x].domain
 
     def value(self, x: int) -> Optional[int]:
-        return self.vars[x].bound_value
+        d = self.vars[x].domain
+        return d.lo if d.count == 1 else None
 
     def name_of(self, x: int) -> str:
         return self.vars[x].name or f"_{x}"
@@ -125,11 +124,12 @@ class Store:
     # -- trailing ----------------------------------------------------------
 
     def _save(self, var: Variable) -> None:
-        # One trail entry per variable per choice-point segment; the old
+        # One trail entry per variable per choice-point depth; the old
         # immutable domain object is the snapshot.
-        if var.stamp != self.current_stamp:
-            self._trail.append((var, var.domain, var.bound_value, var.stamp))
-            var.stamp = self.current_stamp
+        depth = len(self._cps)
+        if var.stamp != depth:
+            self._trail.append((var, var.domain, var.stamp))
+            var.stamp = depth
 
     # -- narrowing ---------------------------------------------------------
 
@@ -145,15 +145,13 @@ class Store:
         if bits is not None and not (bits >> (v - d.offset)) & 1:
             return True
         nd, delta = exclude_value(d, v)
-        kind = delta.kind
-        if kind == _EMPTIED:
+        if delta is EMPTIED:
             return False
         self._save(var)
         var.domain = nd
-        if kind == _INSTANTIATED:
-            var.bound_value = nd.lo
+        if delta is INSTANTIATED:
             self.event_sink(INS, x, None)
-        elif kind == _BOUND_CHANGED:
+        elif delta is BOUND_CHANGED:
             self.event_sink(BOUND, x, None)
         else:  # INNER_EXCLUDED
             self.event_sink(DOM, x, v)
@@ -168,13 +166,11 @@ class Store:
         if lo <= d.lo and d.hi <= hi:
             return True
         nd, delta = intersect_range(d, lo, hi)
-        kind = delta.kind
-        if kind == _EMPTIED:
+        if delta is EMPTIED:
             return False
         self._save(var)
         var.domain = nd
-        if kind == _INSTANTIATED:
-            var.bound_value = nd.lo
+        if delta is INSTANTIATED:
             self.event_sink(INS, x, None)
         else:
             self.event_sink(BOUND, x, None)
@@ -182,36 +178,33 @@ class Store:
 
     def bind(self, x: int, v: int) -> bool:
         """Instantiate x to v (no-op if already bound to v)."""
-        bound = self.vars[x].bound_value
-        if bound is not None:
-            return bound == v
+        d = self.vars[x].domain
+        if d.count == 1:
+            return d.lo == v
         return self.intersect(x, v, v)
 
     # -- choice points -----------------------------------------------------
 
     def push_choice_point(self) -> ChoicePoint:
-        cp = ChoicePoint(len(self._trail), self.current_stamp)
-        self._stamp_counter += 1
-        self.current_stamp = self._stamp_counter
+        cp = ChoicePoint(len(self._trail))
         self._cps.append(cp)
         return cp
 
     def backtrack_to(self, cp: ChoicePoint) -> None:
-        """Restore every domain and binding to the instant cp was
-        created."""
+        """Restore every domain to the instant cp was created."""
         while self._cps and self._cps[-1] is not cp:
             self._cps.pop()
         if not self._cps:
             raise InvariantError("backtrack target is not on the choice-point stack")
         self._cps.pop()
 
+        # A depth can be used again: every variable stamped in a popped
+        # segment gets its older stamp back from the trail.
         trail = self._trail
         while len(trail) > cp.trail_mark:
-            var, dom, bound, stamp = trail.pop()
+            var, dom, stamp = trail.pop()
             var.domain = dom
-            var.bound_value = bound
             var.stamp = stamp
-        self.current_stamp = cp.parent_stamp
 
     def depth(self) -> int:
         return len(self._cps)

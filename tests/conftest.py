@@ -96,14 +96,15 @@ def domain_values(store, x) -> tuple[int, ...]:
 
 
 def store_snapshot(store) -> tuple:
-    """Observable store state for round-trip comparisons."""
+    """Observable store state for round-trip comparisons: each
+    variable's domain, trail stamp and watchers."""
     return tuple(
-        (tuple(v.domain.values()), v.bound_value, tuple(map(tuple, v.watchers)))
+        (tuple(v.domain.values()), v.stamp, tuple(map(tuple, v.watchers)))
         for v in store.vars
     )
 
 
 def domain_snapshot(store) -> tuple:
-    """Domains and bindings only: what fixpoint comparisons care about
-    (scheduling order may legitimately vary agent bookkeeping)."""
-    return tuple((tuple(v.domain.values()), v.bound_value) for v in store.vars)
+    """Domains only: what fixpoint comparisons care about (scheduling
+    order may legitimately vary agent bookkeeping)."""
+    return tuple(tuple(v.domain.values()) for v in store.vars)

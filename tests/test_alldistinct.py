@@ -80,7 +80,7 @@ def _full_scan_outof_reducer(store, x, others):
     for z in others:
         if is_subset_of(vars_[z].domain, dx):
             m += 1
-        elif vars_[z].bound_value is None:
+        elif vars_[z].domain.count != 1:
             outside.append(z)
     if m + 1 > n:
         return False

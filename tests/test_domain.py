@@ -22,7 +22,7 @@ def test_make_interval_basic():
 
 def test_make_interval_singleton():
     d = make_interval(3, 3)
-    assert d.is_singleton() and d.lo == 3
+    assert d.count == 1 and d.lo == 3
 
 
 def test_make_interval_negative_bounds():
@@ -51,7 +51,7 @@ def test_make_set_normalizes_contiguous():
 
 
 def test_make_set_singleton_and_errors():
-    assert make_set([7]).is_singleton()
+    assert make_set([7]).count == 1
     with pytest.raises(DomainError):
         make_set([])
 
@@ -86,7 +86,7 @@ def test_exclude_to_empty_and_nonmember():
 def test_exclude_to_singleton_instantiates():
     d, delta = exclude_value(make_set([2, 4]), 2)
     assert delta.kind is DeltaKind.INSTANTIATED and d.lo == 4
-    assert d.is_singleton()
+    assert d.count == 1
 
 
 def test_intersect_range_cases():

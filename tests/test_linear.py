@@ -20,7 +20,15 @@ from fdprop.linear import (
     post_diseq,
     post_nary,
 )
-from fdprop.model import Model, SolverConfig, VarDecl, build, fixpoint_violations
+from fdprop.model import (
+    Model,
+    SolverConfig,
+    VarDecl,
+    build,
+    fixpoint_violations,
+    parse_model,
+    solve_model,
+)
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
 from fdprop.search import label
@@ -471,6 +479,22 @@ def test_capacity_rejection():
     y = store.new_var(make_interval(1, 2 ** 19))
     with pytest.raises(CapacityError):
         post_nary(rt, NaryLinear(0, ((2 ** 50, x), (-1, y))), IC)
+
+
+def test_hybrid_collapse_at_the_edge_of_the_budget():
+    # 2^61*(x + y - z) = 0: the sum's worst case, 3 * 2^61, fits in 64 bits
+    big = 2 ** 61
+    model = parse_model("var x in 0..1\nvar y in 0..1\nvar z in 0..1\n"
+                        f"lin 0 {big}*x {big}*y {-big}*z = 0\nlabel x y z\n")
+    store, rt, ok = build(model, SolverConfig(level="ac"))
+    assert ok and rt.run_to_fixpoint()
+    rt.push_choice_point()
+    assert store.bind(0, 1) and rt.run_to_fixpoint()
+    assert any(a.name.startswith("eq_ac(") for a in rt.agents)
+    oracle = enumerate_solutions(model.to_ground())
+    assert len(oracle) == 3
+    result = solve_model(model, SolverConfig(level="ac", mode="all"))
+    assert set(result.solutions) == oracle
 
 
 def _root_domains(model, level):

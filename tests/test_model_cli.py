@@ -414,6 +414,12 @@ def test_same_variable_equality_without_integer_solution_fails_at_root():
     assert r.root_failed and r.solutions == [] and r.backtracks == 0
 
 
+def test_same_variable_equality_skips_the_binary_budget():
+    # (9e18 - 1)*x = 0 is not a pair of variables: no binary budget applies
+    m = parse_model("var x in 0..2\neq 9000000000000000000*x = 1*x + 0\nlabel x\n")
+    assert solve_model(m, SolverConfig(mode="all")).solutions == [(0,)]
+
+
 def test_underdetermined_label_list_exits_2(tmp_path, capsys):
     # y is never labeled and nothing binds it: a model error
     path = tmp_path / "under.model"

@@ -6,7 +6,7 @@ from conftest import domain_snapshot, random_model, store_snapshot
 
 from fdprop.domain import make_interval
 from fdprop.linear import post_diseq
-from fdprop.model import SolverConfig, build
+from fdprop.model import SolverConfig, build, parse_model
 from fdprop.runtime import END, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
 
@@ -350,3 +350,25 @@ def test_backtrack_after_failed_fixpoint_discards_queued_activations():
     rt.backtrack_to(cp)
     assert not rt.queue and not rt.pending
     assert propagate(store, rt, x, y, log) == propagate(*setup())
+
+
+# t = 0 makes x = y + 1 and y = x + 1: bounds propagation removes one
+# value per round until a domain empties, about 2000 narrowings
+SLOW_PAIR = """\
+var t in 0..1
+var x in 1..2000
+var y in 1..2000
+lin -1 1*x -1*y 1*t = 0
+lin -1 1*y -1*x 1*t = 0
+label t x y
+"""
+
+
+@pytest.mark.parametrize("level", ["ic", "ac"])
+def test_long_fixpoint_trails_each_variable_once(level):
+    store, rt, ok = build(parse_model(SLOW_PAIR), SolverConfig(level=level))
+    assert ok and rt.run_to_fixpoint()
+    rt.push_choice_point()
+    assert store.bind(0, 0)
+    assert not rt.run_to_fixpoint()
+    assert len(store._trail) == 3  # t, x and y, once each

@@ -98,6 +98,24 @@ def test_trail_round_trip_single():
     assert store_snapshot(store) == before
 
 
+def test_one_trail_entry_per_variable_per_choice_point():
+    store = Store()
+    x = store.new_var(make_interval(1, 20))
+    store.push_choice_point()
+    for v in (5, 1, 20, 9, 12):  # five real changes: inner and bound exclusions
+        assert store.exclude(x, v)
+    assert len(store._trail) == 1
+    inner = store.push_choice_point()
+    assert store.exclude(x, 2) and store.exclude(x, 19)
+    assert len(store._trail) == 2
+    store.backtrack_to(inner)
+    assert store.exclude(x, 3)  # depth 1 again: its entry is still there
+    assert len(store._trail) == 1
+    store.push_choice_point()   # depth 2 again: a fresh segment
+    assert store.exclude(x, 4)
+    assert len(store._trail) == 2
+
+
 def test_backtrack_requires_live_choice_point():
     store = Store()
     store.new_var(make_interval(1, 3))
