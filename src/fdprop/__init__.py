@@ -24,7 +24,6 @@ from .linear import (
     Diseq,
     NaryLinear,
     ceil_div,
-    floor_div,
     post_binary,
     post_diseq,
     post_nary,

@@ -57,14 +57,13 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
     lo = dx.lo
     hi = dx.hi
     bits = dx.bits
-    offset = dx.offset
     outside = []
     for z in scope:
         dz = vars_[z].domain
         count = dz.count
         if count == 1:
             v = dz.lo
-            if lo <= v <= hi and (bits is None or (bits >> (v - offset)) & 1):
+            if lo <= v <= hi and (bits is None or (bits >> (v - lo)) & 1):
                 continue
         else:
             if (count <= n and lo <= dz.lo and dz.hi <= hi

@@ -52,20 +52,19 @@ class FiniteDomain:
     """Integer domain with cached bounds and cardinality.
 
     ``bits`` is None for a contiguous interval; otherwise bit i of
-    ``bits`` is set iff ``offset + i`` is a member, lo and hi are
-    members, and count < hi - lo + 1 (a hole exists).  Instances must
-    not be mutated after construction.
+    ``bits`` is set iff ``lo + i`` is a member, so bit 0 is set and the
+    vector is hi - lo + 1 bits long, and count < hi - lo + 1 (a hole
+    exists).  Instances must not be mutated after construction.
     """
 
-    __slots__ = ("lo", "hi", "count", "bits", "offset")
+    __slots__ = ("lo", "hi", "count", "bits")
 
     def __init__(self, lo: int, hi: int, count: int,
-                 bits: Optional[int] = None, offset: int = 0):
+                 bits: Optional[int] = None):
         self.lo = lo
         self.hi = hi
         self.count = count
         self.bits = bits
-        self.offset = offset
 
     # -- queries ----------------------------------------------------------
 
@@ -74,7 +73,7 @@ class FiniteDomain:
             return False
         if self.bits is None:
             return True
-        return (self.bits >> (v - self.offset)) & 1 == 1
+        return (self.bits >> (v - self.lo)) & 1 == 1
 
     __contains__ = contains
 
@@ -89,10 +88,10 @@ class FiniteDomain:
 
     def _iter_bits(self) -> Iterator[int]:
         bits = self.bits
-        offset = self.offset
+        lo = self.lo
         while bits:
             low = bits & -bits
-            yield offset + low.bit_length() - 1
+            yield lo + low.bit_length() - 1
             bits ^= low
 
     def __repr__(self):
@@ -131,20 +130,23 @@ def make_set(values) -> FiniteDomain:
     bits = 0
     for v in vals:
         bits |= 1 << (v - lo)
-    return FiniteDomain(lo, hi, count, bits, lo)
+    return FiniteDomain(lo, hi, count, bits)
 
 
-def _from_bits(bits: int, offset: int) -> FiniteDomain:
-    """Normalize a bit vector: recompute bounds, drop the vector when
-    the survivors are contiguous."""
+def _from_bits(bits: int, base: int) -> FiniteDomain:
+    """Normalize a bit vector whose bit i stands for ``base + i``: shift
+    it down to its lowest member, recompute the bounds, and drop the
+    vector when the survivors are contiguous."""
     count = bits.bit_count()
     if count == 0:
         return EMPTY_DOMAIN
-    lo = offset + (bits & -bits).bit_length() - 1
-    hi = offset + bits.bit_length() - 1
+    shift = (bits & -bits).bit_length() - 1
+    bits >>= shift
+    lo = base + shift
+    hi = lo + bits.bit_length() - 1
     if count == hi - lo + 1:
         return FiniteDomain(lo, hi, count)
-    return FiniteDomain(lo, hi, count, bits, offset)
+    return FiniteDomain(lo, hi, count, bits)
 
 
 def exclude_value(d: FiniteDomain, v: int) -> tuple[FiniteDomain, DomainDelta]:
@@ -158,7 +160,7 @@ def exclude_value(d: FiniteDomain, v: int) -> tuple[FiniteDomain, DomainDelta]:
     if v < d.lo or v > d.hi:
         return d, UNCHANGED
     bits = d.bits
-    if bits is not None and not (bits >> (v - d.offset)) & 1:
+    if bits is not None and not (bits >> (v - d.lo)) & 1:
         return d, UNCHANGED
     if d.count == 1:
         return EMPTY_DOMAIN, EMPTIED
@@ -172,11 +174,11 @@ def exclude_value(d: FiniteDomain, v: int) -> tuple[FiniteDomain, DomainDelta]:
             return FiniteDomain(d.lo, v - 1, d.count - 1), BOUND_CHANGED
         width = d.hi - d.lo + 1
         bits = ((1 << width) - 1) & ~(1 << (v - d.lo))
-        return FiniteDomain(d.lo, d.hi, d.count - 1, bits, d.lo), INNER_EXCLUDED
-    bits &= ~(1 << (v - d.offset))
+        return FiniteDomain(d.lo, d.hi, d.count - 1, bits), INNER_EXCLUDED
+    bits &= ~(1 << (v - d.lo))
     if v == d.lo or v == d.hi:
-        return _from_bits(bits, d.offset), BOUND_CHANGED
-    return FiniteDomain(d.lo, d.hi, d.count - 1, bits, d.offset), INNER_EXCLUDED
+        return _from_bits(bits, d.lo), BOUND_CHANGED
+    return FiniteDomain(d.lo, d.hi, d.count - 1, bits), INNER_EXCLUDED
 
 
 def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, DomainDelta]:
@@ -198,8 +200,7 @@ def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, Do
             return FiniteDomain(nlo, nlo, 1), INSTANTIATED
         return FiniteDomain(nlo, nhi, count), BOUND_CHANGED
     width = nhi - nlo + 1
-    mask = ((1 << width) - 1) << (nlo - d.offset)
-    nd = _from_bits(d.bits & mask, d.offset)
+    nd = _from_bits((d.bits >> (nlo - d.lo)) & ((1 << width) - 1), nlo)
     if nd.count == 0:
         return EMPTY_DOMAIN, EMPTIED
     if nd.count == 1:
@@ -220,10 +221,6 @@ def is_subset_of(d1: FiniteDomain, d2: FiniteDomain) -> bool:
     if d2.bits is None:
         # every d1 element lies within d2's hole-free bounds
         return True
-    if d1.bits is None:
-        width = d1.hi - d1.lo + 1
-        a = ((1 << width) - 1) << (d1.lo - d2.offset)
-    else:
-        shift = d1.offset - d2.offset
-        a = d1.bits << shift if shift >= 0 else d1.bits >> -shift
-    return a & ~d2.bits == 0
+    # d1 lies within d2's bounds, so the shift to d2's base is >= 0
+    a = (1 << (d1.hi - d1.lo + 1)) - 1 if d1.bits is None else d1.bits
+    return (a << (d1.lo - d2.lo)) & ~d2.bits == 0

@@ -12,7 +12,7 @@ level: forward checking waits until one variable is free and solves
 for it; interval runs a two-phase interval reducer on every wake; arc
 (the hybrid scheme) runs that reducer while more than two variables
 are free and then posts one binary arc agent for the two that are
-left.
+left, through the same binary poster as a model's equality.
 
 All propagator arithmetic is validated against a signed 64-bit budget
 at posting time; models that could overflow it are rejected with
@@ -84,11 +84,6 @@ def ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def floor_div(p: int, q: int) -> int:
-    """Largest integer <= p/q, exact for negative p.  q must be >= 1."""
-    return p // q
-
-
 def _abs_max(domain) -> int:
     return max(abs(domain.lo), abs(domain.hi))
 
@@ -116,32 +111,12 @@ def _true(_event) -> bool:
 
 
 def post_binary(rt: Runtime, bc: BinaryLinear, level: ConsistencyLevel) -> bool:
-    """Spawn the one agent for a*X = b*Y + c at the requested level.
-    Returns False on inconsistency found during generation-time
-    reduction."""
+    """Check the 64-bit budget and spawn the one agent for a*X = b*Y + c
+    at the requested level.  Returns False on inconsistency found during
+    generation-time reduction."""
     if bc.x != bc.y:
         _check_binary_capacity(rt.store, bc.a, bc.x, bc.b, bc.y, bc.c)
-    return _post_binary_signed(rt, bc.a, bc.x, bc.b, bc.y, bc.c, level)
-
-
-def _post_binary_signed(rt: Runtime, a: int, x: int, b: int, y: int, c: int,
-                        level: ConsistencyLevel) -> bool:
-    """Internal binary form with a >= 1 and b of either sign (the shape
-    an n-ary collapse produces; reflecting Y through an auxiliary
-    variable is deliberately avoided).  It checks no capacity: a
-    collapse's constant is c plus the bound terms, so its worst case is
-    within the one ``post_nary`` checked for the whole sum."""
-    store = rt.store
-    if x == y:
-        # a*X = b*X + c  ->  (a-b)*X = c
-        coef = a - b
-        if coef == 0:
-            return c == 0
-        q, r = divmod(c, coef)
-        if r:
-            return False
-        return store.bind(x, q)
-    return _spawn_binary(rt, a, x, b, y, c, level)
+    return _spawn_binary(rt, bc.a, bc.x, bc.b, bc.y, bc.c, level)
 
 
 def _narrow_from(store, x, a, dy, b, c) -> bool:
@@ -152,7 +127,7 @@ def _narrow_from(store, x, a, dy, b, c) -> bool:
     else:
         t_lo = b * dy.hi + c
         t_hi = b * dy.lo + c
-    return store.intersect(x, ceil_div(t_lo, a), floor_div(t_hi, a))
+    return store.intersect(x, ceil_div(t_lo, a), t_hi // a)
 
 
 def _revise(store, x, dx, a, dy, b, c) -> bool:
@@ -174,7 +149,11 @@ _BINARY_AGENT = {
 
 
 def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
-    """One agent for a*X = b*Y + c (a >= 1, b of either sign).
+    """One agent for a*X = b*Y + c, a and b of either sign, as a model's
+    equality or an n-ary collapse gives it.  It checks no capacity: a
+    collapse's worst case is within the one ``post_nary`` checked for
+    the whole sum.  X == Y is solved at once, as (a - b)*X = c.
+    Otherwise the equation is negated when a < 0, so that a >= 1.
 
     While both sides are free it sleeps on ins of X and Y, plus bound
     (ic, ac) and dom (ac) of both.  A bound event narrows the other side
@@ -183,6 +162,13 @@ def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
     narrows both sides and, at ac, revises X against Y and then Y
     against X.  Once a side is bound it solves the other and ends."""
     store = rt.store
+    if x == y:
+        if a == b:
+            return c == 0
+        q, r = divmod(c, a - b)
+        return r == 0 and store.bind(x, q)
+    if a < 0:
+        a, b, c = -a, -b, -c
     vx = store.vars[x]
     vy = store.vars[y]
     # the same constraint solved for Y: ma*Y = mb*X + mc with ma >= 1
@@ -407,10 +393,8 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
             q, r = divmod(-k, a)
             return r == 0 and store.bind(x, q)
         (a1, x1), (a2, x2) = free
-        # k + a1*X1 + a2*X2 = 0  ->  a1*X1 = (-a2)*X2 - k, negated if a1 < 0
-        s = 1 if a1 > 0 else -1
-        return _post_binary_signed(rt, s * a1, x1, -s * a2, x2, -s * k,
-                                   ConsistencyLevel.ARC)
+        # k + a1*X1 + a2*X2 = 0  ->  a1*X1 = (-a2)*X2 - k
+        return _spawn_binary(rt, a1, x1, -a2, x2, -k, ConsistencyLevel.ARC)
 
     interval = level is not ConsistencyLevel.FORWARD_CHECKING
     guard = None if commit_at is None else more_free

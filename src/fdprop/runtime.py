@@ -231,10 +231,12 @@ class Runtime:
         return None
 
     def _select(self, agent: Agent, start: int, event: Event) -> bool:
-        """Find the first applicable rule from ``start`` onward and
-        commit/suspend accordingly; ``event`` is _GENERATED_EVENT at
-        generation.  False = the agent fails.  A commitment at
-        generation leaves the rule at END and needs no trail entry."""
+        """Find the first applicable rule from ``start`` onward; ``event``
+        is _GENERATED_EVENT at generation.  An action rule suspends the
+        agent and runs its action only at generation, if it asks to; a
+        commitment rule runs its action and, on success, ends the agent.
+        False = the agent fails.  A commitment at generation leaves the
+        rule at END and needs no trail entry."""
         rules = agent.rules
         for idx in range(start, len(rules)):
             rule = rules[idx]
@@ -242,29 +244,25 @@ class Runtime:
             if guard is not None and not guard():
                 continue
             watch = rule.watch
-            if watch is None:
-                self.activations += 1
-                ok = rule.action(event)
-                if self.trace is not None:
-                    self._trace_line(agent, event, idx, "end" if ok else "fail")
-                if ok and agent.rule != END:
-                    self._trail.append((agent, agent.rule))
-                    agent.rule = END
-                return ok
-            # action rule: suspend (register first so the agent hears
-            # the events its own generation-time action posts)
-            self._trail.append((agent, agent.rule))
-            agent.rule = idx
-            vars_ = self.store.vars
-            for kind, var in watch:
-                vars_[var].watchers[kind].append(agent)
-            if event is _GENERATED_EVENT and rule.run_on_generated:
-                self.activations += 1
-                ok = rule.action(event)
-                if self.trace is not None:
-                    self._trace_line(agent, event, idx, "ok" if ok else "fail")
-                return ok
-            return True
+            if watch is not None:
+                # action rule: suspend (register first so the agent hears
+                # the events its own generation-time action posts)
+                self._trail.append((agent, agent.rule))
+                agent.rule = idx
+                vars_ = self.store.vars
+                for kind, var in watch:
+                    vars_[var].watchers[kind].append(agent)
+                if event is not _GENERATED_EVENT or not rule.run_on_generated:
+                    return True
+            self.activations += 1
+            ok = rule.action(event)
+            if self.trace is not None:
+                outcome = "fail" if not ok else "end" if watch is None else "ok"
+                self._trace_line(agent, event, idx, outcome)
+            if ok and watch is None and agent.rule != END:
+                self._trail.append((agent, agent.rule))
+                agent.rule = END
+            return ok
         if self.trace is not None:
             self._trace_line(agent, event, -1, "fail")
         return False

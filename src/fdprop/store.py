@@ -142,7 +142,7 @@ class Store:
         if v < d.lo or v > d.hi:
             return True
         bits = d.bits
-        if bits is not None and not (bits >> (v - d.offset)) & 1:
+        if bits is not None and not (bits >> (v - d.lo)) & 1:
             return True
         nd, delta = exclude_value(d, v)
         if delta is EMPTIED:

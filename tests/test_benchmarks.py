@@ -1,7 +1,5 @@
 import itertools
-import json
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -210,40 +208,3 @@ def test_no_coalesce_identical_across_full_corpus():
         assert with_c.solutions == without.solutions, name
         assert with_c.backtracks == without.backtracks, name
 
-
-GOLDEN_CONFIGS = [
-    # (benchmark, level, alldistinct)
-    ("alpha", "ac", "linear"),
-    ("eq10", "ac", "linear"),
-    ("eq20", "ac", "linear"),
-    ("magic(3)", "ac", "linear"),
-    ("magic(4)", "ac", "linear"),
-    ("sendmoney", "ac", "linear"),
-    ("zebra", "ac", "linear"),
-    ("queens(12)", "ac", "linear"),
-    ("magic(4)", "ic", "wac"),
-    ("zebra", "ac", "wac"),
-]
-
-
-def _golden_counts():
-    """The expected counts of each golden configuration: its row in the
-    committed count matrix for the shipped posting order and fifo
-    (tools/count_matrix.py writes the file)."""
-    rows = json.loads((Path(__file__).resolve().parent.parent / "COUNTS.json")
-                      .read_text(encoding="utf-8"))
-    stored = {(r["model"], r["level"], r["alldistinct"]): r for r in rows
-              if r["order"] == 0 and r["queue"] == "fifo"}
-    return [(*config, stored[config]["backtracks"], stored[config]["activations"],
-             stored[config]["solutions"]) for config in GOLDEN_CONFIGS]
-
-
-@pytest.mark.parametrize("name,level,alldistinct,backtracks,activations,solutions",
-                         _golden_counts())
-def test_golden_counts(name, level, alldistinct, backtracks, activations, solutions):
-    """First solution, fifo, coalescing: the dispatch layer must not
-    change how often propagators run."""
-    r = solve_model(get_benchmark(name),
-                    SolverConfig(level=level, alldistinct=alldistinct))
-    assert (r.backtracks, r.activations, len(r.solutions)) == \
-        (backtracks, activations, solutions)

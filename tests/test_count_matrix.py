@@ -1,7 +1,8 @@
 """The committed count matrix (COUNTS.json) against a fresh run.
 
-Every row but alpha's, the slow ones, is re-run here; the whole file is
-checked with ``python tools/count_matrix.py --check COUNTS.json``.
+Every row but alpha's, the slow ones, is re-run here, and alpha's row
+for the shipped posting order and fifo; the whole file is checked with
+``python tools/count_matrix.py --check COUNTS.json``.
 """
 
 import importlib.util
@@ -32,6 +33,14 @@ def test_count_matrix_fast_rows_match():
                        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stdout + r.stderr
     assert "0 difference(s)" in r.stdout
+
+
+def test_count_matrix_alpha_shipped_order_row_matches():
+    tool = _load_tool()
+    expected = json.loads(COUNTS.read_text(encoding="utf-8"))
+    key = ("alpha", "ac", "linear", 0, "fifo")
+    stored = next(row for row in expected if tuple(row[k] for k in tool.KEY) == key)
+    assert tool.run_row(*key) == stored
 
 
 def test_count_matrix_names_a_moved_row():

@@ -148,6 +148,10 @@ def test_randomized_against_reference_sets():
                 assert d.lo == min(ref) and d.hi == max(ref)
                 # normalization: a bit vector exists iff there is a hole
                 assert (d.bits is not None) == (d.count < d.hi - d.lo + 1)
+                if d.bits is not None:
+                    # bit i stands for lo + i
+                    assert d.bits & 1
+                    assert d.bits.bit_length() == d.hi - d.lo + 1
 
 
 def test_subset_matches_naive_scan():
