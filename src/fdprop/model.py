@@ -435,6 +435,7 @@ class SolveResult:
     solutions: list[tuple]
     backtracks: int
     activations: int
+    queued: int  # event records queued: the runtime's post clock
     agents: int  # agents after posting, before root propagation
     time_ms: int
     limit: Optional[str]  # the config's limit that cut the search short
@@ -472,5 +473,5 @@ def label_from_root(model: Model, config: SolverConfig, rt: Runtime, root_ok: bo
             raise ModelError(str(exc)) from None
         backtracks, limit = stats.backtracks, stats.limit
     elapsed = int((time.perf_counter() - started) * 1000)
-    return SolveResult(solutions, backtracks, rt.activations, agents, elapsed, limit,
-                       not root_ok)
+    return SolveResult(solutions, backtracks, rt.activations, rt.clock, agents, elapsed,
+                       limit, not root_ok)

@@ -9,27 +9,31 @@ index of the action rule it sleeps on, or END once it has committed.
 The runtime alone owns suspension and its undo: suspending appends the
 agent to the watcher lists of its rule's watch set, and every change of
 the index is trailed, so a backtrack pops those appends and restores
-the index.  Posting an event wakes every agent not at END that watches
-it and then erases the event: agents spawned later never see it.
+the index.  An event wakes every agent not at END that watched it when
+it was posted, and is then erased: agents that suspend later never see
+it.
 
-Scheduling is first-generated-first-served: a post enqueues one
-(agent, event) item per woken agent, in ascending creation order, and
-the global queue is drained FIFO.  Monotone propagators must not rely
-on that order; a test-only queue policy switch (lifo / random) exists
-to certify they do not.  A failed fixpoint leaves items queued; the
-backtrack that follows discards them.
+Scheduling is first-generated-first-served.  A post queues one record
+(event, watcher list, the list's length at post time, post sequence
+number), and the global queue is drained FIFO.  Taking a record
+expands it: the agents at the first n positions of the list wake in
+ascending creation order.  A list only grows within a fixpoint, so an
+agent that suspends on it after the post never sees the event.
+Monotone propagators must not rely on that order; a test-only queue
+policy switch (lifo / random, over records) exists to certify they do
+not.  A failed fixpoint leaves records queued; the backtrack that
+follows discards them.
 
 Redundant wakes are coalesced per agent, for those spawned with
-``coalesce`` (the default, for constraint propagators): within one
-batch of pending activations, duplicate bound events for one variable
-collapse to one, and a pending bound event is dropped when an ins event
-for the same variable arrives.  General agents (``coalesce=False``) get
-every event.  Distinct dom payloads are never merged.  The bookkeeping
-is kept for bound wakes only.  An ins is the last event a variable
-posts before a backtrack, which empties the queue: once it is bound,
-the store posts nothing more for it.  So no later wake can duplicate an
-ins item or be shadowed by one, and an ins needs no record; its post
-only removes the pending bound it shadows.
+``coalesce`` (the default, for constraint propagators), when a bound
+record is expanded.  Its wake is dropped as a duplicate if the agent
+has consumed a bound wake on the same variable since the record was
+posted, and as shadowed if the variable is bound by now and the
+agent's rule watches its ins: that ins wake is queued or has run.
+General agents (``coalesce=False``) get every event.  Distinct dom
+payloads are never merged.  An ins needs no bookkeeping: it is the
+last event a variable posts before a backtrack, which empties the
+queue.
 """
 
 from __future__ import annotations
@@ -118,12 +122,14 @@ class Runtime:
     Its choice point is the store's plus its own marks, so that a
     backtrack restores both.
 
-    ``queue`` holds pending (agent, event) items.  ``pending`` maps
-    (agent id, var) to the one live bound item of a coalescing agent;
-    ins and dom items are never in it.  A bound item that is no longer
-    the map's entry for its key was shadowed by an ins and is skipped
-    when taken.  A choice point is only made with an empty queue, so
-    backtracking empties both.  The trail
+    ``queue`` holds one record per posted event.  ``clock`` counts the
+    records queued; a record's sequence number is the clock after its
+    post.
+    ``consumed`` maps (agent id, var) to the clock at which a
+    coalescing agent last consumed a bound wake on var.  A choice point
+    is only made with an empty queue, so backtracking empties both, and
+    a fixpoint that succeeds empties ``consumed``: later records have
+    larger sequence numbers.  The trail
     holds (agent, old rule) for every change of an agent's rule, a new
     agent's first suspension included; a backtrack undoes those, popping
     the agent from the watcher lists of the rule it leaves, and drops
@@ -134,8 +140,9 @@ class Runtime:
                  queue_seed: Optional[int] = None, trace=None):
         self.store = store
         self.agents: list[Agent] = []
-        self.queue: deque[tuple[Agent, Event]] = deque()
-        self.pending: dict[tuple[int, int], tuple[Agent, Event]] = {}
+        self.queue: deque[tuple[Event, list, int, int]] = deque()
+        self.consumed: dict[tuple[int, int], int] = {}
+        self.clock = 0
         self._take = self._taker(queue_policy, queue_seed)
         self.trace = trace
         self.activations = 0
@@ -179,40 +186,18 @@ class Runtime:
             agent.rule = rule
         del self.agents[agent_count:]
         self.queue.clear()
-        self.pending.clear()
+        self.consumed.clear()
 
     # -- posting and waking ----------------------------------------------------
 
     def _post_kind(self, kind: int, var: int, value: Optional[int]) -> None:
-        """Store-facing sink: wake the sleepers, then the event is gone."""
+        """Store-facing sink: queue the event with its watcher list and
+        that list's length, so that only the agents sleeping on it now
+        wake when it is taken."""
         watchers = self.store.vars[var].watchers[kind]
-        if not watchers:
-            return
-        event = Event(kind, var, value)
-        push = self.queue.append
-        pending = self.pending
-        if kind == BOUND:
-            for agent in watchers:
-                if agent.rule == END:
-                    continue
-                item = (agent, event)
-                if agent.coalesce:
-                    key = (agent.id, var)
-                    if key in pending:
-                        continue  # a duplicate bound
-                    pending[key] = item
-                push(item)
-        elif kind == INS and pending:
-            for agent in watchers:
-                if agent.rule == END:
-                    continue
-                if agent.coalesce:
-                    pending.pop((agent.id, var), None)  # the ins shadows a pending bound
-                push((agent, event))
-        else:
-            for agent in watchers:
-                if agent.rule != END:
-                    push((agent, event))
+        if watchers:
+            self.clock += 1
+            self.queue.append((Event(kind, var, value), watchers, len(watchers), self.clock))
 
     # -- spawning ---------------------------------------------------------------
 
@@ -277,38 +262,46 @@ class Runtime:
     # -- the fixpoint driver -------------------------------------------------------
 
     def run_to_fixpoint(self) -> bool:
-        """Drain the activation queue.  For each woken agent, re-test
-        the suspending rule's guard: run its action and stay suspended
-        on success; on guard failure, fall through to the later rules
-        just as at generation.  False means constraint inconsistency
-        and the caller must backtrack."""
+        """Drain the activation queue.  Each record wakes the agents that
+        slept on its event when it was posted.  For each, re-test the
+        suspending rule's guard: run its action and stay suspended on
+        success; on guard failure, fall through to the later rules just
+        as at generation.  False means constraint inconsistency and the
+        caller must backtrack."""
         queue = self.queue
         take = self._take
-        pending = self.pending
+        consumed = self.consumed
         trace = self.trace
         while queue:
-            item = take()
-            agent, event = item
-            if agent.coalesce and event.kind == BOUND:
-                key = (agent.id, event.var)
-                if pending.get(key) is not item:
-                    continue  # a bound shadowed by an ins
-                del pending[key]
-            idx = agent.rule
-            if idx == END:
-                continue
-            rule = agent.rules[idx]
-            guard = rule.guard
-            if guard is None or guard():
-                self.activations += 1
-                if not rule.action(event):
+            event, watchers, n, seq = take()
+            bound = event.kind == BOUND
+            if bound:
+                var = event.var
+                variable = self.store.vars[var]
+            for agent in watchers[:n]:
+                idx = agent.rule
+                if idx == END:
+                    continue
+                rule = agent.rules[idx]
+                if bound and agent.coalesce:
+                    key = (agent.id, var)
+                    if consumed.get(key, 0) >= seq:
+                        continue  # a duplicate bound
+                    if variable.domain.count == 1 and (INS, var) in rule.watch:
+                        continue  # a bound shadowed by an ins
+                    consumed[key] = self.clock
+                guard = rule.guard
+                if guard is None or guard():
+                    self.activations += 1
+                    if not rule.action(event):
+                        if trace is not None:
+                            self._trace_line(agent, event, idx, "fail")
+                        return False
                     if trace is not None:
-                        self._trace_line(agent, event, idx, "fail")
+                        self._trace_line(agent, event, idx, "ok")
+                elif not self._select(agent, idx + 1, event):
                     return False
-                if trace is not None:
-                    self._trace_line(agent, event, idx, "ok")
-            elif not self._select(agent, idx + 1, event):
-                return False
+        consumed.clear()
         return True
 
     # -- search support -----------------------------------------------------------

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import random
 
 import pytest
 
-from conftest import domain_snapshot, random_model, store_snapshot
+from conftest import domain_snapshot, general_agents, random_model, store_snapshot
 
+import fdprop.model
 from fdprop.domain import make_interval
 from fdprop.linear import post_diseq
-from fdprop.model import SolverConfig, build, parse_model
-from fdprop.runtime import END, Rule, Runtime
+from fdprop.model import ALL_SOLUTIONS, SolverConfig, build, parse_model, solve_model
+from fdprop.runtime import END, Event, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
 
 
@@ -89,6 +92,27 @@ def test_event_erasure_late_spawner_sleeps():
     assert late.rule == 0
 
 
+def test_event_erasure_during_expansion():
+    """An agent that suspends on a list while that list's event is being
+    taken is not woken by that event."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 5))
+    seen = []
+    late = []
+
+    def spawn_late(e):
+        seen.append("early")
+        late.append(rt.spawn([Rule(None, ((INS, x),),
+                                   lambda e: (seen.append("late"), True)[1])]))
+        return True
+
+    rt.spawn([Rule(None, ((INS, x),), spawn_late)])
+    store.bind(x, 2)
+    assert rt.run_to_fixpoint()
+    assert seen == ["early"]
+    assert late[0].rule == 0
+
+
 def test_action_failure_propagates():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
@@ -136,7 +160,30 @@ def test_coalescing_ins_shadows_bound(policy):
     store.bind(trigger, 1)
     assert rt.run_to_fixpoint()
     assert seen == ["ins(_0)"]
-    assert rt.pending == {}
+    assert not rt.queue  # nothing left queued after the fixpoint
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_coalescing_bound_only_agent_runs_when_bound(policy):
+    """A coalescing agent that watches bound(x) but not ins(x) has no
+    ins wake to shadow its bound wake: it runs on bound(x) even when x
+    ends the fixpoint bound."""
+    store, rt = fresh(policy)
+    x = store.new_var(make_interval(1, 9))
+    trigger = store.new_var(make_interval(0, 1))
+    seen = []
+    rt.spawn([Rule(None, ((BOUND, x),), lambda e: (seen.append(repr(e)), True)[1])])
+
+    def bound_then_ins(e):
+        assert store.intersect(x, 2, 9)
+        assert store.intersect(x, 9, 9)
+        return True
+
+    rt.spawn([Rule(None, ((INS, trigger),), bound_then_ins)])
+    store.bind(trigger, 1)
+    assert rt.run_to_fixpoint()
+    assert store.value(x) == 9
+    assert seen == ["bound(_0)"]
 
 
 def test_ins_only_agents_never_enter_pending():
@@ -148,9 +195,9 @@ def test_ins_only_agents_never_enter_pending():
         for y in xs[i + 1:]:
             assert post_diseq(rt, x, y, (0,))
     assert store.bind(xs[0], 2)
-    assert rt.queue and rt.pending == {}
+    assert rt.queue
     assert rt.run_to_fixpoint()  # binds xs[1] to 1, then xs[2] to 3
-    assert rt.pending == {}
+    assert not rt.queue  # nothing left queued after the fixpoint
     assert [store.value(x) for x in xs] == [2, 1, 3]
 
 
@@ -346,9 +393,10 @@ def test_backtrack_after_failed_fixpoint_discards_queued_activations():
     cp = rt.push_choice_point()
     assert store.bind(x, 1) and store.intersect(y, 2, 5)
     assert not rt.run_to_fixpoint()  # the first agent fails ...
-    assert rt.queue and rt.pending   # ... with the second's bound(y) still queued
+    # ... with the bound(y) record still queued
+    assert [repr(event) for event, *_ in rt.queue] == ["bound(_1)"]
     rt.backtrack_to(cp)
-    assert not rt.queue and not rt.pending
+    assert not rt.queue
     assert propagate(store, rt, x, y, log) == propagate(*setup())
 
 
@@ -372,3 +420,107 @@ def test_long_fixpoint_trails_each_variable_once(level):
     assert store.bind(0, 0)
     assert not rt.run_to_fixpoint()
     assert len(store._trail) == 3  # t, x and y, once each
+
+
+class ItemRuntime(Runtime):
+    """The per-item queue that the record queue replaced, kept as the
+    reference: a post walks the watcher list and queues one (agent,
+    event) item per woken agent, and coalescing is done at post time.
+    ``pending`` maps (agent id, var) to the one live bound item of a
+    coalescing agent; a bound item that is no longer the map's entry
+    was shadowed by an ins and is skipped when taken."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending = {}
+
+    def _restore(self, marks):
+        super()._restore(marks)
+        self.pending.clear()
+
+    def _post_kind(self, kind, var, value):
+        watchers = self.store.vars[var].watchers[kind]
+        if not watchers:
+            return
+        event = Event(kind, var, value)
+        push = self.queue.append
+        pending = self.pending
+        if kind == BOUND:
+            for agent in watchers:
+                if agent.rule == END:
+                    continue
+                item = (agent, event)
+                if agent.coalesce:
+                    key = (agent.id, var)
+                    if key in pending:
+                        continue  # a duplicate bound
+                    pending[key] = item
+                push(item)
+        elif kind == INS and pending:
+            for agent in watchers:
+                if agent.rule == END:
+                    continue
+                if agent.coalesce:
+                    pending.pop((agent.id, var), None)  # the ins shadows a pending bound
+                push((agent, event))
+        else:
+            for agent in watchers:
+                if agent.rule != END:
+                    push((agent, event))
+
+    def run_to_fixpoint(self):
+        queue = self.queue
+        pending = self.pending
+        trace = self.trace
+        while queue:
+            item = self._take()
+            agent, event = item
+            if agent.coalesce and event.kind == BOUND:
+                key = (agent.id, event.var)
+                if pending.get(key) is not item:
+                    continue  # a bound shadowed by an ins
+                del pending[key]
+            idx = agent.rule
+            if idx == END:
+                continue
+            rule = agent.rules[idx]
+            guard = rule.guard
+            if guard is None or guard():
+                self.activations += 1
+                if not rule.action(event):
+                    if trace is not None:
+                        self._trace_line(agent, event, idx, "fail")
+                    return False
+                if trace is not None:
+                    self._trace_line(agent, event, idx, "ok")
+            elif not self._select(agent, idx + 1, event):
+                return False
+        return True
+
+
+def test_record_queue_matches_item_queue(monkeypatch):
+    """Under fifo, queuing one record per event and expanding it when
+    taken gives the per-item queue's activations exactly: the same
+    trace stream, backtracks and solutions, with coalescing agents and
+    with general agents only."""
+    rng = random.Random(41)
+    models = [random_model(rng) for _ in range(200)]
+
+    def run(model, level):
+        trace = io.StringIO()
+        r = solve_model(model, SolverConfig(level=level, mode=ALL_SOLUTIONS),
+                        trace_stream=trace)
+        return trace.getvalue(), r.backtracks, r.solutions
+
+    lines = {}
+    for general in (False, True):
+        lines[general] = 0
+        with general_agents() if general else contextlib.nullcontext():
+            for model in models:
+                for level in ("fc", "ic", "ac"):
+                    engine = run(model, level)
+                    with monkeypatch.context() as m:
+                        m.setattr(fdprop.model, "Runtime", ItemRuntime)
+                        assert run(model, level) == engine
+                    lines[general] += engine[0].count("\n")
+    assert lines[False] < lines[True]  # some wake was coalesced

@@ -2,11 +2,12 @@
 
 Each row is one first-solution solve of a benchmark configuration in
 one posting order, under one queue policy.  It records backtracks,
-solutions, activations, agents (after posting), the first solution and
-a sha256 of the ``--trace`` activation stream.
+solutions, activations, queued event records, agents (after posting),
+the first solution and a sha256 of the ``--trace`` activation stream.
 A change that must keep the engine's counts can be checked against the
 committed file; one that moves them shows, in the file's diff, exactly
-which runs moved.
+which runs moved.  ``queued`` is a work column: a change that makes the
+engine queue more records fails the check with the row named.
 
     PYTHONPATH=src python tools/count_matrix.py --write COUNTS.json
     PYTHONPATH=src python tools/count_matrix.py --check COUNTS.json [--exclude alpha]
@@ -15,12 +16,15 @@ Posting order 0 is the shipped constraint order; order k > 0 is the
 shipped order shuffled by ``random.Random(k)``.  The label order never
 changes.  ``--check`` exits 1 and lists the rows that differ.
 
-Rows under the ``random`` queue policy move whenever a change alters
-the agent set or the queue lengths, even when no propagation changes:
-each take draws ``randrange(len(queue))``, so one more or one fewer
-queued item reshuffles the rest of the run.  Read "no activation count
-rises" on the ``fifo`` and ``lifo`` rows, or on means over several
-queue seeds; backtracks and solutions must hold on every row.
+The queue holds one record per posted event, and taking a record wakes
+every agent that slept on the event.  Under ``lifo`` a take pops the
+newest whole record; under ``random`` it draws ``randrange`` over the
+queued records.  Rows under the ``random`` policy move whenever a
+change alters the agent set or the number of queued records, even when
+no propagation changes: one more or one fewer record reshuffles the
+rest of the run.  Read "no activation count rises" on the ``fifo`` and
+``lifo`` rows, or on means over several queue seeds; backtracks and
+solutions must hold on every row.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def run_row(name: str, level: str, alldistinct: str, order: int, queue: str) -> 
         "model": name, "level": level, "alldistinct": alldistinct,
         "order": order, "queue": queue,
         "backtracks": r.backtracks, "solutions": len(r.solutions),
-        "activations": r.activations, "agents": r.agents,
+        "activations": r.activations, "queued": r.queued, "agents": r.agents,
         "first_solution": list(r.solutions[0]) if r.solutions else None,
         "trace_sha256": trace.sha.hexdigest(),
     }
