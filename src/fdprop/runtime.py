@@ -24,16 +24,14 @@ policy switch (lifo / random, over records) exists to certify they do
 not.  A failed fixpoint leaves records queued; the backtrack that
 follows discards them.
 
-Redundant wakes are coalesced per agent, for those spawned with
+Duplicate bound wakes are coalesced per agent, for those spawned with
 ``coalesce`` (the default, for constraint propagators), when a bound
-record is expanded.  Its wake is dropped as a duplicate if the agent
-has consumed a bound wake on the same variable since the record was
-posted, and as shadowed if the variable is bound by now and the
-agent's rule watches its ins: that ins wake is queued or has run.
-General agents (``coalesce=False``) get every event.  Distinct dom
-payloads are never merged.  An ins needs no bookkeeping: it is the
-last event a variable posts before a backtrack, which empties the
-queue.
+record is expanded: its wake is dropped if the agent has consumed a
+bound wake on the same variable since the record was posted.  Every
+other wake runs.  General agents (``coalesce=False``) get every event.
+Distinct dom payloads are never merged.  An ins needs no bookkeeping:
+it is the last event a variable posts before a backtrack, which
+empties the queue.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import random
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from .store import BOUND, DOM, EVENT_NAMES, GENERATED, INS, InvariantError, Store
+from .store import BOUND, DOM, EVENT_NAMES, GENERATED, InvariantError, Store
 
 
 END = -1  # Agent.rule before the first suspension and after commitment
@@ -126,10 +124,11 @@ class Runtime:
     records queued; a record's sequence number is the clock after its
     post.
     ``consumed`` maps (agent id, var) to the clock at which a
-    coalescing agent last consumed a bound wake on var.  A choice point
-    is only made with an empty queue, so backtracking empties both, and
-    a fixpoint that succeeds empties ``consumed``: later records have
-    larger sequence numbers.  The trail
+    coalescing agent last consumed a bound wake on var; a bound record
+    whose sequence number is not above that clock is a duplicate for
+    the agent.  A choice point is only made with an empty queue, so
+    backtracking empties both, and a fixpoint that succeeds empties
+    ``consumed``: later records have larger sequence numbers.  The trail
     holds (agent, old rule) for every change of an agent's rule, a new
     agent's first suspension included; a backtrack undoes those, popping
     the agent from the watcher lists of the rule it leaves, and drops
@@ -206,7 +205,7 @@ class Runtime:
         """Create an agent and run rule selection.  Returns the agent,
         or None when the agent fails (no applicable rule, or its
         generation-time action fails).  coalesce marks the agent as a
-        constraint propagator whose redundant bound wakes may be
+        constraint propagator whose duplicate bound wakes may be
         suppressed; general agents should pass False to receive every
         event."""
         agent = Agent(len(self.agents), rules, coalesce, name)
@@ -275,21 +274,17 @@ class Runtime:
         while queue:
             event, watchers, n, seq = take()
             bound = event.kind == BOUND
-            if bound:
-                var = event.var
-                variable = self.store.vars[var]
+            var = event.var
             for agent in watchers[:n]:
                 idx = agent.rule
                 if idx == END:
                     continue
-                rule = agent.rules[idx]
                 if bound and agent.coalesce:
                     key = (agent.id, var)
                     if consumed.get(key, 0) >= seq:
                         continue  # a duplicate bound
-                    if variable.domain.count == 1 and (INS, var) in rule.watch:
-                        continue  # a bound shadowed by an ins
                     consumed[key] = self.clock
+                rule = agent.rules[idx]
                 guard = rule.guard
                 if guard is None or guard():
                     self.activations += 1

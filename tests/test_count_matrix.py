@@ -51,6 +51,29 @@ def test_count_matrix_names_a_moved_row():
     exclude = frozenset(name for name, _, _ in tool.CONFIGS if name != only)
     moved = next(row for row in expected if row["model"] == only)
     moved["activations"] += 1
-    problems = tool.check(expected, exclude)
+    problems, moved_rows = tool.check(expected, exclude)
     assert len(problems) == 1
     assert "'activations'" in problems[0] and "'fifo'" in problems[0]
+    assert moved_rows == [(moved, {**moved, "activations": moved["activations"] - 1})]
+
+
+def test_count_matrix_prints_work_totals(tmp_path, capsys):
+    tool = _load_tool()
+    expected = json.loads(COUNTS.read_text(encoding="utf-8"))
+    only = "sendmoney"
+    exclude = [arg for name, _, _ in tool.CONFIGS if name != only
+               for arg in ("--exclude", name)]
+    rows = [row for row in expected if row["model"] == only]
+    fresh = rows[0]["activations"] + rows[1]["activations"]
+    queued = rows[0]["queued"] + rows[1]["queued"]
+    rows[0]["activations"] += 2
+    rows[1]["activations"] -= 1  # the fresh run rose on this row
+    path = tmp_path / "COUNTS.json"
+    path.write_text(json.dumps(expected), encoding="utf-8")
+    assert tool.main(["--check", str(path), *exclude]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [
+        f"activations over 2 moved row(s): {fresh + 1} -> {fresh}, rose on 1",
+        f"queued over 2 moved row(s): {queued} -> {queued}, rose on 0",
+        "count matrix: 2 difference(s)",
+    ]

@@ -142,8 +142,10 @@ def test_coalescing_duplicate_bounds_collapse(policy):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_coalescing_ins_shadows_bound(policy):
-    # under lifo the superseded bound is taken after its ins
+def test_ins_does_not_shadow_bound(policy):
+    """A coalescing agent that watches bound(x) and ins(x) gets both
+    wakes when x is narrowed and then bound in one activation: the ins
+    does not drop the bound queued before it."""
     store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
     trigger = store.new_var(make_interval(0, 1))
@@ -152,22 +154,26 @@ def test_coalescing_ins_shadows_bound(policy):
                    lambda e: (seen.append(repr(e)), True)[1])])
 
     def bound_then_ins(e):
-        assert store.intersect(x, 2, 9)   # bound(x) pending
-        assert store.intersect(x, 9, 9)   # ins(x): the bound is shadowed
+        assert store.intersect(x, 2, 9)   # bound(x)
+        assert store.intersect(x, 9, 9)   # ins(x)
         return True
 
     rt.spawn([Rule(None, ((INS, trigger),), bound_then_ins)])
     store.bind(trigger, 1)
     assert rt.run_to_fixpoint()
-    assert seen == ["ins(_0)"]
+    expected = ["bound(_0)", "ins(_0)"]
+    if policy == "lifo":
+        expected.reverse()
+    elif policy == "random":
+        seen.sort()
+    assert seen == expected
     assert not rt.queue  # nothing left queued after the fixpoint
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_coalescing_bound_only_agent_runs_when_bound(policy):
-    """A coalescing agent that watches bound(x) but not ins(x) has no
-    ins wake to shadow its bound wake: it runs on bound(x) even when x
-    ends the fixpoint bound."""
+    """A coalescing agent that watches bound(x) but not ins(x) runs on
+    its one bound(x) wake even when x ends the fixpoint bound."""
     store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
     trigger = store.new_var(make_interval(0, 1))
@@ -186,10 +192,18 @@ def test_coalescing_bound_only_agent_runs_when_bound(policy):
     assert seen == ["bound(_0)"]
 
 
-def test_ins_only_agents_never_enter_pending():
+class NoEntries(dict):
+    """A ``Runtime.consumed`` that fails the test on any entry."""
+
+    def __setitem__(self, key, value):
+        raise AssertionError(f"consumed entry {key}")
+
+
+def test_ins_only_agents_never_enter_consumed():
     """An ins is the last event of its variable before a backtrack, so
     agents that watch only ins have no wake to coalesce."""
     store, rt = fresh()
+    rt.consumed = NoEntries()
     xs = [store.new_var(make_interval(1, hi)) for hi in (3, 2, 3)]
     for i, x in enumerate(xs):
         for y in xs[i + 1:]:
@@ -202,23 +216,28 @@ def test_ins_only_agents_never_enter_pending():
 
 
 def test_no_coalescing_for_general_agents():
+    """The duplicate bound(y) that a coalescing agent drops reaches a
+    general agent."""
     store, rt = fresh()
     x = store.new_var(make_interval(1, 9))
-    trigger = store.new_var(make_interval(0, 1))
-    seen = []
-    rt.spawn([Rule(None, ((BOUND, x), (INS, x)),
-                   lambda e: (seen.append(repr(e)), True)[1])],
-             coalesce=False)
+    y = store.new_var(make_interval(1, 9))
+    runs = {True: [], False: []}
+    for coalesce in (True, False):
+        log = runs[coalesce]
+        rt.spawn([Rule(None, ((BOUND, x), (BOUND, y)),
+                       lambda e, log=log: (log.append(repr(e)), True)[1])],
+                 coalesce=coalesce)
 
-    def bound_then_ins(e):
-        assert store.intersect(x, 2, 9)
-        assert store.intersect(x, 9, 9)
+    def narrow_twice(e):
+        assert store.intersect(y, 2, 9)
+        assert store.intersect(y, 3, 9)
         return True
 
-    rt.spawn([Rule(None, ((INS, trigger),), bound_then_ins)])
-    store.bind(trigger, 1)
+    rt.spawn([Rule(None, ((BOUND, x),), narrow_twice)])
+    store.intersect(x, 2, 9)
     assert rt.run_to_fixpoint()
-    assert seen == ["bound(_0)", "ins(_0)"]
+    assert runs[True] == ["bound(_0)", "bound(_1)"]
+    assert runs[False] == ["bound(_0)", "bound(_1)", "bound(_1)"]
 
 
 def test_distinct_dom_payloads_each_activate():
@@ -426,9 +445,9 @@ class ItemRuntime(Runtime):
     """The per-item queue that the record queue replaced, kept as the
     reference: a post walks the watcher list and queues one (agent,
     event) item per woken agent, and coalescing is done at post time.
-    ``pending`` maps (agent id, var) to the one live bound item of a
-    coalescing agent; a bound item that is no longer the map's entry
-    was shadowed by an ins and is skipped when taken."""
+    ``pending`` maps (agent id, var) to the bound item a coalescing
+    agent has queued on var; a further bound on var is not queued for
+    it until that item is taken."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -456,13 +475,6 @@ class ItemRuntime(Runtime):
                         continue  # a duplicate bound
                     pending[key] = item
                 push(item)
-        elif kind == INS and pending:
-            for agent in watchers:
-                if agent.rule == END:
-                    continue
-                if agent.coalesce:
-                    pending.pop((agent.id, var), None)  # the ins shadows a pending bound
-                push((agent, event))
         else:
             for agent in watchers:
                 if agent.rule != END:
@@ -473,13 +485,9 @@ class ItemRuntime(Runtime):
         pending = self.pending
         trace = self.trace
         while queue:
-            item = self._take()
-            agent, event = item
+            agent, event = self._take()
             if agent.coalesce and event.kind == BOUND:
-                key = (agent.id, event.var)
-                if pending.get(key) is not item:
-                    continue  # a bound shadowed by an ins
-                del pending[key]
+                del pending[(agent.id, event.var)]
             idx = agent.rule
             if idx == END:
                 continue

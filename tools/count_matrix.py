@@ -6,8 +6,10 @@ solutions, activations, queued event records, agents (after posting),
 the first solution and a sha256 of the ``--trace`` activation stream.
 A change that must keep the engine's counts can be checked against the
 committed file; one that moves them shows, in the file's diff, exactly
-which runs moved.  ``queued`` is a work column: a change that makes the
-engine queue more records fails the check with the row named.
+which runs moved.  ``activations`` and ``queued`` are work columns: a
+change that makes the engine do more work fails the check with the row
+named, and after the differences ``--check`` prints, per work column,
+its sum over the moved rows, stored -> fresh, and how many rows rose.
 
     PYTHONPATH=src python tools/count_matrix.py --write COUNTS.json
     PYTHONPATH=src python tools/count_matrix.py --check COUNTS.json [--exclude alpha]
@@ -62,6 +64,7 @@ QUEUES = ("fifo", "lifo", "random")
 QUEUE_SEED = 0
 
 KEY = ("model", "level", "alldistinct", "order", "queue")
+WORK = ("activations", "queued")
 
 
 class _TraceHash:
@@ -108,11 +111,14 @@ def dump(table: list[dict]) -> str:
     return "[\n" + ",\n".join(json.dumps(row) for row in table) + "\n]\n"
 
 
-def check(expected: list[dict], exclude: frozenset) -> list[str]:
-    """The differences between the stored rows and a fresh run."""
+def check(expected: list[dict],
+          exclude: frozenset) -> tuple[list[str], list[tuple[dict, dict]]]:
+    """The differences between the stored rows and a fresh run, and
+    the (stored, fresh) pairs of the rows that moved."""
     stored = {tuple(row[k] for k in KEY): row for row in expected
               if row["model"] not in exclude}
     problems = []
+    moved_rows = []
     seen = set()
     for row in rows(exclude):
         key = tuple(row[k] for k in KEY)
@@ -123,8 +129,22 @@ def check(expected: list[dict], exclude: frozenset) -> list[str]:
         elif old != row:
             moved = {k: (old.get(k), row[k]) for k in row if old.get(k) != row[k]}
             problems.append(f"{key}: {moved}")
+            moved_rows.append((old, row))
     problems.extend(f"stored row not run: {key}" for key in stored if key not in seen)
-    return problems
+    return problems, moved_rows
+
+
+def work_totals(moved_rows: list[tuple[dict, dict]]) -> list[str]:
+    """One line per work column: its sum over the moved rows, stored ->
+    fresh, and the number of rows where it rose."""
+    lines = []
+    for column in WORK:
+        pairs = [(old.get(column, 0), row[column]) for old, row in moved_rows]
+        rose = sum(new > old for old, new in pairs)
+        lines.append(f"{column} over {len(pairs)} moved row(s): "
+                     f"{sum(old for old, _ in pairs)} -> {sum(new for _, new in pairs)}, "
+                     f"rose on {rose}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -144,9 +164,12 @@ def main(argv=None) -> int:
         return 0
     with open(args.check, encoding="utf-8") as f:
         expected = json.load(f)
-    problems = check(expected, exclude)
+    problems, moved_rows = check(expected, exclude)
     for line in problems:
         print(line)
+    if moved_rows:
+        for line in work_totals(moved_rows):
+            print(line)
     print(f"count matrix: {len(problems)} difference(s)")
     return 1 if problems else 0
 
