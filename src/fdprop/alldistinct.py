@@ -1,15 +1,17 @@
 """The all-distinct global constraint in three strategies.
 
-NAIVE_PAIRWISE posts a disequality agent for every unordered pair
-(quadratic space).  The other two post one agent per list element;
-all of them share the constraint's one variable tuple, so posting
-takes memory linear in its length.  Under LINEAR_SPACE the agent
-sleeps until its variable is bound and then excludes the value from
-every other element; pruning is identical to the pairwise encoding.
-WEAK_AC adds pigeonhole filtering on ins, bound and dom events of the
-element's variable: whenever the number of other domains contained in
-dom(X) reaches |dom(X)| - 1, the values of dom(X) are barred from
-every other domain, and exceeding it is an outright failure.
+Each strategy posts one forward-checking exclusion agent per list
+element, ``linear.post_diseq``: it sleeps until its variable is bound
+and then excludes the value from every other element.  NAIVE_PAIRWISE
+gives each agent one partner group per other element, as the pairwise
+disequalities would, so posting takes quadratic space.  LINEAR_SPACE
+gives every agent the constraint's one variable tuple, so posting
+takes memory linear in its length; pruning is identical.  WEAK_AC
+shares the tuple too and adds pigeonhole filtering on ins, bound and
+dom events of the element's variable: whenever the number of other
+domains contained in dom(X) reaches |dom(X)| - 1, the values of dom(X)
+are barred from every other domain, and exceeding it is an outright
+failure.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import enum
 from typing import Sequence
 
 from .domain import is_subset_of
-from .linear import _true, post_diseq
-from .runtime import Rule, Runtime
-from .store import BOUND, DOM, INS, Store
+from .linear import post_diseq
+from .runtime import Runtime
+from .store import Store
 
 
 class Strategy(enum.Enum):
@@ -84,50 +86,25 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
     return True
 
 
-def _spawn_outof(rt: Runtime, x: int, scope: tuple[int, ...], weak: bool) -> bool:
-    """Spawn the agent of element x.  ``scope`` is the constraint's one
-    shared tuple, x included: every agent of the constraint keeps the
-    same tuple and skips its own x."""
-    store = rt.store
-    vx = store.vars[x]
-
-    def free():
-        return vx.domain.count != 1
-
-    def exclude_from_others(_event):
-        v = vx.domain.lo
-        for z in scope:
-            if z != x and not store.exclude(z, v):
-                return False
-        return True
-
-    if weak:
-        def reduce(_event):
-            return outof_reducer(store, x, scope)
-
-        first = Rule(free, ((INS, x), (BOUND, x), (DOM, x)), reduce,
-                     run_on_generated=True)
-    else:
-        first = Rule(free, ((INS, x),), _true)
-    rules = [first, Rule(None, None, exclude_from_others)]
-    return rt.spawn(rules, name=f"outof(_{x})") is not None
-
-
 def post_alldistinct(rt: Runtime, vars: Sequence[int], strategy: Strategy) -> bool:
-    """Post the constraint under the chosen strategy.  Returns False on
-    inconsistency detected while posting (including a repeated variable,
-    which can never differ from itself)."""
+    """Post one ``outof(_x)`` agent per element under the chosen
+    strategy.  Returns False on inconsistency detected while posting
+    (including a repeated variable, which can never differ from
+    itself)."""
     vars = tuple(vars)
-    if strategy is Strategy.NAIVE_PAIRWISE:
-        for i in range(len(vars)):
-            for j in range(i + 1, len(vars)):
-                if not post_diseq(rt, vars[i], vars[j], (0,)):
-                    return False
-        return True
     if len(set(vars)) < len(vars):
         return False
-    weak = strategy is Strategy.WEAK_AC
+    shared = ((vars, (0,)),)
+    store = rt.store
     for x in vars:
-        if not _spawn_outof(rt, x, vars, weak):
+        reduce = None
+        if strategy is Strategy.NAIVE_PAIRWISE:
+            groups = tuple(((z,), (0,)) for z in vars if z != x)
+        else:
+            groups = shared
+            if strategy is Strategy.WEAK_AC:
+                def reduce(_event, x=x):
+                    return outof_reducer(store, x, vars)
+        if not post_diseq(rt, x, groups, f"outof(_{x})", reduce):
             return False
     return True

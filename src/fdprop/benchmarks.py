@@ -8,12 +8,13 @@ range with a ValueError before it builds any record.
 
 The n-queens model follows the three-disequality encoding: for each
 pair of columns i < j with offset N = j - i it has the records
-X_i != X_j, X_i != X_j + N, and X_i != X_j - N, which ``build`` posts
-as one agent with the offsets (0, +N, -N).  holed_chain(k) is a family
-of binary equality chains over holed domains on which arc propagation
-strictly beats interval propagation; the interior holes are invisible
-to bound reasoning, so under 'ic' the search must try (and fail) every
-misaligned value while 'ac' solves it at the root.
+X_i != X_j, X_i != X_j + N, and X_i != X_j - N.  ``build`` posts one
+agent per column, which holds every other column with its three
+offsets.  holed_chain(k) is a family of binary equality chains over
+holed domains on which arc propagation strictly beats interval
+propagation; the interior holes are invisible to bound reasoning, so
+under 'ic' the search must try (and fail) every misaligned value
+while 'ac' solves it at the root.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ BENCH_CORPUS = ("alpha", "eq10", "eq20", "magic(3)", "magic(4)",
 
 # queens(n) has 3*n*(n-1)/2 disequality records, so this allows n <= 447.
 # queens(447) peaks at about 56 MB of resident memory once generated and
-# 266 MB once built (CPython 3.11 on x86-64 Linux).
+# 120 MB once built, which takes about 0.6 s (CPython 3.11 on x86-64 Linux).
 MAX_QUEENS_RECORDS = 300_000
 
 

@@ -4,10 +4,12 @@ A binary constraint a*X = b*Y + c is one agent at each of three
 consistency levels that build on each other: forward checking (solve
 the other side once one side is bound), interval (also narrow each side
 to the range the other side's bounds allow) and arc (also exclude the
-counterpart of each inner exclusion).  All the disequalities X != Y + c
-on one variable pair share one forward-checking agent, which holds
-their offsets c and excludes every implied value once either side is
-bound.  An n-ary sum c + sum(a_i * X_i) = 0 is also one agent at each
+counterpart of each inner exclusion).  Disequalities are forward
+checked by one exclusion agent per variable, the paper's
+``outof(X, Left, Right)`` generalised to offsets: it holds X's partners
+with their offsets and, once X is bound, excludes every implied value
+from them.  Every all_distinct strategy posts the same agent.  An
+n-ary sum c + sum(a_i * X_i) = 0 is also one agent at each
 level: forward checking waits until one variable is free and solves
 for it; interval runs a two-phase interval reducer on every wake; arc
 (the hybrid scheme) runs that reducer while more than two variables
@@ -222,43 +224,43 @@ def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
 # -- disequality ---------------------------------------------------------------
 
 
-def post_diseq(rt: Runtime, x: int, y: int, offsets: tuple[int, ...]) -> bool:
-    """X != Y + c for every c in offsets, as one forward-checking
-    agent: binding either side excludes the implied values from the
-    other, in offset order."""
-    if x == y:
-        return 0 not in offsets  # X != X + c holds for every integer iff c != 0
+def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None) -> bool:
+    """Spawn X's forward-checking exclusion agent: Z != X + d for every
+    partner Z != X and offset d of each (partners, offsets) pair of
+    ``groups``.  It sleeps on ins of X; once X is bound to v it bars
+    v + d from each partner, in group, partner and offset order, and
+    ends.  A bound partner is tested by its value, a free one gets one
+    exclusion per offset.  With ``reduce`` it also wakes on bound and
+    dom of X and runs ``reduce`` on each wake and once at generation."""
     store = rt.store
-    vx = store.vars[x]
-    vy = store.vars[y]
+    vars_ = store.vars
+    vx = vars_[x]
 
-    def both_free():
-        return vx.domain.count != 1 and vy.domain.count != 1
-
-    def x_free():
+    def free():
         return vx.domain.count != 1
 
-    def exclude_from_x(_event):
-        v = vy.domain.lo
-        for c in offsets:
-            if not store.exclude(x, v + c):
-                return False
-        return True
-
-    def exclude_from_y(_event):
+    def exclude(_event):
         v = vx.domain.lo
-        for c in offsets:
-            if not store.exclude(y, v - c):
-                return False
+        for partners, offsets in groups:
+            for z in partners:
+                if z == x:
+                    continue
+                dz = vars_[z].domain
+                if dz.count == 1:
+                    if dz.lo - v in offsets:
+                        return False
+                    continue
+                for d in offsets:
+                    if not store.exclude(z, v + d):
+                        return False
         return True
 
-    rules = [
-        Rule(both_free, ((INS, x), (INS, y)), _true),
-        Rule(x_free, None, exclude_from_x),
-        Rule(None, None, exclude_from_y),
-    ]
-    name = f"neq(_{x},_{y},{','.join(f'{c:+d}' for c in offsets)})"
-    return rt.spawn(rules, name=name) is not None
+    if reduce is None:
+        first = Rule(free, ((INS, x),), _true)
+    else:
+        first = Rule(free, ((INS, x), (BOUND, x), (DOM, x)), reduce,
+                     run_on_generated=True)
+    return rt.spawn([first, Rule(None, None, exclude)], name=name) is not None
 
 
 # -- n-ary constraints -----------------------------------------------------------

@@ -372,25 +372,22 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _diseq_groups(constraints) -> dict[int, tuple[int, int, tuple[int, ...]]]:
-    """Merge the Diseq records on each unordered variable pair into one
-    (x, y, offsets) posting, oriented as the pair's first record and
-    keyed by that record's index.  Y != X + c joins as X != Y - c, and
-    a repeated offset is dropped."""
-    first: dict[tuple[int, int], int] = {}
-    groups: dict[int, tuple[int, int, list[int]]] = {}
-    for i, con in enumerate(constraints):
-        if not isinstance(con, Diseq):
+def _diseq_groups(constraints) -> dict[int, tuple]:
+    """The partner groups of each variable's exclusion agent, one
+    ((z,), offsets) group per partner in order of first mention: X != Y
+    + c gives X's agent offset -c on Y and Y's agent offset +c on X.  A
+    repeated offset is dropped, and so is X != X + c, which holds iff
+    c != 0 (build checks that)."""
+    offsets: dict[int, dict[int, list[int]]] = {}
+    for con in constraints:
+        if not isinstance(con, Diseq) or con.x == con.y:
             continue
-        j = first.setdefault((min(con.x, con.y), max(con.x, con.y)), i)
-        if j == i:
-            groups[i] = (con.x, con.y, [con.c])
-            continue
-        x, _, offsets = groups[j]
-        c = con.c if con.x == x else -con.c
-        if c not in offsets:
-            offsets.append(c)
-    return {i: (x, y, tuple(offsets)) for i, (x, y, offsets) in groups.items()}
+        for x, z, d in ((con.x, con.y, -con.c), (con.y, con.x, con.c)):
+            ds = offsets.setdefault(x, {}).setdefault(z, [])
+            if d not in ds:
+                ds.append(d)
+    return {x: tuple(((z,), tuple(ds)) for z, ds in partners.items())
+            for x, partners in offsets.items()}
 
 
 def build(model: Model, config: SolverConfig = SolverConfig(), *,
@@ -398,8 +395,9 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
           trace_stream=None) -> tuple[Store, Runtime, bool]:
     """Create a store and runtime for the model and post everything.
     Each equality and each n-ary sum becomes one agent at the config's
-    level.  The disequalities on one variable pair become a single agent,
-    posted at the place of the pair's first record.  The returned flag
+    level.  Each variable of a disequality gets one exclusion agent
+    ``neq(_x)`` for all its disequalities, posted at the place of its
+    first record; X != X + 0 fails there.  The returned flag
     is False when posting already failed; root propagation
     (run_to_fixpoint) is the caller's next step.  A trace_stream gets
     one line per activation."""
@@ -412,15 +410,16 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
         store.new_var(dom, vd.name)
     diseqs = _diseq_groups(model.constraints)
-    for i, con in enumerate(model.constraints):
+    for con in model.constraints:
         if isinstance(con, BinaryLinear):
             ok = post_binary(rt, con, level)
         elif isinstance(con, NaryLinear):
             ok = post_nary(rt, con, level)
         elif isinstance(con, Diseq):
-            if i not in diseqs:
-                continue  # merged into the agent of an earlier record
-            ok = post_diseq(rt, *diseqs[i])
+            ok = con.x != con.y or con.c != 0
+            for x in (con.x, con.y):
+                if ok and x in diseqs:  # not yet posted
+                    ok = post_diseq(rt, x, diseqs.pop(x), f"neq(_{x})")
         elif isinstance(con, Distinct):
             ok = post_alldistinct(rt, con.vars, strategy)
         else:
@@ -436,6 +435,7 @@ class SolveResult:
     backtracks: int
     activations: int
     queued: int  # event records queued: the runtime's post clock
+    walked: int  # watcher entries walked: the list lengths of the records taken
     agents: int  # agents after posting, before root propagation
     time_ms: int
     limit: Optional[str]  # the config's limit that cut the search short
@@ -473,5 +473,5 @@ def label_from_root(model: Model, config: SolverConfig, rt: Runtime, root_ok: bo
             raise ModelError(str(exc)) from None
         backtracks, limit = stats.backtracks, stats.limit
     elapsed = int((time.perf_counter() - started) * 1000)
-    return SolveResult(solutions, backtracks, rt.activations, rt.clock, agents, elapsed,
-                       limit, not root_ok)
+    return SolveResult(solutions, backtracks, rt.activations, rt.clock, rt.walked, agents,
+                       elapsed, limit, not root_ok)

@@ -122,7 +122,8 @@ class Runtime:
 
     ``queue`` holds one record per posted event.  ``clock`` counts the
     records queued; a record's sequence number is the clock after its
-    post.
+    post.  ``walked`` sums the watcher-list lengths of the records
+    taken: the watcher entries a fixpoint walks, ended agents included.
     ``consumed`` maps (agent id, var) to the clock at which a
     coalescing agent last consumed a bound wake on var; a bound record
     whose sequence number is not above that clock is a duplicate for
@@ -145,6 +146,7 @@ class Runtime:
         self._take = self._taker(queue_policy, queue_seed)
         self.trace = trace
         self.activations = 0
+        self.walked = 0
         self._trace_seq = 0
         self._trail: list[tuple[Agent, int]] = []
         store.event_sink = self._post_kind
@@ -273,6 +275,7 @@ class Runtime:
         trace = self.trace
         while queue:
             event, watchers, n, seq = take()
+            self.walked += n
             bound = event.kind == BOUND
             var = event.var
             for agent in watchers[:n]:

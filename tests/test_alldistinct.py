@@ -32,7 +32,7 @@ def test_linear_space_excludes_on_binding():
 
 
 def test_agent_counts_per_strategy():
-    for strategy, expect in ((Strategy.NAIVE_PAIRWISE, 6),
+    for strategy, expect in ((Strategy.NAIVE_PAIRWISE, 4),
                              (Strategy.LINEAR_SPACE, 4),
                              (Strategy.WEAK_AC, 4)):
         store, rt, xs = fresh([make_interval(1, 9)] * 4)

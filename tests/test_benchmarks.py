@@ -16,6 +16,8 @@ from fdprop.domain import DEFAULT_MAX_WIDTH
 from fdprop.linear import Diseq
 from fdprop.model import SolverConfig, build, parse_model, solve_model
 from fdprop.oracle import enumerate_solutions
+from fdprop.runtime import END
+from fdprop.search import label
 
 
 def test_queens_structure():
@@ -25,12 +27,32 @@ def test_queens_structure():
     assert len(diseqs) == 18  # three per pair, six pairs
 
 
-@pytest.mark.parametrize("n,agents", [(8, 28), (25, 300)])
-def test_queens_posts_one_agent_per_column_pair(n, agents):
-    # the three disequalities of a pair share one agent
+@pytest.mark.parametrize("n", [8, 25])
+def test_queens_posts_one_agent_per_column(n):
+    # every disequality on a column shares the column's one agent
     store, rt, ok = build(queens_model(n), SolverConfig())
     assert ok
-    assert len(rt.agents) == agents == n * (n - 1) // 2
+    assert [a.name for a in rt.agents] == [f"neq(_{i})" for i in range(n)]
+
+
+def test_queens_walks_no_ended_agent():
+    # an agent ends only when its column is bound, and its column posts
+    # no further ins before a backtrack puts the agent back to sleep
+    store, rt, ok = build(queens_model(8), SolverConfig())
+    take = rt._take
+    walked = []
+
+    def counting_take():
+        record = take()
+        _, watchers, n, _ = record
+        walked.extend(agent.rule for agent in watchers[:n])
+        return record
+
+    rt._take = counting_take
+    assert ok and rt.run_to_fixpoint()
+    _, solutions = label(rt, list(range(8)), all_solutions=True)
+    assert len(solutions) == 92
+    assert len(walked) == rt.walked > 0 and END not in walked
 
 
 def test_queens_unknown_and_bad_args():

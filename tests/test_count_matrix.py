@@ -66,8 +66,10 @@ def test_count_matrix_prints_work_totals(tmp_path, capsys):
     rows = [row for row in expected if row["model"] == only]
     fresh = rows[0]["activations"] + rows[1]["activations"]
     queued = rows[0]["queued"] + rows[1]["queued"]
+    walked = rows[0]["walked"] + rows[1]["walked"]
     rows[0]["activations"] += 2
     rows[1]["activations"] -= 1  # the fresh run rose on this row
+    del rows[0]["walked"]  # a row stored before the column: 0 -> fresh
     path = tmp_path / "COUNTS.json"
     path.write_text(json.dumps(expected), encoding="utf-8")
     assert tool.main(["--check", str(path), *exclude]) == 1
@@ -75,5 +77,6 @@ def test_count_matrix_prints_work_totals(tmp_path, capsys):
     assert lines[2:] == [
         f"activations over 2 moved row(s): {fresh + 1} -> {fresh}, rose on 1",
         f"queued over 2 moved row(s): {queued} -> {queued}, rose on 0",
+        f"walked over 2 moved row(s): {rows[1]['walked']} -> {walked}, rose on 1",
         "count matrix: 2 difference(s)",
     ]

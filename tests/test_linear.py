@@ -20,9 +20,11 @@ from fdprop.linear import (
     post_nary,
 )
 from fdprop.model import (
+    Distinct,
     Model,
     SolverConfig,
     VarDecl,
+    _diseq_groups,
     build,
     fixpoint_violations,
     parse_model,
@@ -139,29 +141,37 @@ def test_diseq_examples():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, y, (0,))
+    assert post_diseq(rt, x, (((y,), (0,)),), "neq(_0)")  # Y != X + 0
+    assert [a.name for a in rt.agents] == ["neq(_0)"]
     assert store.bind(x, 3) and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 2, 4, 5)
 
-    store, rt = fresh()
-    x = store.new_var(make_interval(3, 3))
-    y = store.new_var(make_interval(1, 5))
-    ok = post_diseq(rt, x, y, (2,)) and rt.run_to_fixpoint()
-    ok = ok and store.bind(y, 1) and rt.run_to_fixpoint()
-    assert not ok  # x = 3 = y + 2 is forced, contradiction
+    # X != Y + 2 as its two sides; both bound before either agent runs
+    for vx, vy, consistent in ((3, 1, False), (3, 2, True)):
+        store, rt = fresh()
+        x = store.new_var(make_interval(1, 5))
+        y = store.new_var(make_interval(1, 5))
+        assert post_diseq(rt, x, (((y,), (-2,)),), "neq(_0)")
+        assert post_diseq(rt, y, (((x,), (2,)),), "neq(_1)")
+        assert store.bind(x, vx) and store.bind(y, vy)
+        assert rt.run_to_fixpoint() == consistent
 
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, y, (0,)) and rt.run_to_fixpoint()
-    assert domain_values(store, x) == (1, 2, 3, 4, 5)  # both free: asleep
+    assert post_diseq(rt, x, (((y,), (0, 1, -1)),), "neq(_0)") and rt.run_to_fixpoint()
+    assert domain_values(store, y) == (1, 2, 3, 4, 5)  # x free: asleep
+    assert store.bind(x, 3) and rt.run_to_fixpoint()
+    assert domain_values(store, y) == (1, 5)  # every offset barred
 
 
 def test_diseq_same_variable():
-    store, rt = fresh()
-    x = store.new_var(make_interval(1, 5))
-    assert not post_diseq(rt, x, x, (0,))
-    assert post_diseq(rt, x, x, (2,))
+    def one_record(c):
+        return Model("m", [VarDecl("x", 1, 5)], [Diseq(0, 0, c)], [0])
+
+    assert not build(one_record(0))[2]  # X != X + 0 never holds
+    store, rt, ok = build(one_record(2))  # X != X + 2 always holds
+    assert ok and rt.agents == []
 
 
 def _with_pair_diseqs(rng, model):
@@ -180,13 +190,17 @@ def _with_pair_diseqs(rng, model):
 
 def _build_one_agent_per_diseq(model, policy):
     """Post every record but the disequalities through build, then one
-    single-offset agent per Diseq record."""
+    single-offset agent per side of each Diseq record."""
     others = [c for c in model.constraints if not isinstance(c, Diseq)]
     store, rt, ok = build(Model(model.name, model.vars, others, model.label_order),
                           queue_policy=policy, queue_seed=7)
     for con in model.constraints:
         if isinstance(con, Diseq):
-            ok = ok and post_diseq(rt, con.x, con.y, (con.c,))
+            if con.x == con.y:
+                ok = ok and con.c != 0
+                continue
+            ok = (ok and post_diseq(rt, con.x, (((con.y,), (-con.c,)),), f"neq(_{con.x})")
+                  and post_diseq(rt, con.y, (((con.x,), (con.c,)),), f"neq(_{con.y})"))
     return store, rt, ok
 
 
@@ -202,30 +216,121 @@ def _root_and_solutions(store, rt, ok, model):
 @pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
 def test_merged_diseq_posting_matches_one_agent_per_record(policy):
     rng = random.Random(21)
-    merged_pairs = 0
+    merged_agents = 0
     for trial in range(240):
         model = random_model(rng)
         if trial % 2:
             model = _with_pair_diseqs(rng, model)
-        store, rt, ok = build(model, queue_policy=policy, queue_seed=7)
-        # neq(_x,_y,+c1,+c2,...): more than two commas = several offsets
-        merged_pairs += sum(a.name.count(",") > 2 for a in rt.agents
-                            if a.name.startswith("neq("))
-        merged = _root_and_solutions(store, rt, ok, model)
+        # agents that hold more than one (partner, offset) pair
+        merged_agents += sum(sum(len(offsets) for _, offsets in groups) > 1
+                             for groups in _diseq_groups(model.constraints).values())
+        merged = _root_and_solutions(*build(model, queue_policy=policy, queue_seed=7),
+                                     model)
         single = _root_and_solutions(*_build_one_agent_per_diseq(model, policy), model)
         assert merged == single
         assert merged[1] == enumerate_solutions(model.to_ground())
-    assert merged_pairs > 60
+    assert merged_agents > 60
 
 
 def test_diseq_merge_edge_cases():
-    x_only = Model("m", [VarDecl("x", 1, 3)], [Diseq(0, 0, 0)], [0])
-    assert not build(x_only)[2]  # neq x x 0 fails at posting
-    pair = Model("m", [VarDecl("x", 1, 3), VarDecl("y", 1, 3)],
-                 [Diseq(0, 1, 1), Diseq(1, 0, -1)], [0, 1])
-    store, rt, ok = build(pair)
+    decls = [VarDecl("x", 1, 3), VarDecl("y", 1, 3), VarDecl("z", 1, 3)]
+    # Y != X - 1 is X != Y + 1 again; X != X + 3 is dropped
+    records = [Diseq(0, 1, 1), Diseq(1, 0, -1), Diseq(0, 0, 3), Diseq(2, 0, 0)]
+    assert _diseq_groups(records) == {
+        0: (((1,), (-1,)), ((2,), (0,))),
+        1: (((0,), (1,)),),
+        2: (((0,), (0,)),),
+    }
+    store, rt, ok = build(Model("m", decls, records, [0, 1, 2]))
     assert ok
-    assert [a.name for a in rt.agents] == ["neq(_0,_1,+1)"]
+    assert [a.name for a in rt.agents] == ["neq(_0)", "neq(_1)", "neq(_2)"]
+
+
+def _reference_fc_fixpoint(model, domains):
+    """Forward checking of every Diseq and Distinct of ``model`` on
+    Python sets: while some variable is bound to v, drop each value
+    X != Y + c forbids from its partner, until nothing changes.  None on
+    a wipe-out, and for X != X + 0, which no value satisfies."""
+    sides = []  # (x, z, d): x bound to v bars v + d from z
+    for con in model.constraints:
+        if isinstance(con, Diseq):
+            if con.x == con.y and con.c == 0:
+                return None
+            sides += [(con.x, con.y, -con.c), (con.y, con.x, con.c)]
+        else:
+            sides += [(x, z, 0) for x in con.vars for z in con.vars if z != x]
+    doms = [set(d) for d in domains]
+    changed = True
+    while changed:
+        changed = False
+        for x, z, d in sides:
+            if len(doms[x]) == 1 and min(doms[x]) + d in doms[z]:
+                doms[z].discard(min(doms[x]) + d)
+                if not doms[z]:
+                    return None
+                changed = True
+    return doms
+
+
+def _random_fc_model(rng):
+    """2-6 variables over small domains, holed ones among them, with
+    1-5 disequalities (the odd X != X + c) and all_distincts."""
+    n = rng.randint(2, 6)
+    decls = [random_domain(rng, 6) for _ in range(n)]
+    constraints = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.6:
+            x, y = rng.choice(range(n)), rng.choice(range(n))
+            constraints.append(Diseq(x, y, rng.randint(-2, 2)))
+        else:
+            k = rng.randint(2, min(4, n))
+            constraints.append(Distinct(tuple(rng.sample(range(n), k))))
+    return Model("fc", decls, constraints, list(range(n)))
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
+def test_forward_checking_reaches_reference_fixpoint(policy):
+    """Every Diseq and every all_distinct under linear and naive is
+    forward checking, whose closure is unique: the engine's domains
+    equal the set reference at the root, and again after 1-3 free
+    variables are bound before one run_to_fixpoint, so that partners
+    bound in one fixpoint meet.  An engine failure is a reference
+    wipe-out."""
+    rng = random.Random(0xFC)
+    samples = failed = pruned = 0
+
+    def agree(ok, store, given, context):
+        """Check the engine's fixpoint from ``given``; True if it lives."""
+        nonlocal samples, failed, pruned
+        samples += 1
+        expected = _reference_fc_fixpoint(model, given)
+        if expected is None:
+            assert not ok, context
+            failed += 1
+            return False
+        assert ok, context
+        assert [set(store.domain(x).values()) for x in range(len(given))] == expected, \
+            context
+        pruned += expected != given
+        return True
+
+    for trial in range(2000):
+        model = _random_fc_model(rng)
+        declared = [set(vd.values) if vd.values is not None
+                    else set(range(vd.lo, vd.hi + 1)) for vd in model.vars]
+        for strategy in ("linear", "naive"):
+            store, rt, ok = build(model, SolverConfig(level="fc", alldistinct=strategy),
+                                  queue_policy=policy, queue_seed=trial)
+            if not agree(ok and rt.run_to_fixpoint(), store, declared, (model, strategy)):
+                continue
+            free = [x for x in range(len(declared)) if store.domain(x).count > 1]
+            bound = dict.fromkeys(rng.sample(free, min(len(free), rng.randint(1, 3))))
+            for x in bound:
+                bound[x] = rng.choice(list(store.domain(x).values()))
+                assert store.bind(x, bound[x])
+            given = [{bound[x]} if x in bound else d for x, d in enumerate(declared)]
+            agree(rt.run_to_fixpoint(), store, given, (model, strategy, bound))
+    assert samples > 7000 and failed > 400 and pruned > 1200, (samples, failed, pruned)
 
 
 def test_unite_two_var_sum():

@@ -162,7 +162,7 @@ def test_cli_stats_json_reports_agents(tmp_path, capsys):
     assert main(["solve", "bench:queens(25)", "--stats-json", str(stats_path)]) == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     payload = json.loads(stats_path.read_text())
-    assert payload["agents"] == 300
+    assert payload["agents"] == 25
     assert last == ("stats: backtracks={backtracks} activations={activations} "
                     "solutions={solutions} time_ms={time_ms}".format(**payload))
 

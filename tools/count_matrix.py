@@ -2,14 +2,15 @@
 
 Each row is one first-solution solve of a benchmark configuration in
 one posting order, under one queue policy.  It records backtracks,
-solutions, activations, queued event records, agents (after posting),
-the first solution and a sha256 of the ``--trace`` activation stream.
-A change that must keep the engine's counts can be checked against the
-committed file; one that moves them shows, in the file's diff, exactly
-which runs moved.  ``activations`` and ``queued`` are work columns: a
-change that makes the engine do more work fails the check with the row
-named, and after the differences ``--check`` prints, per work column,
-its sum over the moved rows, stored -> fresh, and how many rows rose.
+solutions, activations, queued event records, watcher entries walked,
+agents (after posting), the first solution and a sha256 of the
+``--trace`` activation stream.  A change that must keep the engine's
+counts can be checked against the committed file; one that moves them
+shows, in the file's diff, exactly which runs moved.  ``activations``,
+``queued`` and ``walked`` are work columns: a change that makes the
+engine do more work fails the check with the row named, and after the
+differences ``--check`` prints, per work column, its sum over the moved
+rows, stored -> fresh, and how many rows rose.
 
     PYTHONPATH=src python tools/count_matrix.py --write COUNTS.json
     PYTHONPATH=src python tools/count_matrix.py --check COUNTS.json [--exclude alpha]
@@ -64,7 +65,7 @@ QUEUES = ("fifo", "lifo", "random")
 QUEUE_SEED = 0
 
 KEY = ("model", "level", "alldistinct", "order", "queue")
-WORK = ("activations", "queued")
+WORK = ("activations", "queued", "walked")
 
 
 class _TraceHash:
@@ -91,7 +92,8 @@ def run_row(name: str, level: str, alldistinct: str, order: int, queue: str) -> 
         "model": name, "level": level, "alldistinct": alldistinct,
         "order": order, "queue": queue,
         "backtracks": r.backtracks, "solutions": len(r.solutions),
-        "activations": r.activations, "queued": r.queued, "agents": r.agents,
+        "activations": r.activations, "queued": r.queued, "walked": r.walked,
+        "agents": r.agents,
         "first_solution": list(r.solutions[0]) if r.solutions else None,
         "trace_sha256": trace.sha.hexdigest(),
     }
