@@ -2,16 +2,16 @@
 
 Each strategy posts one forward-checking exclusion agent per list
 element, ``linear.post_diseq``: it sleeps until its variable is bound
-and then excludes the value from every other element.  NAIVE_PAIRWISE
-gives each agent one partner group per other element, as the pairwise
-disequalities would, so posting takes quadratic space.  LINEAR_SPACE
-gives every agent the constraint's one variable tuple, so posting
-takes memory linear in its length; pruning is identical.  WEAK_AC
-shares the tuple too and adds pigeonhole filtering on ins, bound and
-dom events of the element's variable: whenever the number of other
-domains contained in dom(X) reaches |dom(X)| - 1, the values of dom(X)
-are barred from every other domain, and exceeding it is an outright
-failure.
+and then excludes the value from every other element.  Every agent of
+one constraint shares the constraint's one variable tuple, so posting
+takes memory linear in its length.  LINEAR_SPACE is that agent alone.
+NAIVE_PAIRWISE names the same posting: the pairwise disequalities
+give each variable one exclusion agent over all its partners, the very
+agent LINEAR_SPACE posts, so the two strategies coincide.  WEAK_AC
+adds pigeonhole filtering on ins, bound and dom events of the
+element's variable: whenever the number of other domains contained in
+dom(X) reaches |dom(X)| - 1, the values of dom(X) are barred from
+every other domain, and exceeding it is an outright failure.
 """
 
 from __future__ import annotations
@@ -98,13 +98,9 @@ def post_alldistinct(rt: Runtime, vars: Sequence[int], strategy: Strategy) -> bo
     store = rt.store
     for x in vars:
         reduce = None
-        if strategy is Strategy.NAIVE_PAIRWISE:
-            groups = tuple(((z,), (0,)) for z in vars if z != x)
-        else:
-            groups = shared
-            if strategy is Strategy.WEAK_AC:
-                def reduce(_event, x=x):
-                    return outof_reducer(store, x, vars)
-        if not post_diseq(rt, x, groups, f"outof(_{x})", reduce):
+        if strategy is Strategy.WEAK_AC:
+            def reduce(_event, x=x):
+                return outof_reducer(store, x, vars)
+        if not post_diseq(rt, x, shared, f"outof(_{x})", reduce):
             return False
     return True
