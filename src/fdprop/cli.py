@@ -25,7 +25,7 @@ streams one tab-separated line per propagator activation to stderr:
 per predicate that defines the configuration's root fixpoint: interval
 consistency of every linear equality at ic and ac; at ac, arc
 consistency of every binary equality and of every n-ary sum left with
-two unbound variables (the pair the hybrid scheme posts at arc level);
+two unbound variables (the pair the hybrid scheme keeps arc consistent);
 weak arc consistency of every all_distinct under wac.  It then labels
 from that same root fixpoint for all solutions and compares them
 against the brute-force enumeration oracle.

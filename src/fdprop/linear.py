@@ -13,8 +13,9 @@ n-ary sum c + sum(a_i * X_i) = 0 is also one agent at each
 level: forward checking waits until one variable is free and solves
 for it; interval runs a two-phase interval reducer on every wake; arc
 (the hybrid scheme) runs that reducer while more than two variables
-are free and then posts one binary arc agent for the two that are
-left, through the same binary poster as a model's equality.
+are free and then switches to a pair rule in the same agent, which
+keeps the two that are left arc consistent with the binary agent's own
+steps.  No agent is spawned during search.
 
 All propagator arithmetic is validated against a signed 64-bit budget
 at posting time; models that could overflow it are rejected with
@@ -27,7 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .runtime import Rule, Runtime
-from .store import BOUND, DOM, INS
+from .store import BOUND, DOM, GENERATED, INS
 
 INT64_MAX = (1 << 63) - 1
 
@@ -142,6 +143,74 @@ def _revise(store, x, dx, a, dy, b, c) -> bool:
     return True
 
 
+def _solve_term(store, k, a, x) -> bool:
+    """k + a*X = 0 for one free variable X: bind X to -k/a, or check
+    k == 0 when a is 0."""
+    if a == 0:
+        return k == 0
+    q, r = divmod(-k, a)
+    return r == 0 and store.bind(x, q)
+
+
+class _Pair:
+    """a*X = b*Y + c over two distinct variables, negated when a < 0 so
+    that a >= 1, and the same solved for Y: ma*Y = mb*X + mc with
+    ma >= 1.  The state and the steps of a binary equality agent, and
+    of a hybrid sum's pair rule, which runs narrow, revise and step;
+    the sum's own commitment solves for its last free variable."""
+
+    __slots__ = ("store", "a", "x", "b", "y", "c", "ma", "mb", "mc", "vx", "vy")
+
+    def __init__(self, store, a, x, b, y, c):
+        if a < 0:
+            a, b, c = -a, -b, -c
+        self.store = store
+        self.a, self.x, self.b, self.y, self.c = a, x, b, y, c
+        self.ma, self.mb, self.mc = (b, a, -c) if b > 0 else (-b, -a, c)
+        self.vx = store.vars[x]
+        self.vy = store.vars[y]
+
+    def narrow(self) -> bool:
+        """Narrow each side to the range the other side's bounds allow."""
+        store = self.store
+        return (_narrow_from(store, self.x, self.a, self.vy.domain, self.b, self.c)
+                and _narrow_from(store, self.y, self.ma, self.vx.domain, self.mb, self.mc))
+
+    def revise(self) -> bool:
+        """Revise X against Y, then Y against X."""
+        store = self.store
+        return (_revise(store, self.x, self.vx.domain, self.a, self.vy.domain,
+                        self.b, self.c)
+                and _revise(store, self.y, self.vy.domain, self.ma, self.vx.domain,
+                            self.mb, self.mc))
+
+    def step(self, event) -> bool:
+        """One wake on a bound or dom event of X or Y.  A bound event
+        narrows the other side to the range the moved bounds allow; a
+        dom event excludes the excluded value's counterpart, in constant
+        time."""
+        if event.kind == DOM:
+            if event.var == self.x:
+                q, r = divmod(self.mb * event.value + self.mc, self.ma)
+                return r != 0 or self.store.exclude(self.y, q)
+            q, r = divmod(self.b * event.value + self.c, self.a)
+            return r != 0 or self.store.exclude(self.x, q)
+        if event.var == self.x:
+            return _narrow_from(self.store, self.y, self.ma, self.vx.domain,
+                                self.mb, self.mc)
+        return _narrow_from(self.store, self.x, self.a, self.vy.domain, self.b, self.c)
+
+    def solve_x(self, _event) -> bool:
+        """Y is bound: bind X to its one value."""
+        q, r = divmod(self.b * self.vy.domain.lo + self.c, self.a)
+        return r == 0 and self.store.bind(self.x, q)
+
+    def solve_y(self, _event) -> bool:
+        """X is bound: bind Y to its one value."""
+        q, r = divmod(self.mb * self.vx.domain.lo + self.mc, self.ma)
+        return r == 0 and self.store.bind(self.y, q)
+
+
 # Per level: the agent's name prefix and the events of X and Y it wakes on.
 _BINARY_AGENT = {
     ConsistencyLevel.FORWARD_CHECKING: ("eq_fwd", (INS,)),
@@ -152,30 +221,23 @@ _BINARY_AGENT = {
 
 def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
     """One agent for a*X = b*Y + c, a and b of either sign, as a model's
-    equality or an n-ary collapse gives it.  It checks no capacity: a
-    collapse's worst case is within the one ``post_nary`` checked for
-    the whole sum.  X == Y is solved at once, as (a - b)*X = c.
-    Otherwise the equation is negated when a < 0, so that a >= 1.
+    equality or a hybrid sum with two free terms at posting gives it.
+    It checks no capacity: such a sum's worst case is within the one
+    ``post_nary`` checked for the whole sum.  X == Y is solved at once,
+    as (a - b)*X = c.
 
     While both sides are free it sleeps on ins of X and Y, plus bound
-    (ic, ac) and dom (ac) of both.  A bound event narrows the other side
-    to the range the moved bounds allow; a dom event excludes the
-    excluded value's counterpart, in constant time.  At generation it
-    narrows both sides and, at ac, revises X against Y and then Y
-    against X.  Once a side is bound it solves the other and ends."""
+    (ic, ac) and dom (ac) of both, and runs ``_Pair.step`` on each
+    bound or dom wake.  At generation it narrows both sides and, at ac,
+    revises X against Y and then Y against X.  Once a side is bound it
+    solves the other and ends."""
     store = rt.store
     if x == y:
-        if a == b:
-            return c == 0
-        q, r = divmod(c, a - b)
-        return r == 0 and store.bind(x, q)
-    if a < 0:
-        a, b, c = -a, -b, -c
-    vx = store.vars[x]
-    vy = store.vars[y]
-    # the same constraint solved for Y: ma*Y = mb*X + mc with ma >= 1
-    ma, mb, mc = (b, a, -c) if b > 0 else (-b, -a, c)
+        return _solve_term(store, -c, a - b, x)
+    pair = _Pair(store, a, x, b, y, c)
+    vx, vy = pair.vx, pair.vy
     arc = level is ConsistencyLevel.ARC
+    step = pair.step
 
     def both_free():
         return vx.domain.count != 1 and vy.domain.count != 1
@@ -184,41 +246,20 @@ def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
         return vx.domain.count != 1
 
     def propagate(event):
-        kind = event.kind
-        if kind == DOM:
-            if event.var == x:
-                q, r = divmod(mb * event.value + mc, ma)
-                return r != 0 or store.exclude(y, q)
-            q, r = divmod(b * event.value + c, a)
-            return r != 0 or store.exclude(x, q)
-        if kind == BOUND:
-            if event.var == x:
-                return _narrow_from(store, y, ma, vx.domain, mb, mc)
-            return _narrow_from(store, x, a, vy.domain, b, c)
-        # the generated event
-        if not (_narrow_from(store, x, a, vy.domain, b, c)
-                and _narrow_from(store, y, ma, vx.domain, mb, mc)):
-            return False
-        return not arc or (_revise(store, x, vx.domain, a, vy.domain, b, c)
-                           and _revise(store, y, vy.domain, ma, vx.domain, mb, mc))
-
-    def solve_x(_event):
-        q, r = divmod(b * vy.domain.lo + c, a)
-        return r == 0 and store.bind(x, q)
-
-    def solve_y(_event):
-        q, r = divmod(mb * vx.domain.lo + mc, ma)
-        return r == 0 and store.bind(y, q)
+        if event.kind != GENERATED:
+            return step(event)
+        return pair.narrow() and (not arc or pair.revise())
 
     family, kinds = _BINARY_AGENT[level]
     watch = tuple((kind, v) for kind in kinds for v in (x, y))
     rules = [
         Rule(both_free, watch, propagate,
              run_on_generated=level is not ConsistencyLevel.FORWARD_CHECKING),
-        Rule(x_free, None, solve_x),
-        Rule(None, None, solve_y),
+        Rule(x_free, None, pair.solve_x),
+        Rule(None, None, pair.solve_y),
     ]
-    return rt.spawn(rules, name=f"{family}({a}*_{x}={b}*_{y}+{c})") is not None
+    name = f"{family}({pair.a}*_{x}={pair.b}*_{y}+{pair.c})"
+    return rt.spawn(rules, name=name) is not None
 
 
 # -- disequality ---------------------------------------------------------------
@@ -290,7 +331,7 @@ def _make_reducer(rt, c, terms):
     store = rt.store
     vars_ = store.vars
     n = len(terms)
-    term_vars = tuple((a, x, vars_[x]) for a, x in terms)
+    term_vars = tuple([(a, x, vars_[x]) for a, x in terms])
     backward = range(n - 1, -1, -1)
     # los[i], his[i]: the bounds of T_i, the sum before term i.  One
     # pair of lists per agent: an action never runs inside itself.
@@ -361,14 +402,24 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
     level.  While more variables are free than the level waits for, it
     sleeps on its terms' events; at ic and ac it runs the interval
     reducer on each wake and once at generation.  Then it folds the
-    bound terms into the constant and checks the ground sum, solves for
-    the last free variable, or posts one binary arc agent for the two
-    that are left."""
+    bound terms into the constant and checks the ground sum or solves
+    for the last free variable.
+
+    At ac the agent has a pair rule between the two: while exactly two
+    terms are free it also sleeps on dom of every term.  On entry it
+    folds the bound terms into the constant, keeps the survivors'
+    a*X = b*Y + c as a ``_Pair``, and narrows and revises both sides;
+    each later wake runs ``_Pair.step``, ignoring records of the other
+    terms' variables, which were queued before the switch.  Two
+    survivors on one variable are solved on entry instead.  A sum with
+    two or fewer free terms at posting spawns no hybrid agent: it is
+    checked, solved, or posted as one binary arc agent."""
     store = rt.store
     vars_ = store.vars
     c, terms = nc.c, nc.terms
     _check_nary_capacity(store, c, terms)
     suffix, kinds, commit_at = _NARY_AGENT[level]
+    arc = level is ConsistencyLevel.ARC
 
     def more_free():
         free = 0
@@ -379,7 +430,8 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
                     return True
         return False
 
-    def collapse(_event):
+    def fold():
+        """The constant with the bound terms folded in, and the free terms."""
         k = c
         free = []
         for a, x in terms:
@@ -388,21 +440,63 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
                 free.append((a, x))
             else:
                 k += a * d.lo
+        return k, free
+
+    def commit(_event):
+        k, free = fold()
         if not free:
             return k == 0
-        if len(free) == 1:
-            a, x = free[0]
-            q, r = divmod(-k, a)
-            return r == 0 and store.bind(x, q)
+        a, x = free[0]
+        return _solve_term(store, k, a, x)
+
+    if arc and not more_free():
+        k, free = fold()
+        if len(free) < 2:
+            return commit(None)
         (a1, x1), (a2, x2) = free
         # k + a1*X1 + a2*X2 = 0  ->  a1*X1 = (-a2)*X2 - k
-        return _spawn_binary(rt, a1, x1, -a2, x2, -k, ConsistencyLevel.ARC)
+        return _spawn_binary(rt, a1, x1, -a2, x2, -k, level)
 
     interval = level is not ConsistencyLevel.FORWARD_CHECKING
     guard = None if commit_at is None else more_free
-    watch = tuple((kind, x) for _, x in terms for kind in kinds)
+    watch = tuple([(kind, x) for _, x in terms for kind in kinds])
     rules = [Rule(guard, watch, _make_reducer(rt, c, terms) if interval else _true,
                   run_on_generated=interval)]
+    if arc:
+        rules.append(_pair_rule(store, terms, fold))
     if guard is not None:
-        rules.append(Rule(None, None, collapse))
+        rules.append(Rule(None, None, commit))
     return rt.spawn(rules, name=f"lin{len(terms)}{suffix}") is not None
+
+
+def _pair_rule(store, terms, fold) -> Rule:
+    """The hybrid agent's pair rule, for while exactly two terms are
+    free (see ``post_nary``).  ``pair`` holds the survivors' equation,
+    or None for two survivors on one variable, as of the latest entry.
+    It needs no trail: a backtrack that undoes an entry also moves the
+    agent off this rule, so the agent sleeps here only after the entry
+    that set ``pair``."""
+    vars_ = store.vars
+    pair = None
+
+    def two_free():
+        free = 0
+        for _, x in terms:
+            if vars_[x].domain.count != 1:
+                free += 1
+        return free == 2
+
+    def action(event):
+        nonlocal pair
+        if event.kind == GENERATED:
+            k, ((a1, x1), (a2, x2)) = fold()
+            if x1 == x2:
+                pair = None
+                return _solve_term(store, k, a1 + a2, x1)
+            pair = _Pair(store, a1, x1, -a2, x2, -k)
+            return pair.narrow() and pair.revise()
+        if pair is None or (event.var != pair.x and event.var != pair.y):
+            return True
+        return pair.step(event)
+
+    return Rule(two_free, tuple([(DOM, x) for _, x in terms]), action, True)

@@ -140,10 +140,11 @@ def fixpoint_violations(model: Model, domains: Sequence[Sequence[int]],
 
 
 def collapsed_pair(con: NaryLinear, domains: Sequence[Sequence[int]]):
-    """The binary equality the hybrid scheme posts for an n-ary sum once
-    exactly two of its terms, on two distinct variables, have more than
-    one value: (c', (a1, x1), (a2, x2)) for c' + a1*X1 + a2*X2 = 0, with
-    the singleton terms folded into c'.  None for any other sum."""
+    """The binary equality the hybrid scheme keeps arc consistent for an
+    n-ary sum once exactly two of its terms, on two distinct variables,
+    have more than one value: (c', (a1, x1), (a2, x2)) for
+    c' + a1*X1 + a2*X2 = 0, with the singleton terms folded into c'.
+    None for any other sum."""
     c = con.c
     free = []
     for a, x in con.terms:

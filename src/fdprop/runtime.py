@@ -3,8 +3,9 @@
 Agents are suspended computations attached to variables.  Each agent
 carries an ordered list of guarded rules; the first rule whose guard
 holds is selected, in textual order.  A rule with a watch set suspends
-the agent on those events; a rule without one (a commitment rule) runs
-its body and ends the agent.  An agent's only mutable state is the
+the agent on those events, and may ask to run its action each time the
+agent enters it; a rule without one (a commitment rule) runs its body
+and ends the agent.  An agent's only mutable state is the
 index of the action rule it sleeps on, or END once it has committed.
 The runtime alone owns suspension and its undo: suspending appends the
 agent to the watcher lists of its rule's watch set, and every change of
@@ -71,9 +72,10 @@ class Rule:
 
     guard: nullary predicate, side-effect free (None = always true).
     watch: tuple of (event kind, var id) to suspend on; None makes this
-    a commitment rule.  run_on_generated runs the action once before
-    the first suspension.  action: callable(event) -> bool, False
-    signalling constraint inconsistency.
+    a commitment rule.  run_on_generated runs the action, with the
+    generated event, each time the agent enters the rule: at generation,
+    or when a guard that fails on a wake falls through to it.  action:
+    callable(event) -> bool, False signalling constraint inconsistency.
     """
 
     __slots__ = ("guard", "watch", "run_on_generated", "action")
@@ -218,11 +220,13 @@ class Runtime:
 
     def _select(self, agent: Agent, start: int, event: Event) -> bool:
         """Find the first applicable rule from ``start`` onward; ``event``
-        is _GENERATED_EVENT at generation.  An action rule suspends the
-        agent and runs its action only at generation, if it asks to; a
-        commitment rule runs its action and, on success, ends the agent.
-        False = the agent fails.  A commitment at generation leaves the
-        rule at END and needs no trail entry."""
+        is _GENERATED_EVENT at generation, else the wake whose guard
+        failed.  An action rule suspends the agent and, if it asks to
+        (run_on_generated), runs its action with _GENERATED_EVENT, on
+        this entry only; a commitment rule runs its action with
+        ``event`` and, on success, ends the agent.  False = the agent
+        fails.  A commitment at generation leaves the rule at END and
+        needs no trail entry."""
         rules = agent.rules
         for idx in range(start, len(rules)):
             rule = rules[idx]
@@ -232,14 +236,15 @@ class Runtime:
             watch = rule.watch
             if watch is not None:
                 # action rule: suspend (register first so the agent hears
-                # the events its own generation-time action posts)
+                # the events its own entry-time action posts)
                 self._trail.append((agent, agent.rule))
                 agent.rule = idx
                 vars_ = self.store.vars
                 for kind, var in watch:
                     vars_[var].watchers[kind].append(agent)
-                if event is not _GENERATED_EVENT or not rule.run_on_generated:
+                if not rule.run_on_generated:
                     return True
+                event = _GENERATED_EVENT
             self.activations += 1
             ok = rule.action(event)
             if self.trace is not None:

@@ -55,6 +55,20 @@ def test_queens_walks_no_ended_agent():
     assert len(walked) == rt.walked > 0 and END not in walked
 
 
+@pytest.mark.parametrize("name", ["magic(4)", "eq10"])
+def test_ac_sums_spawn_no_agent_during_search(name, monkeypatch):
+    # each n-ary sum collapses inside its own hybrid agent
+    model = get_benchmark(name)
+    store, rt, ok = build(model, SolverConfig(level="ac"))
+    agents = len(rt.agents)
+    assert ok and rt.run_to_fixpoint()
+    spawned = []
+    monkeypatch.setattr(type(rt), "spawn", lambda *args, **kwargs: spawned.append(args))
+    _, solutions = label(rt, model.label_order)
+    assert len(solutions) == 1 and spawned == []
+    assert len(rt.agents) == agents
+
+
 def test_queens_unknown_and_bad_args():
     with pytest.raises(KeyError):
         get_benchmark("mystery")

@@ -1,3 +1,5 @@
+import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,9 +33,9 @@ from fdprop.model import (
     solve_model,
 )
 from fdprop.oracle import enumerate_solutions
-from fdprop.runtime import Runtime
+from fdprop.runtime import Event, Runtime
 from fdprop.search import label
-from fdprop.store import Store
+from fdprop.store import BOUND, DOM, INS, Store
 
 FC = ConsistencyLevel.FORWARD_CHECKING
 IC = ConsistencyLevel.INTERVAL
@@ -246,30 +248,137 @@ def test_diseq_merge_edge_cases():
     assert [a.name for a in rt.agents] == ["neq(_0)", "neq(_1)", "neq(_2)"]
 
 
-def _reference_fc_fixpoint(model, domains):
-    """Forward checking of every Diseq and Distinct of ``model`` on
-    Python sets: while some variable is bound to v, drop each value
-    X != Y + c forbids from its partner, until nothing changes.  None on
-    a wipe-out, and for X != X + 0, which no value satisfies."""
-    sides = []  # (x, z, d): x bound to v bars v + d from z
+def _fc_pass(sides, doms):
+    """One round of forward checking over (x, z, d) sides, each meaning
+    X bound to v bars v + d from Z: whether a domain changed, or None on
+    a wipe-out."""
+    changed = False
+    for x, z, d in sides:
+        if len(doms[x]) == 1 and min(doms[x]) + d in doms[z]:
+            doms[z].discard(min(doms[x]) + d)
+            if not doms[z]:
+                return None
+            changed = True
+    return changed
+
+
+def _bounds_pass(c, terms, doms):
+    """One round of bounds reasoning on c + sum(a*X) = 0: keep each
+    value v of a term's X with a*v inside the range the other terms'
+    bounds leave, term by term.  Whether a domain changed, or None on a
+    wipe-out."""
+    changed = False
+    for i, (a, x) in enumerate(terms):
+        rest_lo = rest_hi = c
+        for j, (b, y) in enumerate(terms):
+            if j != i:
+                ends = (b * min(doms[y]), b * max(doms[y]))
+                rest_lo += min(ends)
+                rest_hi += max(ends)
+        keep = {v for v in doms[x] if -rest_hi <= a * v <= -rest_lo}
+        if not keep:
+            return None
+        if keep != doms[x]:
+            doms[x] = keep
+            changed = True
+    return changed
+
+
+def _support_pass(c, terms, doms):
+    """Supports on c + sum(a*X) = 0: keep each value of a variable that
+    some assignment of all the sum's variables extends to a solution.
+    With one free variable this solves for it, with none it checks the
+    ground sum.  Whether a domain changed, or None on a wipe-out."""
+    scope = sorted({x for _, x in terms})
+    keep = {x: set() for x in scope}
+    solved = False
+    for values in itertools.product(*(sorted(doms[x]) for x in scope)):
+        value = dict(zip(scope, values))
+        if c + sum(a * value[x] for a, x in terms) == 0:
+            solved = True
+            for x, v in value.items():
+                keep[x].add(v)
+    if not solved:
+        return None
+    changed = any(keep[x] != doms[x] for x in scope)
+    for x in scope:
+        doms[x] = keep[x]
+    return changed
+
+
+def _reference_fixpoint(model, domains, level):
+    """The fixpoint of ``model`` at ``level`` ("fc", "ic" or "ac") by
+    chaotic iteration on Python sets from ``domains``: apply every
+    narrowing in turn until none changes a domain.  The narrowings are
+    monotone, so any order reaches their one greatest common fixpoint
+    (Apt, "The essence of constraint propagation", TCS 221, 1999).  None
+    on a wipe-out, and for X != X + 0, which no value satisfies.
+
+    - Each Diseq and Distinct is forward checked.
+    - Each linear equality, a*X = b*Y + c read as the sum
+      -c + a*X - b*Y = 0, with its free terms those of a variable with
+      more than one value:
+      - at ic, and at ac while more than two terms are free: bounds
+        reasoning;
+      - at ac with two or fewer free terms: supports, which keep a pair
+        arc consistent and solve or check a sum with one or no free
+        term;
+      - at fc: supports once one or no term is free."""
+    sides = []
+    sums = []
     for con in model.constraints:
         if isinstance(con, Diseq):
             if con.x == con.y and con.c == 0:
                 return None
             sides += [(con.x, con.y, -con.c), (con.y, con.x, con.c)]
-        else:
+        elif isinstance(con, Distinct):
             sides += [(x, z, 0) for x in con.vars for z in con.vars if z != x]
+        elif isinstance(con, BinaryLinear):
+            sums.append((-con.c, ((con.a, con.x), (-con.b, con.y))))
+        else:
+            sums.append((con.c, con.terms))
     doms = [set(d) for d in domains]
-    changed = True
-    while changed:
-        changed = False
-        for x, z, d in sides:
-            if len(doms[x]) == 1 and min(doms[x]) + d in doms[z]:
-                doms[z].discard(min(doms[x]) + d)
-                if not doms[z]:
-                    return None
-                changed = True
-    return doms
+    while True:
+        changed = _fc_pass(sides, doms)
+        if changed is None:
+            return None
+        for c, terms in sums:
+            free = sum(len(doms[x]) > 1 for _, x in terms)
+            if level == "ic" or (level == "ac" and free > 2):
+                step = _bounds_pass(c, terms, doms)
+            elif level == "ac" or free <= 1:
+                step = _support_pass(c, terms, doms)
+            else:
+                continue
+            if step is None:
+                return None
+            changed = changed or step
+        if not changed:
+            return doms
+
+
+class _Tally:
+    """Engine fixpoints checked against ``_reference_fixpoint``: how
+    many, how many the reference wiped out, and how many it pruned."""
+
+    def __init__(self):
+        self.samples = self.failed = self.pruned = 0
+
+    def agree(self, ok, store, model, given, level, context):
+        """Check the engine's fixpoint from ``given``: an engine failure
+        must be a reference wipe-out, and a live fixpoint must equal the
+        reference.  Returns the reference, or None on a wipe-out."""
+        self.samples += 1
+        expected = _reference_fixpoint(model, given, level)
+        if expected is None:
+            assert not ok, context
+            self.failed += 1
+            return None
+        assert ok, context
+        assert [set(store.domain(x).values()) for x in range(len(given))] == expected, \
+            context
+        self.pruned += expected != given
+        return expected
 
 
 def _random_fc_model(rng):
@@ -297,23 +406,7 @@ def test_forward_checking_reaches_reference_fixpoint(policy):
     bound in one fixpoint meet.  An engine failure is a reference
     wipe-out."""
     rng = random.Random(0xFC)
-    samples = failed = pruned = 0
-
-    def agree(ok, store, given, context):
-        """Check the engine's fixpoint from ``given``; True if it lives."""
-        nonlocal samples, failed, pruned
-        samples += 1
-        expected = _reference_fc_fixpoint(model, given)
-        if expected is None:
-            assert not ok, context
-            failed += 1
-            return False
-        assert ok, context
-        assert [set(store.domain(x).values()) for x in range(len(given))] == expected, \
-            context
-        pruned += expected != given
-        return True
-
+    tally = _Tally()
     for trial in range(2000):
         model = _random_fc_model(rng)
         declared = [set(vd.values) if vd.values is not None
@@ -321,7 +414,8 @@ def test_forward_checking_reaches_reference_fixpoint(policy):
         for strategy in ("linear", "naive"):
             store, rt, ok = build(model, SolverConfig(level="fc", alldistinct=strategy),
                                   queue_policy=policy, queue_seed=trial)
-            if not agree(ok and rt.run_to_fixpoint(), store, declared, (model, strategy)):
+            if tally.agree(ok and rt.run_to_fixpoint(), store, model, declared, "fc",
+                           (model, strategy)) is None:
                 continue
             free = [x for x in range(len(declared)) if store.domain(x).count > 1]
             bound = dict.fromkeys(rng.sample(free, min(len(free), rng.randint(1, 3))))
@@ -329,8 +423,68 @@ def test_forward_checking_reaches_reference_fixpoint(policy):
                 bound[x] = rng.choice(list(store.domain(x).values()))
                 assert store.bind(x, bound[x])
             given = [{bound[x]} if x in bound else d for x, d in enumerate(declared)]
-            agree(rt.run_to_fixpoint(), store, given, (model, strategy, bound))
-    assert samples > 7000 and failed > 400 and pruned > 1200, (samples, failed, pruned)
+            tally.agree(rt.run_to_fixpoint(), store, model, given, "fc",
+                        (model, strategy, bound))
+    assert tally.samples > 7000 and tally.failed > 400 and tally.pruned > 1200, \
+        vars(tally)
+
+
+def _random_linear_model(rng):
+    """``random_model``, and in about one in two a further sum of 3-4
+    terms drawn with replacement, so that a term's variable may repeat
+    and a hybrid sum can end with two free terms on one variable."""
+    model = random_model(rng)
+    if rng.random() < 0.5:
+        n = len(model.vars)
+        terms = tuple((rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(n))
+                      for _ in range(rng.randint(3, 4)))
+        mid = [(vd.lo + vd.hi) // 2 for vd in model.vars]
+        c = -sum(a * mid[x] for a, x in terms) + rng.randint(-3, 3)
+        model.constraints.append(NaryLinear(c, terms))
+    return model
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "random"])
+def test_linear_models_reach_reference_fixpoint(policy):
+    """Random models of binary and n-ary equalities, disequalities and
+    all_distincts, built at fc, ic and ac: the engine's domains equal
+    the set reference of ``_reference_fixpoint``.  It checks the root
+    fixpoint, then binds 1-3 free variables before one run_to_fixpoint,
+    twice, checking after each, so that terms bound together reach a
+    hybrid sum in one fixpoint and its pair is maintained across
+    fixpoints.  An engine failure is a reference wipe-out."""
+    rng = random.Random(0x14)
+    tally = _Tally()
+    pairs = 0  # ac samples with a sum of 3+ terms left with two free ones
+    for trial in range(3000):
+        model = _random_linear_model(rng)
+        sums = [con.terms for con in model.constraints
+                if isinstance(con, NaryLinear) and len(con.terms) > 2]
+        declared = [set(vd.values) if vd.values is not None
+                    else set(range(vd.lo, vd.hi + 1)) for vd in model.vars]
+        for level in ("fc", "ic", "ac"):
+            store, rt, ok = build(model, SolverConfig(level=level),
+                                  queue_policy=policy, queue_seed=trial)
+            given = list(declared)
+            fixpoints = [tally.agree(ok and rt.run_to_fixpoint(), store, model, given,
+                                     level, (model, level))]
+            for _ in range(2):
+                free = [x for x in range(len(given)) if store.domain(x).count > 1]
+                if fixpoints[-1] is None or not free:
+                    break
+                for x in rng.sample(free, min(len(free), rng.randint(1, 3))):
+                    value = rng.choice(list(store.domain(x).values()))
+                    assert store.bind(x, value)
+                    given[x] = {value}
+                fixpoints.append(tally.agree(rt.run_to_fixpoint(), store, model, given,
+                                             level, (model, level, given)))
+            if level == "ac":
+                pairs += sum(fixpoint is not None and any(
+                    sum(len(fixpoint[x]) > 1 for _, x in terms) == 2 for terms in sums)
+                    for fixpoint in fixpoints)
+    assert tally.samples > 15000 and tally.failed > 6000 and tally.pruned > 3500, \
+        vars(tally)
+    assert pairs > 80, pairs
 
 
 def test_unite_two_var_sum():
@@ -380,23 +534,12 @@ def _reference_bounds_fixpoint(c, terms, domains):
     keep each value v of X with a*v inside the range the other terms'
     bounds leave, until nothing changes.  None on a wipe-out."""
     doms = [set(d) for d in domains]
-    changed = True
-    while changed:
-        changed = False
-        for i, (a, x) in enumerate(terms):
-            rest_lo = rest_hi = c
-            for j, (b, y) in enumerate(terms):
-                if j != i:
-                    ends = (b * min(doms[y]), b * max(doms[y]))
-                    rest_lo += min(ends)
-                    rest_hi += max(ends)
-            keep = {v for v in doms[x] if -rest_hi <= a * v <= -rest_lo}
-            if not keep:
-                return None
-            if keep != doms[x]:
-                doms[x] = keep
-                changed = True
-    return doms
+    while True:
+        changed = _bounds_pass(c, terms, doms)
+        if changed is None:
+            return None
+        if not changed:
+            return doms
 
 
 def test_unite_reaches_reference_bounds_fixpoint():
@@ -531,9 +674,9 @@ def test_hybrid_collapse_prunes_like_brute_force():
 
 
 @pytest.mark.parametrize("s,c", [(1, -8), (-1, -4)])
-def test_hybrid_collapse_spawns_one_agent(s, c):
+def test_hybrid_collapse_stays_one_agent(s, c):
     # c + 2*x1 + s*x2 + x3 = 0 over 0..6; x3 = 2 leaves a binary
-    # equality whose arc fixpoint has holes
+    # equality whose arc fixpoint has holes, run by the sum's own agent
     brute = {(v1, v2) for v1 in range(7) for v2 in range(7)
              if c + 2 * v1 + s * v2 + 2 == 0}
     store, rt = fresh()
@@ -541,11 +684,64 @@ def test_hybrid_collapse_spawns_one_agent(s, c):
     assert post_nary(rt, NaryLinear(c, ((2, xs[0]), (s, xs[1]), (1, xs[2]))), AC)
     assert rt.run_to_fixpoint() and len(rt.agents) == 1
     assert store.bind(xs[2], 2) and rt.run_to_fixpoint()
-    assert [a.name.split("(")[0] for a in rt.agents] == ["lin3_hybrid", "eq_ac"]
+    assert [a.name for a in rt.agents] == ["lin3_hybrid"]
     assert set(domain_values(store, xs[0])) == {v1 for v1, _ in brute}
     assert set(domain_values(store, xs[1])) == {v2 for _, v2 in brute}
     assert store.bind(xs[0], 2) and rt.run_to_fixpoint()
-    assert (2, store.value(xs[1])) in brute and len(rt.agents) == 2
+    assert (2, store.value(xs[1])) in brute and len(rt.agents) == 1
+
+
+def test_hybrid_pair_ignores_a_queued_bound_of_the_third_term():
+    # x1 + x2 + x3 = 6 over 0..6.  One step moves x3's lower bound and
+    # then binds it, queueing bound(_2) and then ins(_2).  Under lifo
+    # the ins record is taken first: the agent falls through to the
+    # pair rule for x1 + x2 = 2 while bound(_2) still waits, and that
+    # stale record then reaches the pair rule, which must pass it by.
+    store = Store()
+    trace = io.StringIO()
+    rt = Runtime(store, queue_policy="lifo", trace=trace)
+    xs = [store.new_var(make_interval(0, 6)) for _ in range(3)]
+    assert post_nary(rt, NaryLinear(-6, tuple((1, x) for x in xs)), AC)
+    assert rt.run_to_fixpoint()
+    assert store.intersect(xs[2], 1, 6) and store.bind(xs[2], 4)
+    assert [repr(record[0]) for record in rt.queue] == ["bound(_2)", "ins(_2)"]
+    trace.seek(0)
+    trace.truncate()
+    assert rt.run_to_fixpoint()
+    pair_wakes = [line.split("\t")[2] for line in trace.getvalue().splitlines()
+                  if line.split("\t")[3] == "1"]
+    assert pair_wakes == ["generated", "bound(_1)", "bound(_0)", "bound(_2)"]
+    assert [a.name for a in rt.agents] == ["lin3_hybrid"]
+    assert domain_values(store, xs[0]) == domain_values(store, xs[1]) == (0, 1, 2)
+    # a record of a bound term's variable says nothing about the pair,
+    # whatever its kind: the pair rule changes no domain on it
+    pair_rule = rt.agents[0].rules[1]
+    for kind, value in ((BOUND, None), (INS, None), (DOM, 1)):
+        assert pair_rule.action(Event(kind, xs[2], value))
+        assert domain_values(store, xs[0]) == domain_values(store, xs[1]) == (0, 1, 2)
+    assert store.bind(xs[0], 0) and rt.run_to_fixpoint()
+    assert store.value(xs[1]) == 2
+
+
+def test_hybrid_entry_onto_one_variable_keeps_no_earlier_pair():
+    # x - x + y - z = 0 over 1..3.  Binding x first leaves the pair
+    # y = z; after the backtrack, binding y and z leaves two free terms
+    # on x, which hold for any x.  The pair rule stays the agent's rule
+    # but must have dropped y = z: records of y and z change nothing.
+    store, rt = fresh()
+    x, y, z = (store.new_var(make_interval(1, 3)) for _ in range(3))
+    assert post_nary(rt, NaryLinear(0, ((1, x), (-1, x), (1, y), (-1, z))), AC)
+    assert rt.run_to_fixpoint()
+    cp = rt.push_choice_point()
+    assert store.bind(x, 1) and rt.run_to_fixpoint()
+    assert store.bind(y, 2) and rt.run_to_fixpoint() and store.value(z) == 2
+    rt.backtrack_to(cp)
+    assert store.bind(y, 2) and store.bind(z, 2) and rt.run_to_fixpoint()
+    agent = rt.agents[0]
+    assert agent.rule == 1 and domain_values(store, x) == (1, 2, 3)
+    for event in (Event(DOM, y, 2), Event(BOUND, z, None)):
+        assert agent.rules[1].action(event)
+    assert [domain_values(store, v) for v in (x, y, z)] == [(1, 2, 3), (2,), (2,)]
 
 
 def test_hybrid_single_term_divisibility():
@@ -591,9 +787,11 @@ def test_hybrid_collapse_at_the_edge_of_the_budget():
                         f"lin 0 {big}*x {big}*y {-big}*z = 0\nlabel x y z\n")
     store, rt, ok = build(model, SolverConfig(level="ac"))
     assert ok and rt.run_to_fixpoint()
+    agents = len(rt.agents)
     rt.push_choice_point()
     assert store.bind(0, 1) and rt.run_to_fixpoint()
-    assert any(a.name.startswith("eq_ac(") for a in rt.agents)
+    assert len(rt.agents) == agents  # the sum collapses in place
+    assert (store.value(1), store.value(2)) == (0, 1)  # y - z = -1
     oracle = enumerate_solutions(model.to_ground())
     assert len(oracle) == 3
     result = solve_model(model, SolverConfig(level="ac", mode="all"))

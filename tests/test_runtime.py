@@ -274,6 +274,50 @@ def test_generated_action_hears_its_own_events():
     assert runs == ["generated", "bound(_0)"]
 
 
+@pytest.mark.parametrize("run_on_generated", [True, False])
+def test_guard_fall_through_enters_the_next_rule(run_on_generated):
+    """A wake whose guard fails falls through to the next action rule.
+    With run_on_generated the agent runs that rule's action on entry,
+    exactly once and with the generated event, though the wake that fell
+    through is also on the new rule's watch set; without it the agent
+    only suspends there.  Later wakes run the action with their own
+    event either way."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 9))
+    y = store.new_var(make_interval(1, 9))
+    runs = []
+    agent = rt.spawn([
+        Rule(lambda: store.domain(x).hi > 5, ((BOUND, x),), lambda e: True),
+        Rule(None, ((BOUND, x), (DOM, y)), lambda e: (runs.append(repr(e)), True)[1],
+             run_on_generated),
+    ])
+    assert agent.rule == 0 and runs == []
+    assert store.intersect(x, 1, 5) and rt.run_to_fixpoint()
+    entry = ["generated"] if run_on_generated else []
+    assert agent.rule == 1 and runs == entry
+    assert store.exclude(y, 4) and rt.run_to_fixpoint()
+    assert runs == entry + ["dom(_1,4)"]
+
+
+def test_failing_entry_action_fails_the_wake():
+    """An entry action that fails fails the fixpoint whose wake fell
+    through to it; the backtrack puts the agent back on its old rule and
+    takes it off the new rule's watcher lists."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 9))
+    agent = rt.spawn([
+        Rule(lambda: store.domain(x).hi > 5, ((BOUND, x),), lambda e: True),
+        Rule(None, ((DOM, x),), lambda e: False, True),
+    ])
+    before = store_snapshot(store)
+    cp = rt.push_choice_point()
+    assert store.intersect(x, 1, 5)
+    assert not rt.run_to_fixpoint()
+    assert agent.rule == 1
+    rt.backtrack_to(cp)
+    assert agent.rule == 0 and store_snapshot(store) == before
+
+
 def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
     """Once an agent commits (rule END), none of its actions runs again
     unless a backtrack undoes the commitment; a backtrack restores
