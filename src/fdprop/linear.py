@@ -1,24 +1,26 @@
 """Propagators for linear equality and disequality constraints.
 
-A binary constraint a*X = b*Y + c is one agent at each of three
-consistency levels that build on each other: forward checking (solve
-the other side once one side is bound), interval (also narrow each side
-to the range the other side's bounds allow) and arc (also exclude the
-counterpart of each inner exclusion).  Disequalities are forward
-checked by one exclusion agent per variable, the paper's
-``outof(X, Left, Right)`` generalised to offsets: it holds X's partners
-with their offsets and, once X is bound, excludes every implied value
-from them.  Every all_distinct strategy posts the same agent.  An
-n-ary sum c + sum(a_i * X_i) = 0 is also one agent at each
-level: forward checking waits until one variable is free and solves
-for it; interval runs a two-phase interval reducer on every wake; arc
-(the hybrid scheme) runs that reducer while more than two variables
-are free and then switches to a pair rule in the same agent, which
-keeps the two that are left arc consistent with the binary agent's own
-steps.  No agent is spawned during search.
+Every linear equality is a sum c + sum(a_i * X_i) = 0, one agent at
+each of three consistency levels: forward checking waits until one
+variable is free and solves for it; interval runs a two-phase interval
+reducer on every wake; arc (the hybrid scheme) runs that reducer while
+more than two variables are free and then switches to a pair rule in
+the same agent, which keeps the two that are left arc consistent.  A
+binary equality a*X = b*Y + c is the sum -c + a*X - b*Y = 0.  At
+interval and arc level a sum of two terms on distinct variables (at
+arc, of two free terms at posting) is the pair rule and the commitment
+alone; at interval level the rule narrows bounds but does not revise.
+No agent is spawned during search.
 
-All propagator arithmetic is validated against a signed 64-bit budget
-at posting time; models that could overflow it are rejected with
+Disequalities are forward checked by one exclusion agent per variable,
+the paper's ``outof(X, Left, Right)`` generalised to offsets: it holds
+X's partners with their offsets and, once X is bound, excludes every
+implied value from them.  Every all_distinct strategy posts the same
+agent.
+
+Each sum is checked at posting against a signed 64-bit budget,
+|c| + sum(|a_i| * max|X_i|), which bounds every intermediate value its
+propagators compute; a model that could exceed it is rejected with
 CapacityError before any agent is created.
 """
 
@@ -91,35 +93,32 @@ def _abs_max(domain) -> int:
     return max(abs(domain.lo), abs(domain.hi))
 
 
-def _check_binary_capacity(store, a, x, b, y, c) -> None:
-    worst = max(abs(a) * _abs_max(store.vars[x].domain),
-                abs(b) * _abs_max(store.vars[y].domain) + abs(c))
-    if worst > INT64_MAX:
-        raise CapacityError(f"binary constraint exceeds 64-bit budget ({worst})")
-
-
-def _check_nary_capacity(store, c, terms) -> None:
+def _check_capacity(store, c, terms, kind) -> None:
     worst = abs(c)
     for a, x in terms:
         worst += abs(a) * _abs_max(store.vars[x].domain)
     if worst > INT64_MAX:
-        raise CapacityError(f"n-ary constraint exceeds 64-bit budget ({worst})")
+        raise CapacityError(f"{kind} constraint exceeds 64-bit budget ({worst})")
 
 
 def _true(_event) -> bool:
     return True
 
 
-# -- binary constraints ------------------------------------------------------
+# -- binary equations ------------------------------------------------------------
 
 
 def post_binary(rt: Runtime, bc: BinaryLinear, level: ConsistencyLevel) -> bool:
-    """Check the 64-bit budget and spawn the one agent for a*X = b*Y + c
-    at the requested level.  Returns False on inconsistency found during
-    generation-time reduction."""
-    if bc.x != bc.y:
-        _check_binary_capacity(rt.store, bc.a, bc.x, bc.b, bc.y, bc.c)
-    return _spawn_binary(rt, bc.a, bc.x, bc.b, bc.y, bc.c, level)
+    """Post a*X = b*Y + c as the sum -c + a*X - b*Y = 0 (see
+    ``post_nary``), under the sum's 64-bit budget; its agent, if any, is
+    named ``eq_fwd``, ``eq_ic`` or ``eq_ac`` after the equation.  X == Y
+    is solved at once, as (a - b)*X = c.  Returns False on
+    inconsistency found at posting."""
+    c, terms = -bc.c, ((bc.a, bc.x), (-bc.b, bc.y))
+    if bc.x == bc.y:
+        return _solve(rt.store, c, terms)
+    _check_capacity(rt.store, c, terms, "binary")
+    return _post_sum(rt, c, terms, level, binary=True)
 
 
 def _narrow_from(store, x, a, dy, b, c) -> bool:
@@ -143,9 +142,26 @@ def _revise(store, x, dx, a, dy, b, c) -> bool:
     return True
 
 
-def _solve_term(store, k, a, x) -> bool:
-    """k + a*X = 0 for one free variable X: bind X to -k/a, or check
-    k == 0 when a is 0."""
+def _fold(vars_, c, terms):
+    """The constant of c + sum(a_i * X_i) with the bound terms folded
+    in, and the free terms."""
+    free = []
+    for a, x in terms:
+        d = vars_[x].domain
+        if d.count != 1:
+            free.append((a, x))
+        else:
+            c += a * d.lo
+    return c, free
+
+
+def _solve(store, c, terms) -> bool:
+    """c + sum(a_i * X_i) = 0 whose free terms share one variable X:
+    check the ground sum, or bind X to the value that solves it."""
+    k, free = _fold(store.vars, c, terms)
+    a = 0
+    for b, x in free:
+        a += b
     if a == 0:
         return k == 0
     q, r = divmod(-k, a)
@@ -153,15 +169,16 @@ def _solve_term(store, k, a, x) -> bool:
 
 
 class _Pair:
-    """a*X = b*Y + c over two distinct variables, negated when a < 0 so
-    that a >= 1, and the same solved for Y: ma*Y = mb*X + mc with
-    ma >= 1.  The state and the steps of a binary equality agent, and
-    of a hybrid sum's pair rule, which runs narrow, revise and step;
-    the sum's own commitment solves for its last free variable."""
+    """k + a1*X + a2*Y = 0 over two distinct variables, given as k and
+    its two terms, kept as a*X = b*Y + c with a >= 1 and solved for Y as
+    ma*Y = mb*X + mc with ma >= 1: the state and the steps of a pair
+    rule.  Its str is the equation as agent names show it."""
 
     __slots__ = ("store", "a", "x", "b", "y", "c", "ma", "mb", "mc", "vx", "vy")
 
-    def __init__(self, store, a, x, b, y, c):
+    def __init__(self, store, k, terms):
+        (a, x), (b, y) = terms
+        b, c = -b, -k
         if a < 0:
             a, b, c = -a, -b, -c
         self.store = store
@@ -169,6 +186,9 @@ class _Pair:
         self.ma, self.mb, self.mc = (b, a, -c) if b > 0 else (-b, -a, c)
         self.vx = store.vars[x]
         self.vy = store.vars[y]
+
+    def __str__(self):
+        return f"{self.a}*_{self.x}={self.b}*_{self.y}+{self.c}"
 
     def narrow(self) -> bool:
         """Narrow each side to the range the other side's bounds allow."""
@@ -199,67 +219,6 @@ class _Pair:
             return _narrow_from(self.store, self.y, self.ma, self.vx.domain,
                                 self.mb, self.mc)
         return _narrow_from(self.store, self.x, self.a, self.vy.domain, self.b, self.c)
-
-    def solve_x(self, _event) -> bool:
-        """Y is bound: bind X to its one value."""
-        q, r = divmod(self.b * self.vy.domain.lo + self.c, self.a)
-        return r == 0 and self.store.bind(self.x, q)
-
-    def solve_y(self, _event) -> bool:
-        """X is bound: bind Y to its one value."""
-        q, r = divmod(self.mb * self.vx.domain.lo + self.mc, self.ma)
-        return r == 0 and self.store.bind(self.y, q)
-
-
-# Per level: the agent's name prefix and the events of X and Y it wakes on.
-_BINARY_AGENT = {
-    ConsistencyLevel.FORWARD_CHECKING: ("eq_fwd", (INS,)),
-    ConsistencyLevel.INTERVAL: ("eq_ic", (INS, BOUND)),
-    ConsistencyLevel.ARC: ("eq_ac", (INS, BOUND, DOM)),
-}
-
-
-def _spawn_binary(rt, a, x, b, y, c, level) -> bool:
-    """One agent for a*X = b*Y + c, a and b of either sign, as a model's
-    equality or a hybrid sum with two free terms at posting gives it.
-    It checks no capacity: such a sum's worst case is within the one
-    ``post_nary`` checked for the whole sum.  X == Y is solved at once,
-    as (a - b)*X = c.
-
-    While both sides are free it sleeps on ins of X and Y, plus bound
-    (ic, ac) and dom (ac) of both, and runs ``_Pair.step`` on each
-    bound or dom wake.  At generation it narrows both sides and, at ac,
-    revises X against Y and then Y against X.  Once a side is bound it
-    solves the other and ends."""
-    store = rt.store
-    if x == y:
-        return _solve_term(store, -c, a - b, x)
-    pair = _Pair(store, a, x, b, y, c)
-    vx, vy = pair.vx, pair.vy
-    arc = level is ConsistencyLevel.ARC
-    step = pair.step
-
-    def both_free():
-        return vx.domain.count != 1 and vy.domain.count != 1
-
-    def x_free():
-        return vx.domain.count != 1
-
-    def propagate(event):
-        if event.kind != GENERATED:
-            return step(event)
-        return pair.narrow() and (not arc or pair.revise())
-
-    family, kinds = _BINARY_AGENT[level]
-    watch = tuple((kind, v) for kind in kinds for v in (x, y))
-    rules = [
-        Rule(both_free, watch, propagate,
-             run_on_generated=level is not ConsistencyLevel.FORWARD_CHECKING),
-        Rule(x_free, None, pair.solve_x),
-        Rule(None, None, pair.solve_y),
-    ]
-    name = f"{family}({pair.a}*_{x}={pair.b}*_{y}+{pair.c})"
-    return rt.spawn(rules, name=name) is not None
 
 
 # -- disequality ---------------------------------------------------------------
@@ -387,38 +346,43 @@ def _make_reducer(rt, c, terms):
     return reduce
 
 
-# Per level: the agent's name suffix, the events of each term it wakes
-# on, and the free-variable count it waits for before it commits (None:
-# it never commits).
-_NARY_AGENT = {
-    ConsistencyLevel.FORWARD_CHECKING: ("_fwd", (INS,), 1),
-    ConsistencyLevel.INTERVAL: ("", (INS, BOUND), None),
-    ConsistencyLevel.ARC: ("_hybrid", (INS, BOUND), 2),
+# Per level: the n-ary agent's name suffix, the events of each term it
+# wakes on, the free-variable count it waits for before it commits
+# (None: it never commits), and the name of an equation's agent.
+_SUM_AGENT = {
+    ConsistencyLevel.FORWARD_CHECKING: ("_fwd", (INS,), 1, "eq_fwd"),
+    ConsistencyLevel.INTERVAL: ("", (INS, BOUND), None, "eq_ic"),
+    ConsistencyLevel.ARC: ("_hybrid", (INS, BOUND), 2, "eq_ac"),
 }
 
 
 def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
-    """Spawn the one agent for c + sum(a_i * X_i) = 0 at the requested
-    level.  While more variables are free than the level waits for, it
-    sleeps on its terms' events; at ic and ac it runs the interval
-    reducer on each wake and once at generation.  Then it folds the
-    bound terms into the constant and checks the ground sum or solves
-    for the last free variable.
+    """Check the 64-bit budget and spawn the one agent, if any, for
+    c + sum(a_i * X_i) = 0 at the requested level.  While more
+    variables are free than the level waits for, it sleeps on its
+    terms' events; at ic and ac it runs the interval reducer on each
+    wake and once at generation.  Then it commits: it folds the bound
+    terms into the constant and checks the ground sum or solves for the
+    last free variable.  At ac a pair rule (``_pair_rule``), sleeping on
+    dom of every term, sits between the two.
 
-    At ac the agent has a pair rule between the two: while exactly two
-    terms are free it also sleeps on dom of every term.  On entry it
-    folds the bound terms into the constant, keeps the survivors'
-    a*X = b*Y + c as a ``_Pair``, and narrows and revises both sides;
-    each later wake runs ``_Pair.step``, ignoring records of the other
-    terms' variables, which were queued before the switch.  Two
-    survivors on one variable are solved on entry instead.  A sum with
-    two or fewer free terms at posting spawns no hybrid agent: it is
-    checked, solved, or posted as one binary arc agent."""
+    A pair agent is the pair rule, sleeping on ins and bound of its two
+    variables plus dom at ac, and the commitment; it is named ``eq_ic``
+    or ``eq_ac`` after a*X = b*Y + c.  At ic it serves a sum of exactly
+    two terms on distinct variables.  At ac it serves a sum with two
+    free terms at posting, the bound ones folded into the constant; a
+    sum with fewer, or with both on one variable, is checked or solved
+    at once and spawns no agent."""
+    _check_capacity(rt.store, nc.c, nc.terms, "n-ary")
+    return _post_sum(rt, nc.c, nc.terms, level)
+
+
+def _post_sum(rt, c, terms, level, binary=False) -> bool:
+    """Spawn the agent ``post_nary`` describes, checking no budget.
+    ``binary`` names the fc agent, too, after its equation."""
     store = rt.store
     vars_ = store.vars
-    c, terms = nc.c, nc.terms
-    _check_nary_capacity(store, c, terms)
-    suffix, kinds, commit_at = _NARY_AGENT[level]
+    suffix, kinds, commit_at, family = _SUM_AGENT[level]
     arc = level is ConsistencyLevel.ARC
 
     def more_free():
@@ -430,52 +394,47 @@ def post_nary(rt: Runtime, nc: NaryLinear, level: ConsistencyLevel) -> bool:
                     return True
         return False
 
-    def fold():
-        """The constant with the bound terms folded in, and the free terms."""
-        k = c
-        free = []
-        for a, x in terms:
-            d = vars_[x].domain
-            if d.count != 1:
-                free.append((a, x))
-            else:
-                k += a * d.lo
-        return k, free
+    if arc and not more_free():
+        c, terms = _fold(vars_, c, terms)
+        if len(terms) < 2 or terms[0][1] == terms[1][1]:
+            return _solve(store, c, terms)
+    interval = level is not ConsistencyLevel.FORWARD_CHECKING
+    pair = interval and len(terms) == 2 and terms[0][1] != terms[1][1]
+    if pair and arc:
+        kinds += (DOM,)
+    watch = tuple([(kind, x) for _, x in terms for kind in kinds])
+    if pair:
+        rules = [_pair_rule(store, c, terms, watch, arc)]
+    else:
+        guard = None if commit_at is None else more_free
+        rules = [Rule(guard, watch, _make_reducer(rt, c, terms) if interval else _true,
+                      run_on_generated=interval)]
+        if arc:
+            rules.append(_pair_rule(store, c, terms, tuple([(DOM, x) for _, x in terms]), True))
 
     def commit(_event):
-        k, free = fold()
-        if not free:
-            return k == 0
-        a, x = free[0]
-        return _solve_term(store, k, a, x)
+        return _solve(store, c, terms)
 
-    if arc and not more_free():
-        k, free = fold()
-        if len(free) < 2:
-            return commit(None)
-        (a1, x1), (a2, x2) = free
-        # k + a1*X1 + a2*X2 = 0  ->  a1*X1 = (-a2)*X2 - k
-        return _spawn_binary(rt, a1, x1, -a2, x2, -k, level)
-
-    interval = level is not ConsistencyLevel.FORWARD_CHECKING
-    guard = None if commit_at is None else more_free
-    watch = tuple([(kind, x) for _, x in terms for kind in kinds])
-    rules = [Rule(guard, watch, _make_reducer(rt, c, terms) if interval else _true,
-                  run_on_generated=interval)]
-    if arc:
-        rules.append(_pair_rule(store, terms, fold))
-    if guard is not None:
+    if pair or commit_at is not None:
         rules.append(Rule(None, None, commit))
-    return rt.spawn(rules, name=f"lin{len(terms)}{suffix}") is not None
+    name = (f"{family}({_Pair(store, c, terms)})" if pair or binary
+            else f"lin{len(terms)}{suffix}")
+    return rt.spawn(rules, name=name) is not None
 
 
-def _pair_rule(store, terms, fold) -> Rule:
-    """The hybrid agent's pair rule, for while exactly two terms are
-    free (see ``post_nary``).  ``pair`` holds the survivors' equation,
-    or None for two survivors on one variable, as of the latest entry.
-    It needs no trail: a backtrack that undoes an entry also moves the
-    agent off this rule, so the agent sleeps here only after the entry
-    that set ``pair``."""
+def _pair_rule(store, c, terms, watch, arc) -> Rule:
+    """The pair rule of c + sum(a_i * X_i) = 0, for while exactly two
+    terms are free, sleeping on ``watch``.  On entry it folds the bound
+    terms into the constant, keeps the two survivors as a ``_Pair``,
+    narrows both sides and, with ``arc``, revises them; two survivors
+    on one variable are solved on entry instead.  Each later wake runs
+    ``_Pair.step``, ignoring records of other variables: a hybrid sum's
+    bound terms, queued before the switch.
+
+    ``pair`` holds the survivors' equation, or None for two survivors
+    on one variable, as of the latest entry.  It needs no trail: a
+    backtrack that undoes an entry also moves the agent off this rule,
+    so the agent sleeps here only after the entry that set ``pair``."""
     vars_ = store.vars
     pair = None
 
@@ -489,14 +448,14 @@ def _pair_rule(store, terms, fold) -> Rule:
     def action(event):
         nonlocal pair
         if event.kind == GENERATED:
-            k, ((a1, x1), (a2, x2)) = fold()
-            if x1 == x2:
+            k, free = _fold(vars_, c, terms)
+            if free[0][1] == free[1][1]:
                 pair = None
-                return _solve_term(store, k, a1 + a2, x1)
-            pair = _Pair(store, a1, x1, -a2, x2, -k)
-            return pair.narrow() and pair.revise()
+                return _solve(store, k, free)
+            pair = _Pair(store, k, free)
+            return pair.narrow() and (not arc or pair.revise())
         if pair is None or (event.var != pair.x and event.var != pair.y):
             return True
         return pair.step(event)
 
-    return Rule(two_free, tuple([(DOM, x) for _, x in terms]), action, True)
+    return Rule(two_free, watch, action, True)

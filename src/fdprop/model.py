@@ -395,10 +395,10 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
           queue_policy: str = "fifo", queue_seed: Optional[int] = None,
           trace_stream=None) -> tuple[Store, Runtime, bool]:
     """Create a store and runtime for the model and post everything.
-    Each equality and each n-ary sum becomes one agent at the config's
-    level.  Each variable of a disequality gets one exclusion agent
-    ``neq(_x)`` for all its disequalities, posted at the place of its
-    first record; X != X + 0 fails there.  The returned flag
+    Each equality and each n-ary sum becomes at most one agent at the
+    config's level.  Each variable of a disequality gets one exclusion
+    agent ``neq(_x)`` for all its disequalities, posted at the place of
+    its first record; X != X + 0 fails there.  The returned flag
     is False when posting already failed; root propagation
     (run_to_fixpoint) is the caller's next step.  A trace_stream gets
     one line per activation."""

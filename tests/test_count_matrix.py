@@ -78,5 +78,7 @@ def test_count_matrix_prints_work_totals(tmp_path, capsys):
         f"activations over 2 moved row(s): {fresh + 1} -> {fresh}, rose on 1",
         f"queued over 2 moved row(s): {queued} -> {queued}, rose on 0",
         f"walked over 2 moved row(s): {rows[1]['walked']} -> {walked}, rose on 1",
+        "activations moved on 2 row(s)",
+        "walked moved on 1 row(s)",
         "count matrix: 2 difference(s)",
     ]

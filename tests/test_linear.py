@@ -127,16 +127,25 @@ def test_nary_rejects_empty_sum_and_zero_coefficient():
 @pytest.mark.parametrize("level,family", [(FC, "eq_fwd"), (IC, "eq_ic"), (AC, "eq_ac")],
                          ids=["fc", "ic", "ac"])
 def test_binary_posts_one_agent_per_level(level, family):
-    # the name prefix is the agent family the perfbench tracer counts
-    store, rt = fresh()
-    x = store.new_var(make_set([1, 3, 4, 6]))
-    y = store.new_var(make_interval(0, 9))
-    assert post_binary(rt, BinaryLinear(2, x, 1, y, 2), level)
-    assert len(rt.agents) == 1
-    assert rt.agents[0].name == f"{family}(2*_{x}=1*_{y}+2)"
-    assert rt.run_to_fixpoint()
-    assert store.bind(x, 3) and rt.run_to_fixpoint()
-    assert store.value(y) == 4 and len(rt.agents) == 1
+    # the name prefix is the agent family the perfbench tracer counts; the
+    # eq record and its lin twin -2 + 2x - y = 0 post one agent alike,
+    # a pair agent at ic and ac and the sum's own agent at fc
+    pair = f"{family}(2*_0=1*_1+2)"
+    roots = []
+    for post, con, name in (
+            (post_binary, BinaryLinear(2, 0, 1, 1, 2), pair),
+            (post_nary, NaryLinear(-2, ((2, 0), (-1, 1))),
+             "lin2_fwd" if level is FC else pair)):
+        store, rt = fresh()
+        x = store.new_var(make_set([1, 3, 4, 6]))
+        y = store.new_var(make_interval(0, 9))
+        assert post(rt, con, level)
+        assert [a.name for a in rt.agents] == [name]
+        assert rt.run_to_fixpoint()
+        roots.append(domain_snapshot(store))
+        assert store.bind(x, 3) and rt.run_to_fixpoint()
+        assert store.value(y) == 4 and len(rt.agents) == 1
+    assert roots[0] == roots[1]
 
 
 def test_diseq_examples():
@@ -485,6 +494,47 @@ def test_linear_models_reach_reference_fixpoint(policy):
     assert tally.samples > 15000 and tally.failed > 6000 and tally.pruned > 3500, \
         vars(tally)
     assert pairs > 80, pairs
+
+
+def test_two_term_sums_reach_reference_fixpoint():
+    """Two-term sums with terms drawn with replacement, built at fc, ic
+    and ac: the engine's domains equal ``_reference_fixpoint`` at the
+    root and after one free variable is bound.  At ic a sum on two
+    variables is a pair agent, which narrows bounds but does not
+    revise, and a sum on one variable keeps the interval reducer: both
+    stop at the bounds fixpoint, short of solving (a + b)*X = -c."""
+    rng = random.Random(0x23)
+    tally = _Tally()
+    one_var_ic = 0  # live ic fixpoints of a sum with both terms on one free variable
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        terms = tuple((rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(n))
+                      for _ in range(2))
+        decls = [random_domain(rng, 6) for _ in range(n)]
+        c = -sum(a * ((decls[x].lo + decls[x].hi) // 2) for a, x in terms) + rng.randint(-3, 3)
+        model = Model("two", decls, [NaryLinear(c, terms)], list(range(n)))
+        declared = [set(vd.values) if vd.values is not None
+                    else set(range(vd.lo, vd.hi + 1)) for vd in model.vars]
+        for level in ("fc", "ic", "ac"):
+            store, rt, ok = build(model, SolverConfig(level=level))
+            root = tally.agree(ok and rt.run_to_fixpoint(), store, model, declared,
+                               level, (model, level))
+            if root is None:
+                continue
+            x = terms[0][1]
+            if level == "ic" and terms[1][1] == x and len(root[x]) > 1:
+                one_var_ic += 1
+            free = [v for v in range(n) if len(root[v]) > 1]
+            if free:
+                v = rng.choice(free)
+                value = rng.choice(sorted(root[v]))
+                assert store.bind(v, value)
+                given = [{value} if u == v else d for u, d in enumerate(declared)]
+                tally.agree(rt.run_to_fixpoint(), store, model, given, level,
+                            (model, level, given))
+    assert tally.samples > 4000 and tally.failed > 1500 and tally.pruned > 1200, \
+        vars(tally)
+    assert one_var_ic > 40, one_var_ic
 
 
 def test_unite_two_var_sum():

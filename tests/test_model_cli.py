@@ -398,13 +398,22 @@ def test_posting_capacity_cap_exits_2(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
 
 
+# x - y = -1 at the top of int64: each side fits in 64 bits, yet solving
+# for y computes 2^63
+EDGE_EQ = ("var x in 9223372036853727232..9223372036854775807\n"
+           "var y in 9223372036853727231..9223372036854775806\n"
+           "eq 1*x = 1*y + -1\nlabel x y\n")
+
+
 def test_binary_posting_capacity_cap_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.model"
-    path.write_text("var x in 0..2\nvar y in 0..2\n"
-                    "eq 9000000000000000000*x = 1*y + 0\nlabel x y\n")
-    assert main(["solve", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: binary constraint exceeds 64-bit budget")
+    for text in ("var x in 0..2\nvar y in 0..2\n"
+                 "eq 9000000000000000000*x = 1*y + 0\nlabel x y\n", EDGE_EQ):
+        path.write_text(text)
+        assert main(["solve", str(path), "--level", "fc", "--all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused at posting, before any search
+        assert err.startswith("error: binary constraint exceeds 64-bit budget")
 
 
 def test_same_variable_equality_without_integer_solution_fails_at_root():

@@ -10,7 +10,8 @@ shows, in the file's diff, exactly which runs moved.  ``activations``,
 ``queued`` and ``walked`` are work columns: a change that makes the
 engine do more work fails the check with the row named, and after the
 differences ``--check`` prints, per work column, its sum over the moved
-rows, stored -> fresh, and how many rows rose.
+rows, stored -> fresh, and how many rows rose, and then, per field
+that moved, how many rows it moved on.
 
     PYTHONPATH=src python tools/count_matrix.py --write COUNTS.json
     PYTHONPATH=src python tools/count_matrix.py --check COUNTS.json [--exclude alpha]
@@ -149,6 +150,17 @@ def work_totals(moved_rows: list[tuple[dict, dict]]) -> list[str]:
     return lines
 
 
+def field_moves(moved_rows: list[tuple[dict, dict]]) -> list[str]:
+    """One line per field that moved, in row order: the number of
+    moved rows it moved on.  ``moved_rows`` is not empty."""
+    lines = []
+    for field in moved_rows[0][1]:
+        moved = sum(old.get(field) != row[field] for old, row in moved_rows)
+        if moved:
+            lines.append(f"{field} moved on {moved} row(s)")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -170,7 +182,7 @@ def main(argv=None) -> int:
     for line in problems:
         print(line)
     if moved_rows:
-        for line in work_totals(moved_rows):
+        for line in work_totals(moved_rows) + field_moves(moved_rows):
             print(line)
     print(f"count matrix: {len(problems)} difference(s)")
     return 1 if problems else 0
