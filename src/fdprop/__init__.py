@@ -51,7 +51,7 @@ from .oracle import (
     check_weak_arc_consistent,
     enumerate_solutions,
 )
-from .runtime import Agent, Event, Rule, Runtime
+from .runtime import Agent, Event, LimitReached, Rule, Runtime
 from .search import SearchStats, label
 from .store import (
     BOUND,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from .domain import is_subset_of
+from .domain import is_subset_of, members
 from .linear import post_diseq
 from .runtime import Runtime
 from .store import Store
@@ -45,31 +45,31 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
     elements may fail the subset test: the scan returns True as soon as
     one more has failed, and at once when that allowance is negative.
     A bound element is tested by its value, an unbound one by size and
-    bounds first; ``is_subset_of`` runs only when dom(x) has holes,
-    those tests pass and the domain is not the very object dom(x), as
-    x's own entry's is.
+    bounds first; ``is_subset_of``, given the two variables, runs only
+    when dom(x) has holes, those tests pass and the element is not x
+    itself.
     """
     vars_ = store.vars
-    dx = vars_[x].domain
-    n = dx.count
+    vx = vars_[x]
+    n = vx.count
     # how many more elements may still fail the subset test
     spare = len(scope) - n
     if spare < 0:
         return True
-    lo = dx.lo
-    hi = dx.hi
-    bits = dx.bits
+    lo = vx.lo
+    hi = vx.hi
+    bits = vx.bits
     outside = []
     for z in scope:
-        dz = vars_[z].domain
-        count = dz.count
+        vz = vars_[z]
+        count = vz.count
         if count == 1:
-            v = dz.lo
+            v = vz.lo
             if lo <= v <= hi and (bits is None or (bits >> (v - lo)) & 1):
                 continue
         else:
-            if (count <= n and lo <= dz.lo and dz.hi <= hi
-                    and (bits is None or dz is dx or is_subset_of(dz, dx))):
+            if (count <= n and lo <= vz.lo and vz.hi <= hi
+                    and (bits is None or vz is vx or is_subset_of(vz, vx))):
                 continue
             outside.append(z)
         spare -= 1
@@ -78,7 +78,7 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int]) -> bool:
     if spare > 0:  # m > n
         return False
     # m == n
-    values = list(dx.values())
+    values = list(members(lo, hi, bits))
     for z in outside:
         for v in values:
             if not store.exclude(z, v):

@@ -31,7 +31,8 @@ from that same root fixpoint for all solutions and compares them
 against the brute-force enumeration oracle.
 
 --max-backtracks and --time-limit bound the search of ``solve`` and
-``verify``.  When one is hit, ``solve`` still prints the solutions found
+``verify``; --time-limit also bounds each fixpoint, root propagation
+included.  When one is hit, ``solve`` still prints the solutions found
 so far and its stats line; both then exit 5.
 
 Exit codes: 0 success, 2 model/parse/option or file I/O error, 3
@@ -66,6 +67,7 @@ from .model import (
     solve_model,
 )
 from .oracle import DEFAULT_CAP, CapExceeded, enumerate_solutions
+from .runtime import LimitReached
 from .store import InvariantError
 
 EXIT_OK = 0
@@ -96,11 +98,11 @@ def _config(args, mode: str) -> SolverConfig:
                         time_limit=args.time_limit)
 
 
-def _limit_reached(result) -> bool:
+def _limit_reached(limit) -> bool:
     """Report a search cut short by --max-backtracks or --time-limit."""
-    if result.limit is None:
+    if limit is None:
         return False
-    print(f"error: search limit reached ({result.limit})", file=sys.stderr)
+    print(f"error: search limit reached ({limit})", file=sys.stderr)
     return True
 
 
@@ -145,7 +147,7 @@ def _cmd_solve(args) -> int:
     finally:
         if created and not written:
             os.remove(path)  # an error exit leaves no file of its own
-    if _limit_reached(result):
+    if _limit_reached(result.limit):
         return EXIT_LIMIT
     if args.expect_sat and not result.solutions:
         return EXIT_UNSAT
@@ -168,7 +170,12 @@ def _cmd_verify(args) -> int:
     config = _config(args, ALL_SOLUTIONS)
     started = time.perf_counter()
     store, rt, ok = build(model, config)
-    ok = ok and rt.run_to_fixpoint()
+    rt.deadline = config.deadline(started)
+    try:
+        ok = ok and rt.run_to_fixpoint()
+    except LimitReached as exc:
+        _limit_reached(str(exc))
+        return EXIT_LIMIT
     root_s = time.perf_counter() - started
     for line in _root_consistency_report(model, config, store, ok):
         print(line)
@@ -182,7 +189,7 @@ def _cmd_verify(args) -> int:
         return EXIT_MODEL_ERROR
     # the time limit also counts the root propagation, not the oracle
     result = label_from_root(model, config, rt, ok, time.perf_counter() - root_s)
-    if _limit_reached(result):
+    if _limit_reached(result.limit):
         return EXIT_LIMIT
     agree = set(result.solutions) == expected
     print(f"solutions agree: {'yes' if agree else 'no'} "

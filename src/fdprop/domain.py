@@ -1,10 +1,17 @@
 """Finite integer domains.
 
 A domain is a contiguous interval [lo, hi] or, when it has holes, an
-interval plus a bit vector of the surviving elements.  Domains are
-immutable: narrowing operations return a fresh domain together with a
-delta that classifies what changed, which is what drives event posting
-upstream.
+interval plus a bit vector of the surviving elements.  ``FiniteDomain``
+is an immutable value: models are parsed into it, the store seeds its
+variables from it and hands out snapshots of them as it, and the oracle
+and tests compare against it.  The store narrows a variable's four
+fields in place and classifies each change itself.
+
+``exclude_value`` and ``intersect_range`` return a fresh domain and a
+``DomainDelta`` that classifies what changed.  The engine no longer
+calls them: they are kept as the reference classification for tests
+and because perfbench's tracer still patches the store's binding of
+them by name.
 """
 
 from __future__ import annotations
@@ -82,17 +89,7 @@ class FiniteDomain:
 
     def values(self) -> Iterator[int]:
         """Iterate members in ascending order."""
-        if self.bits is None:
-            return iter(range(self.lo, self.hi + 1))
-        return self._iter_bits()
-
-    def _iter_bits(self) -> Iterator[int]:
-        bits = self.bits
-        lo = self.lo
-        while bits:
-            low = bits & -bits
-            yield lo + low.bit_length() - 1
-            bits ^= low
+        return members(self.lo, self.hi, self.bits)
 
     def __repr__(self):
         if self.count == 0:
@@ -103,6 +100,22 @@ class FiniteDomain:
 
 
 EMPTY_DOMAIN = FiniteDomain(0, -1, 0)
+
+
+def members(lo: int, hi: int, bits: Optional[int]) -> Iterator[int]:
+    """Iterate, in ascending order, the members of the domain with these
+    fields.  The fields are read at the call, so the caller may narrow
+    the variable they came from while it iterates."""
+    if bits is None:
+        return iter(range(lo, hi + 1))
+    return _iter_bits(lo, bits)
+
+
+def _iter_bits(lo: int, bits: int) -> Iterator[int]:
+    while bits:
+        low = bits & -bits
+        yield lo + low.bit_length() - 1
+        bits ^= low
 
 
 def make_interval(lo: int, hi: int) -> FiniteDomain:
@@ -208,8 +221,9 @@ def intersect_range(d: FiniteDomain, lo: int, hi: int) -> tuple[FiniteDomain, Do
     return nd, BOUND_CHANGED
 
 
-def is_subset_of(d1: FiniteDomain, d2: FiniteDomain) -> bool:
-    """True iff every element of d1 is in d2.
+def is_subset_of(d1, d2) -> bool:
+    """True iff every element of d1 is in d2.  Each is anything with
+    ``FiniteDomain``'s four fields: a domain or a store variable.
 
     Cheap rejections run before the bit test: a larger size or a wider
     interval rules d1 out, and a hole-free d2 needs no test.

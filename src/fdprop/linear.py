@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .domain import members
 from .runtime import Rule, Runtime
 from .store import BOUND, DOM, GENERATED, INS
 
@@ -89,14 +90,11 @@ def ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _abs_max(domain) -> int:
-    return max(abs(domain.lo), abs(domain.hi))
-
-
 def _check_capacity(store, c, terms, kind) -> None:
     worst = abs(c)
     for a, x in terms:
-        worst += abs(a) * _abs_max(store.vars[x].domain)
+        var = store.vars[x]
+        worst += abs(a) * max(abs(var.lo), abs(var.hi))
     if worst > INT64_MAX:
         raise CapacityError(f"{kind} constraint exceeds 64-bit budget ({worst})")
 
@@ -121,24 +119,31 @@ def post_binary(rt: Runtime, bc: BinaryLinear, level: ConsistencyLevel) -> bool:
     return _post_sum(rt, c, terms, level, binary=True)
 
 
-def _narrow_from(store, x, a, dy, b, c) -> bool:
-    """Keep X of a*X = b*Y + c within the range Y's bounds dy allow."""
+def _narrow_from(store, x, a, vy, b, c) -> bool:
+    """Keep X of a*X = b*Y + c within the range Y's bounds allow (vy is
+    Y's variable)."""
     if b > 0:
-        t_lo = b * dy.lo + c
-        t_hi = b * dy.hi + c
+        t_lo = b * vy.lo + c
+        t_hi = b * vy.hi + c
     else:
-        t_lo = b * dy.hi + c
-        t_hi = b * dy.lo + c
+        t_lo = b * vy.hi + c
+        t_hi = b * vy.lo + c
     return store.intersect(x, ceil_div(t_lo, a), t_hi // a)
 
 
-def _revise(store, x, dx, a, dy, b, c) -> bool:
-    """Drop the values of X (domain dx) of a*X = b*Y + c that have no
-    support in dy."""
-    for val in dx.values():
+def _revise(store, x, vx, a, vy, b, c) -> bool:
+    """Drop the values of X (variable vx) of a*X = b*Y + c that have no
+    support in Y (variable vy, another variable).  X's members are read
+    once, before the first exclusion narrows them in place; Y does not
+    change meanwhile."""
+    y_lo = vy.lo
+    y_hi = vy.hi
+    y_bits = vy.bits
+    for val in members(vx.lo, vx.hi, vx.bits):
         q, r = divmod(a * val - c, b)
-        if (r or not dy.contains(q)) and not store.exclude(x, val):
-            return False
+        if r or q < y_lo or q > y_hi or (y_bits is not None and not (y_bits >> (q - y_lo)) & 1):
+            if not store.exclude(x, val):
+                return False
     return True
 
 
@@ -147,11 +152,11 @@ def _fold(vars_, c, terms):
     in, and the free terms."""
     free = []
     for a, x in terms:
-        d = vars_[x].domain
-        if d.count != 1:
+        var = vars_[x]
+        if var.count != 1:
             free.append((a, x))
         else:
-            c += a * d.lo
+            c += a * var.lo
     return c, free
 
 
@@ -193,16 +198,14 @@ class _Pair:
     def narrow(self) -> bool:
         """Narrow each side to the range the other side's bounds allow."""
         store = self.store
-        return (_narrow_from(store, self.x, self.a, self.vy.domain, self.b, self.c)
-                and _narrow_from(store, self.y, self.ma, self.vx.domain, self.mb, self.mc))
+        return (_narrow_from(store, self.x, self.a, self.vy, self.b, self.c)
+                and _narrow_from(store, self.y, self.ma, self.vx, self.mb, self.mc))
 
     def revise(self) -> bool:
         """Revise X against Y, then Y against X."""
         store = self.store
-        return (_revise(store, self.x, self.vx.domain, self.a, self.vy.domain,
-                        self.b, self.c)
-                and _revise(store, self.y, self.vy.domain, self.ma, self.vx.domain,
-                            self.mb, self.mc))
+        return (_revise(store, self.x, self.vx, self.a, self.vy, self.b, self.c)
+                and _revise(store, self.y, self.vy, self.ma, self.vx, self.mb, self.mc))
 
     def step(self, event) -> bool:
         """One wake on a bound or dom event of X or Y.  A bound event
@@ -216,9 +219,8 @@ class _Pair:
             q, r = divmod(self.b * event.value + self.c, self.a)
             return r != 0 or self.store.exclude(self.x, q)
         if event.var == self.x:
-            return _narrow_from(self.store, self.y, self.ma, self.vx.domain,
-                                self.mb, self.mc)
-        return _narrow_from(self.store, self.x, self.a, self.vy.domain, self.b, self.c)
+            return _narrow_from(self.store, self.y, self.ma, self.vx, self.mb, self.mc)
+        return _narrow_from(self.store, self.x, self.a, self.vy, self.b, self.c)
 
 
 # -- disequality ---------------------------------------------------------------
@@ -237,17 +239,17 @@ def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None) -> bool:
     vx = vars_[x]
 
     def free():
-        return vx.domain.count != 1
+        return vx.count != 1
 
     def exclude(_event):
-        v = vx.domain.lo
+        v = vx.lo
         for partners, offsets in groups:
             for z in partners:
                 if z == x:
                     continue
-                dz = vars_[z].domain
-                if dz.count == 1:
-                    if dz.lo - v in offsets:
+                vz = vars_[z]
+                if vz.count == 1:
+                    if vz.lo - v in offsets:
                         return False
                     continue
                 for d in offsets:
@@ -305,13 +307,12 @@ def _make_reducer(rt, c, terms):
             los[i] = t_lo
             his[i] = t_hi
             i += 1
-            d = var.domain
             if a > 0:
-                w_lo = a * d.lo
-                w_hi = a * d.hi
+                w_lo = a * var.lo
+                w_hi = a * var.hi
             else:
-                w_lo = a * d.hi
-                w_hi = a * d.lo
+                w_lo = a * var.hi
+                w_hi = a * var.lo
             t_lo += w_lo
             t_hi += w_hi
             if w_hi - w_lo > widest:
@@ -330,17 +331,15 @@ def _make_reducer(rt, c, terms):
             else:
                 new_lo = -((cur_hi - los[i]) // -a)
                 new_hi = (his[i] - cur_lo) // -a
-            d = var.domain
-            if new_lo > d.lo or new_hi < d.hi:
+            if new_lo > var.lo or new_hi < var.hi:
                 if not store.intersect(x, new_lo, new_hi):
                     return False
-                d = var.domain
             if a > 0:
-                cur_lo -= a * d.hi
-                cur_hi -= a * d.lo
+                cur_lo -= a * var.hi
+                cur_hi -= a * var.lo
             else:
-                cur_lo -= a * d.lo
-                cur_hi -= a * d.hi
+                cur_lo -= a * var.lo
+                cur_hi -= a * var.hi
         return cur_lo <= c <= cur_hi
 
     return reduce
@@ -388,7 +387,7 @@ def _post_sum(rt, c, terms, level, binary=False) -> bool:
     def more_free():
         free = 0
         for _, x in terms:
-            if vars_[x].domain.count != 1:
+            if vars_[x].count != 1:
                 free += 1
                 if free > commit_at:
                     return True
@@ -441,7 +440,7 @@ def _pair_rule(store, c, terms, watch, arc) -> Rule:
     def two_free():
         free = 0
         for _, x in terms:
-            if vars_[x].domain.count != 1:
+            if vars_[x].count != 1:
                 free += 1
         return free == 2
 

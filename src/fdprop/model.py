@@ -38,7 +38,7 @@ from .oracle import (
     check_interval_consistent,
     check_weak_arc_consistent,
 )
-from .runtime import Runtime
+from .runtime import LimitReached, Runtime
 from .search import UnboundVariableError, label
 from .store import Store
 
@@ -358,7 +358,8 @@ class SolverConfig:
     n-ary ones; 'ic' keeps interval consistency everywhere; 'fc' is plain
     forward checking.  mode is FIRST_SOLUTION or ALL_SOLUTIONS.
     max_backtracks and time_limit (seconds from the start of the solve)
-    bound the search; None leaves it unbounded."""
+    bound the search, and time_limit bounds every fixpoint, the root's
+    included; None leaves it unbounded."""
 
     level: str = "ac"
     alldistinct: str = "linear"
@@ -371,6 +372,11 @@ class SolverConfig:
         Strategy(self.alldistinct)
         if self.mode not in (FIRST_SOLUTION, ALL_SOLUTIONS):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    def deadline(self, started: float) -> Optional[float]:
+        """The ``time.perf_counter()`` reading at which the time limit
+        of a solve started at ``started`` runs out; None without one."""
+        return None if self.time_limit is None else started + self.time_limit
 
 
 def _diseq_groups(constraints) -> dict[int, tuple]:
@@ -447,13 +453,18 @@ def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
                 queue_policy: str = "fifo", queue_seed: Optional[int] = None,
                 trace_stream=None) -> SolveResult:
     """Post, propagate to the root fixpoint, and label.  A search cut
-    short by a limit of the config names it in ``SolveResult.limit``."""
+    short by a limit of the config names it in ``SolveResult.limit``;
+    the time limit can cut root propagation short, too."""
     started = time.perf_counter()
     store, rt, ok = build(model, config, queue_policy=queue_policy,
                           queue_seed=queue_seed, trace_stream=trace_stream)
     agents = len(rt.agents)
-    return label_from_root(model, config, rt, ok and rt.run_to_fixpoint(), started,
-                           agents)
+    rt.deadline = config.deadline(started)
+    try:
+        ok = ok and rt.run_to_fixpoint()
+    except LimitReached as exc:
+        return _result(rt, started, agents, [], 0, str(exc), False)
+    return label_from_root(model, config, rt, ok, started, agents)
 
 
 def label_from_root(model: Model, config: SolverConfig, rt: Runtime, root_ok: bool,
@@ -464,15 +475,18 @@ def label_from_root(model: Model, config: SolverConfig, rt: Runtime, root_ok: bo
     count the caller saw after posting."""
     backtracks, limit, solutions = 0, None, []
     if root_ok:
-        deadline = None if config.time_limit is None else started + config.time_limit
         try:
             stats, solutions = label(rt, model.label_order,
                                      all_solutions=config.mode == ALL_SOLUTIONS,
                                      max_backtracks=config.max_backtracks,
-                                     deadline=deadline)
+                                     deadline=config.deadline(started))
         except UnboundVariableError as exc:
             raise ModelError(str(exc)) from None
         backtracks, limit = stats.backtracks, stats.limit
+    return _result(rt, started, agents, solutions, backtracks, limit, not root_ok)
+
+
+def _result(rt, started, agents, solutions, backtracks, limit, root_failed) -> SolveResult:
     elapsed = int((time.perf_counter() - started) * 1000)
     return SolveResult(solutions, backtracks, rt.activations, rt.clock, rt.walked, agents,
-                       elapsed, limit, not root_ok)
+                       elapsed, limit, root_failed)

@@ -33,11 +33,17 @@ other wake runs.  General agents (``coalesce=False``) get every event.
 Distinct dom payloads are never merged.  An ins needs no bookkeeping:
 it is the last event a variable posts before a backtrack, which
 empties the queue.
+
+A runtime may have a deadline.  ``run_to_fixpoint`` reads the clock
+once every ``DEADLINE_EVERY`` records it takes and raises
+``LimitReached`` once the deadline has passed: a limit, not a failure.
+The queue is left as a failed fixpoint leaves it.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +51,14 @@ from .store import BOUND, DOM, EVENT_NAMES, GENERATED, InvariantError, Store
 
 
 END = -1  # Agent.rule before the first suspension and after commitment
+
+# Records taken between two clock reads of a fixpoint under a deadline.
+DEADLINE_EVERY = 256
+
+
+class LimitReached(Exception):
+    """A limit stopped the run: not an inconsistency.  Its str names
+    the limit."""
 
 
 class Event:
@@ -135,7 +149,9 @@ class Runtime:
     holds (agent, old rule) for every change of an agent's rule, a new
     agent's first suspension included; a backtrack undoes those, popping
     the agent from the watcher lists of the rule it leaves, and drops
-    the agents created since.
+    the agents created since.  ``deadline`` is None or the
+    ``time.perf_counter()`` reading past which ``run_to_fixpoint``
+    raises ``LimitReached``.
     """
 
     def __init__(self, store: Store, *, queue_policy: str = "fifo",
@@ -149,6 +165,7 @@ class Runtime:
         self.trace = trace
         self.activations = 0
         self.walked = 0
+        self.deadline: Optional[float] = None
         self._trace_seq = 0
         self._trail: list[tuple[Agent, int]] = []
         store.event_sink = self._post_kind
@@ -273,13 +290,22 @@ class Runtime:
         suspending rule's guard: run its action and stay suspended on
         success; on guard failure, fall through to the later rules just
         as at generation.  False means constraint inconsistency and the
-        caller must backtrack."""
+        caller must backtrack.  Past the deadline it raises
+        ``LimitReached``; only the clock is read, so no count moves."""
         queue = self.queue
         take = self._take
         consumed = self.consumed
         trace = self.trace
+        deadline = self.deadline
+        countdown = DEADLINE_EVERY
         while queue:
             event, watchers, n, seq = take()
+            if deadline is not None:
+                countdown -= 1
+                if not countdown:
+                    if time.perf_counter() > deadline:
+                        raise LimitReached("time limit")
+                    countdown = DEADLINE_EVERY
             self.walked += n
             bound = event.kind == BOUND
             var = event.var

@@ -13,7 +13,9 @@ propagation (before the first labeling choice) are not counted at all.
 A run can be bounded by a backtrack budget and by a deadline.  Both are
 checked after each failed attempt and before each choice point; when
 one is hit the search stops, returns what it found so far, and names
-the limit in ``SearchStats.limit``.
+the limit in ``SearchStats.limit``.  The deadline also bounds each
+fixpoint: the runtime raises ``LimitReached`` out of one that runs past
+it, and the search then backtracks to the root before it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .runtime import Runtime
+from .runtime import LimitReached, Runtime
 from .store import InvariantError
 
 class UnboundVariableError(InvariantError):
@@ -44,7 +46,7 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
     run already (run_to_fixpoint after posting all constraints).
     all_solutions: go on past the first solution.  max_backtracks: stop
     once more than this many attempts have failed.  deadline: stop once
-    ``time.perf_counter()`` passes it.
+    ``time.perf_counter()`` passes it, also inside a fixpoint.
 
     Returns the stats and the solutions found, each solution a tuple of
     the values of *all* store variables in creation order.
@@ -56,7 +58,7 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
 
     def pick():
         for x in var_ids:
-            if vars_[x].domain.count != 1:
+            if vars_[x].count != 1:
                 return x
         return None
 
@@ -71,8 +73,12 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
 
     # One frame per variable on the current branch: the variable, its
     # untried values, and the choice point of the value on trial.  The
-    # stack is explicit so that the branch length is not bounded by the
-    # interpreter's recursion limit.
+    # values iterate the domain snapshot taken when the frame is made,
+    # never the live fields, which each trial narrows in place.  Every
+    # frame below the top one holds a live choice point, so the bottom
+    # frame's is the way back to the root.  The stack is explicit so
+    # that the branch length is not bounded by the interpreter's
+    # recursion limit.
     stack: list[list] = []
 
     def advance() -> bool:
@@ -87,9 +93,8 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
             for v in values:
                 if bounded and limit_hit():
                     return False
-                cp = rt.push_choice_point()
+                cp = frame[2] = rt.push_choice_point()
                 if store.bind(x, v) and rt.run_to_fixpoint():
-                    frame[2] = cp
                     return True
                 stats.backtracks += 1
                 rt.backtrack_to(cp)
@@ -98,21 +103,26 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
             stack.pop()
         return False
 
+    rt.deadline = deadline
     while True:
         x = pick()
         if x is None:
             values = []
-            for i, v in enumerate(vars_):
-                d = v.domain
-                if d.count != 1:
+            for i, var in enumerate(vars_):
+                if var.count != 1:
                     raise UnboundVariableError(
                         f"the label list leaves variable {store.name_of(i)!r} unbound")
-                values.append(d.lo)
+                values.append(var.lo)
             solutions.append(tuple(values))
             if not all_solutions:
                 break
         else:
             stack.append([x, vars_[x].domain.values(), None])
-        if not advance():
+        try:
+            if not advance():
+                break
+        except LimitReached as exc:
+            stats.limit = str(exc)
+            rt.backtrack_to(stack[0][2])
             break
     return stats, solutions

@@ -200,6 +200,49 @@ def test_cli_verify_limit_exits_5(capsys):
     assert captured.err.startswith("error: search limit reached (")
 
 
+# Two equations that bounds propagation narrows by one value per round:
+# about 300,000 activations before the domains wipe out.
+CYCLE_AT_ROOT = """\
+var x in 1..300000
+var y in 1..300000
+eq 1*x = 1*y + 1
+eq 1*y = 1*x + 1
+label x y
+"""
+
+# The same cycle, x = y + 1 - b and y = x + 1 - b, opens only once the
+# first labeling choice binds b to 0.
+CYCLE_AFTER_CHOICE = """\
+var b in 0..1
+var x in 1..300000
+var y in 1..300000
+lin -1 1*x -1*y 1*b = 0
+lin -1 1*y -1*x 1*b = 0
+label b x y
+"""
+
+
+@pytest.mark.parametrize("level", ["ic", "ac"])
+@pytest.mark.parametrize("command, text", [
+    ("solve", CYCLE_AT_ROOT),
+    ("solve", CYCLE_AFTER_CHOICE),
+    ("verify", CYCLE_AT_ROOT),
+], ids=["solve-root", "solve-search", "verify-root"])
+def test_time_limit_cuts_a_long_fixpoint_short(command, text, level, tmp_path, capsys):
+    path = tmp_path / "cycle.fd"
+    path.write_text(text)
+    started = time.perf_counter()
+    assert main([command, str(path), "--level", level, "--time-limit", "0.1"]) == 5
+    assert time.perf_counter() - started < 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: search limit reached (time limit)\n"
+    if command == "solve":
+        # the limit struck inside the fixpoint, not after it failed
+        assert captured.out.startswith("stats: backtracks=0 ")
+    else:
+        assert "solutions agree" not in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "bench:queens(4)", "--max-backtracks", "-1"],
     ["solve", "bench:queens(4)", "--time-limit", "-0.5"],

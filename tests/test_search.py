@@ -4,11 +4,12 @@ import time
 
 import pytest
 
-from conftest import random_model
+from conftest import domain_snapshot, random_model
 
 from fdprop.alldistinct import Strategy, post_alldistinct
 from fdprop.benchmarks import queens_model
-from fdprop.domain import make_interval
+from fdprop.domain import make_interval, make_set
+from fdprop.linear import ConsistencyLevel, NaryLinear, post_diseq, post_nary
 from fdprop.model import Model, SolverConfig, VarDecl, solve_model
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
@@ -107,6 +108,49 @@ def test_deadline_stops_a_search_without_failures():
     assert (stats.limit, stats.backtracks, sols) == ("time limit", 0, [])
     stats, sols = label(rt, xs, all_solutions=True, deadline=time.perf_counter() + 60)
     assert stats.limit is None and len(sols) == 2 ** 12
+
+
+def test_a_fixpoint_past_the_deadline_unwinds_the_search_to_the_root():
+    # b = 0 opens x = y + 1 and y = x + 1, about 300,000 rounds of bounds
+    # propagation; b = 1 would be a solution
+    store = Store()
+    rt = Runtime(store)
+    b = store.new_var(make_interval(0, 1))
+    x = store.new_var(make_interval(1, 300000))
+    y = store.new_var(make_interval(1, 300000))
+    for c, terms in ((-1, ((1, x), (-1, y), (1, b))), (-1, ((1, y), (-1, x), (1, b)))):
+        assert post_nary(rt, NaryLinear(c, terms), ConsistencyLevel.INTERVAL)
+    assert rt.run_to_fixpoint()
+    root = domain_snapshot(store)
+    activations = rt.activations
+    started = time.perf_counter()
+    stats, sols = label(rt, [b, x, y], deadline=started + 0.05)
+    assert time.perf_counter() - started < 2
+    assert (stats.limit, stats.backtracks, sols) == ("time limit", 0, [])
+    assert rt.activations - activations < 300000
+    assert store.depth() == 0 and not rt.queue
+    assert domain_snapshot(store) == root
+
+
+def test_label_frames_iterate_the_domain_at_frame_creation():
+    # y = 1 excludes 1 from x and y = 2 excludes nothing: x's frame on
+    # the second branch must offer 1 again, from a domain restored in
+    # place, and no frame may offer a value its trial finds gone
+    store = Store()
+    rt = Runtime(store)
+    y = store.new_var(make_interval(1, 2))
+    x = store.new_var(make_set([1, 4, 5, 7]))
+    assert post_diseq(rt, y, (((x,), (0,)),), "neq(_y)")
+    assert post_diseq(rt, x, (((y,), (0,)),), "neq(_x)")
+    stats, sols = label(rt, [y, x], all_solutions=True)
+    assert stats.backtracks == 0
+    assert sols == [(1, 4), (1, 5), (1, 7), (2, 1), (2, 4), (2, 5), (2, 7)]
+    # a frame's values are a snapshot: narrowing x in place leaves them
+    values = store.vars[x].domain.values()
+    cp = store.push_choice_point()
+    assert store.exclude(x, 4) and store.bind(x, 5)
+    assert list(values) == [1, 4, 5, 7]
+    store.backtrack_to(cp)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 10, 23])

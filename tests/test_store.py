@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import store_snapshot
+from conftest import random_domain, store_snapshot
 
-from fdprop.domain import DeltaKind, make_interval, make_set
+from fdprop.domain import DeltaKind, make_interval, make_set, members
 from fdprop.store import (
     BOUND,
     DOM,
@@ -214,3 +214,106 @@ def test_event_faithfulness_randomized():
             assert events == [(BOUND, x, None)]
         else:
             assert events == [(DOM, x, v)]  # only exclude excludes inside
+
+
+def _fields(store) -> list[tuple]:
+    return [(v.lo, v.hi, v.count, v.bits, v.stamp) for v in store.vars]
+
+
+def _reference_step(ref: set, op: tuple):
+    """What a narrowing should do to a domain with members ``ref``: the
+    call's result, the members after it and the events it posts, given
+    as (kind, value) pairs."""
+    name, *args = op
+    if name == "bind":
+        (v,) = args
+        if ref == {v}:
+            return True, ref, []
+        name, args = "intersect", (v, v)
+    if name == "exclude":
+        (v,) = args
+        new = ref - {v}
+    else:
+        lo, hi = args
+        new = {w for w in ref if lo <= w <= hi}
+    if new == ref:
+        return True, ref, []
+    if not new:
+        return False, ref, []
+    if len(new) == 1:
+        return True, new, [(INS, None)]
+    if name == "exclude" and min(ref) < op[1] < max(ref):
+        return True, new, [(DOM, op[1])]
+    return True, new, [(BOUND, None)]
+
+
+def _assert_matches(store, refs):
+    for var, ref in zip(store.vars, refs):
+        assert set(members(var.lo, var.hi, var.bits)) == ref
+        assert (var.lo, var.hi, var.count) == (min(ref), max(ref), len(ref))
+        # bits exactly when a hole exists, and then bit 0 stands for lo
+        assert (var.bits is None) == (var.count == var.hi - var.lo + 1)
+        assert var.bits is None or var.bits & 1
+        assert list(var.domain.values()) == sorted(ref)
+
+
+def test_in_place_narrowing_matches_a_set_reference():
+    """Random exclude/intersect/bind sequences inside up to three nested
+    choice points, checked after every step against Python sets and the
+    reference event classification: one trail entry per variable per
+    depth, a snapshot that is replaced exactly on a real change, and
+    backtracks that restore every field and stamp."""
+    rng = random.Random(11)
+    for _ in range(200):
+        store, events = recording_store()
+        for _ in range(rng.randint(1, 3)):
+            vd = random_domain(rng)
+            store.new_var(make_set(vd.values) if vd.values else make_interval(vd.lo, vd.hi))
+        refs = [set(store.domain(x).values()) for x in range(len(store.vars))]
+        open_cps = []  # (choice point, fields, reference sets) per depth
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.15 and len(open_cps) < 3:
+                open_cps.append((store.push_choice_point(), _fields(store),
+                                 [set(r) for r in refs]))
+                continue
+            if roll < 0.3 and open_cps:
+                cp, fields, refs = open_cps.pop()
+                store.backtrack_to(cp)
+                assert _fields(store) == fields
+                _assert_matches(store, refs)
+                continue
+            x = rng.randrange(len(store.vars))
+            lo = min(refs[x]) - 2
+            hi = max(refs[x]) + 2
+            if roll < 0.7:
+                op = ("exclude", rng.randint(lo, hi))
+            elif roll < 0.9:
+                a = rng.randint(lo, hi)
+                op = ("intersect", a, a + rng.randint(0, 5))
+            else:
+                op = ("bind", rng.randint(lo, hi))
+            ok, new, expected = _reference_step(refs[x], op)
+            before = store.vars[x].domain
+            trail_len = len(store._trail)
+            fresh = store.vars[x].stamp != store.depth()
+            events.clear()
+            assert getattr(store, op[0])(x, *op[1:]) is ok
+            assert events == [(kind, x, value) for kind, value in expected]
+            changed = new is not refs[x]
+            refs[x] = new
+            _assert_matches(store, refs)
+            assert (store.vars[x].domain is before) is not changed
+            assert len(store._trail) == trail_len + (changed and fresh)
+            if changed:
+                assert store.vars[x].stamp == store.depth()
+            # no variable has two entries in one depth's trail segment
+            marks = [cp.trail_mark for cp in store._cps] + [len(store._trail)]
+            for start, end in zip(marks, marks[1:]):
+                segment = [entry[0] for entry in store._trail[start:end]]
+                assert len(segment) == len(set(map(id, segment)))
+        while open_cps:
+            cp, fields, refs = open_cps.pop()
+            store.backtrack_to(cp)
+            assert _fields(store) == fields
+            _assert_matches(store, refs)
