@@ -226,14 +226,20 @@ class _Pair:
 # -- disequality ---------------------------------------------------------------
 
 
-def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None) -> bool:
+def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None, live=None) -> bool:
     """Spawn X's forward-checking exclusion agent: Z != X + d for every
     partner Z != X and offset d of each (partners, offsets) pair of
     ``groups``.  It sleeps on ins of X; once X is bound to v it bars
     v + d from each partner, in group, partner and offset order, and
     ends.  A bound partner is tested by its value, a free one gets one
     exclusion per offset.  With ``reduce`` it also wakes on bound and
-    dom of X and runs ``reduce`` on each wake and once at generation."""
+    dom of X and runs ``reduce`` on each wake and once at generation.
+
+    ``live`` is an all_distinct's live record (``groups`` is then
+    empty): its count is the number of elements whose agent has not
+    committed and its snapshot those elements, in list order.  The
+    partners are the live elements, offset 0, and the commit first
+    drops X from the record under the trail."""
     store = rt.store
     vars_ = store.vars
     vx = vars_[x]
@@ -256,6 +262,26 @@ def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None) -> bool:
                     if not store.exclude(z, v + d):
                         return False
         return True
+
+    def exclude_live(_event):
+        v = vx.lo
+        elements = live.snapshot
+        store.save(live)
+        i = elements.index(x)
+        rest = live.snapshot = elements[:i] + elements[i + 1:]
+        live.count -= 1
+        for z in rest:
+            vz = vars_[z]
+            if vz.count == 1:
+                if vz.lo == v:
+                    return False
+                continue
+            if not store.exclude(z, v):
+                return False
+        return True
+
+    if live is not None:
+        exclude = exclude_live
 
     if reduce is None:
         first = Rule(free, ((INS, x),), _true)

@@ -5,10 +5,12 @@ converts each real change into a posted event, and restores domains
 exactly through a trail and a choice-point stack.  A variable holds its
 domain as ``FiniteDomain``'s four fields (``lo``, ``hi``, ``count``,
 ``bits``), the way B-Prolog keeps a domain variable: an interval plus a
-bit vector, updated in place under the trail.  Those fields and the
-stamp are a variable's only trailed state; it is bound when ``count``
-is 1.  Failure is a returned status (False), never an exception, so it
-composes with the search loop's unwind.
+bit vector, updated in place under the trail.  Those fields, the
+cached snapshot and the stamp are a variable's only trailed state; it
+is bound when ``count`` is 1.  A ``Record`` is the same trailed layout
+outside the variable table, for a constraint's own backtrackable
+state.  Failure is a returned status (False), never an exception, so
+it composes with the search loop's unwind.
 
 Each variable carries the watcher lists of the agents suspended on it,
 but the store never changes them: the runtime appends to them and
@@ -55,10 +57,12 @@ class Variable:
     ``count`` is 1, to ``lo``.  Only the store writes these fields.
 
     ``domain`` is an immutable ``FiniteDomain`` snapshot of the fields,
-    built on first read and kept until a narrowing or a backtrack
-    changes them: the same object across no-ops, a new one after every
-    real change.  The engine reads the fields; the snapshot is for
-    callers that keep a domain, such as a label frame's untried values.
+    built on first read and kept until a narrowing changes them: the
+    same object across no-ops, a new one after every real change.  The
+    trail saves it with the fields, so a backtrack brings back the
+    snapshot of the restored fields, or None if none was built.  The
+    engine reads the fields; the snapshot is for callers that keep a
+    domain, such as a label frame's untried values.
 
     ``watchers[kind]`` is the list for event kind ``kind``.  The
     GENERATED slot is an empty tuple: that event is never posted.
@@ -86,6 +90,23 @@ class Variable:
     def __repr__(self):
         label = self.name or "_"
         return f"Variable({label}={self.domain!r})"
+
+
+class Record:
+    """A trailed record outside the variable table: ``count`` and
+    ``snapshot`` hold whatever state its owner keeps under the trail,
+    and the owner calls ``Store.save`` before each change.  ``lo``,
+    ``hi`` and ``bits`` are unused; they exist so that a record's trail
+    entry has a variable's layout."""
+
+    __slots__ = ("lo", "hi", "count", "bits", "snapshot", "stamp")
+
+    def __init__(self, count: int, snapshot):
+        self.lo = self.hi = 0
+        self.bits = None
+        self.count = count
+        self.snapshot = snapshot
+        self.stamp = 0
 
 
 def _set_bits(var: Variable, bits: int, base: int) -> None:
@@ -117,10 +138,11 @@ def _drop_event(kind: int, var: int, value: Optional[int]) -> None:
 class Store:
     """Variable table + trail + choice-point stack.
 
-    The trail holds (variable, lo, hi, count, bits, stamp) entries: a
-    variable's fields and stamp as they were before its first change at
-    a choice-point depth, one entry per variable per depth at most
-    (Aggoun & Beldiceanu's time-stamping).
+    The trail holds (record, lo, hi, count, bits, stamp, snapshot)
+    entries, the record a variable or a ``Record``: its fields, stamp
+    and snapshot as they were before its first change at a choice-point
+    depth, one entry per record per depth at most (Aggoun &
+    Beldiceanu's time-stamping).  A backtrack writes all six back.
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
     event a narrowing (``exclude``, ``intersect``, ``bind``) posts; the
@@ -162,14 +184,16 @@ class Store:
 
     # -- trailing ----------------------------------------------------------
 
-    def _save(self, var: Variable) -> None:
-        """Ready var for a real narrowing: drop its snapshot and, on its
-        first change at this choice-point depth, trail its fields."""
-        var.snapshot = None
+    def save(self, var) -> None:
+        """Ready var, a variable or a ``Record``, for a real change: on
+        its first change at this choice-point depth, trail its fields
+        and snapshot; then drop the snapshot."""
         depth = len(self._cps)
         if var.stamp != depth:
-            self._trail.append((var, var.lo, var.hi, var.count, var.bits, var.stamp))
+            self._trail.append((var, var.lo, var.hi, var.count, var.bits, var.stamp,
+                                var.snapshot))
             var.stamp = depth
+        var.snapshot = None
 
     # -- narrowing ---------------------------------------------------------
 
@@ -189,7 +213,7 @@ class Store:
         count = var.count - 1
         if not count:
             return False
-        self._save(var)
+        self.save(var)
         var.count = count
         if lo < v < hi:
             if bits is None:
@@ -223,7 +247,7 @@ class Store:
             return False
         bits = var.bits
         if bits is None:
-            self._save(var)
+            self.save(var)
             var.lo = lo
             var.hi = hi
             count = var.count = hi - lo + 1
@@ -231,7 +255,7 @@ class Store:
             bits = (bits >> (lo - dlo)) & ((1 << (hi - lo + 1)) - 1)
             if not bits:
                 return False
-            self._save(var)
+            self.save(var)
             count = var.count = bits.bit_count()
             _set_bits(var, bits, lo)
         self.event_sink(INS if count == 1 else BOUND, x, None)
@@ -252,19 +276,19 @@ class Store:
         return cp
 
     def backtrack_to(self, cp: ChoicePoint) -> None:
-        """Restore every domain to the instant cp was created."""
+        """Restore every domain and record to the instant cp was created."""
         while self._cps and self._cps[-1] is not cp:
             self._cps.pop()
         if not self._cps:
             raise InvariantError("backtrack target is not on the choice-point stack")
         self._cps.pop()
 
-        # A depth can be used again: every variable stamped in a popped
-        # segment gets its older stamp back from the trail.
+        # A depth can be used again: every record stamped in a popped
+        # segment gets its older stamp back from the trail, and its
+        # snapshot with its fields.
         trail = self._trail
         while len(trail) > cp.trail_mark:
-            var, var.lo, var.hi, var.count, var.bits, var.stamp = trail.pop()
-            var.snapshot = None
+            var, var.lo, var.hi, var.count, var.bits, var.stamp, var.snapshot = trail.pop()
 
     def depth(self) -> int:
         return len(self._cps)

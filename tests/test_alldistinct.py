@@ -10,11 +10,15 @@ import pytest
 
 from conftest import domain_snapshot, domain_values, random_domain, random_model
 
+import fdprop.alldistinct as alldistinct
 from fdprop.alldistinct import Strategy, outof_reducer, post_alldistinct
+from fdprop.benchmarks import get_benchmark
 from fdprop.domain import is_subset_of, make_interval, make_set
 from fdprop.model import Diseq, Distinct, SolverConfig, build, fixpoint_violations, solve_model
+from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import END, Runtime
-from fdprop.store import Store
+from fdprop.search import label
+from fdprop.store import Record, Store
 
 
 def fresh(domains):
@@ -113,6 +117,28 @@ def _random_outof_case(rng):
     return domains
 
 
+def _commit_some(rng, domains, pos):
+    """Turn up to three elements other than the one at ``pos`` into
+    committed ones, as an element's commitment leaves them: bound to a
+    value that no other domain still holds.  Returns their positions;
+    a value is chosen only if no other domain is left empty."""
+    committed = set()
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(domains))
+        if i == pos or i in committed:
+            continue
+        vals = sorted(set().union(*domains))
+        w = rng.randint(vals[0] - 1, vals[-1] + 1)
+        if any(set(d) == {w} for j, d in enumerate(domains) if j != i):
+            continue
+        domains[i] = [w]
+        for j, d in enumerate(domains):
+            if j != i:
+                domains[j] = [v for v in d if v != w]
+        committed.add(i)
+    return committed
+
+
 def _run_recorded(reducer, domains, pos):
     """Run ``reducer(store, x, scope)`` on a fresh store whose variables
     have ``domains``; x is the one at ``pos`` and scope is all of them."""
@@ -128,21 +154,123 @@ def _full_scan_on_scope(store, x, scope):
     return _full_scan_outof_reducer(store, x, tuple(z for z in scope if z != x))
 
 
+def _live_reducer(committed):
+    """The reducer given a live record that holds every element of the
+    scope but the ``committed`` positions, in scope order."""
+    def run(store, x, scope):
+        live = tuple(z for i, z in enumerate(scope) if i not in committed)
+        return outof_reducer(store, x, scope, Record(len(live), live))
+    return run
+
+
 def test_outof_reducer_matches_full_scan():
     """Over random stores the early-exit reducer, given the whole list
     with x at a random position, gives the full scan's return value,
-    events in order, and final domains."""
+    events in order, and final domains.  Given a live record without
+    the committed elements, it scans the live ones only and still gives
+    what the full scan over the whole list gives."""
     rng = random.Random(0xA11D)
     outcomes = {"failed": 0, "excluded": 0, "no_op": 0}
+    with_committed = dict(outcomes)
     for _ in range(3000):
         domains = _random_outof_case(rng)
         pos = rng.randrange(len(domains))
         domains.insert(pos, domains.pop(0))
+        committed = _commit_some(rng, domains, pos)
         expected = _run_recorded(_full_scan_on_scope, domains, pos)
         assert _run_recorded(outof_reducer, domains, pos) == expected, (domains, pos)
+        assert _run_recorded(_live_reducer(committed), domains, pos) == expected, \
+            (domains, pos, committed)
         result, events, _ = expected
-        outcomes["failed" if not result else "excluded" if events else "no_op"] += 1
+        outcome = "failed" if not result else "excluded" if events else "no_op"
+        outcomes[outcome] += 1
+        with_committed[outcome] += bool(committed)
     assert min(outcomes.values()) > 100, outcomes
+    assert min(with_committed.values()) > 50, with_committed
+
+
+def _spy_on_outof_agents(monkeypatch):
+    """Record (live record, element, agent) for every all_distinct
+    agent posted from now on."""
+    posted = []
+    post = alldistinct.post_diseq
+
+    def spy(rt, x, groups, name, reduce=None, live=None):
+        first = len(rt.agents)
+        ok = post(rt, x, groups, name, reduce, live)
+        posted.append((live, x, rt.agents[first]))
+        return ok
+
+    monkeypatch.setattr(alldistinct, "post_diseq", spy)
+    return posted
+
+
+def _assert_live_tuples(posted):
+    """Each live tuple holds, in list order, the elements whose agent
+    has not committed, and its count is their number."""
+    elements = {}
+    for live, x, agent in posted:
+        elements.setdefault(id(live), (live, []))[1].append((x, agent))
+    for live, pairs in elements.values():
+        expected = tuple(x for x, agent in pairs if agent.rule != END)
+        assert live.snapshot == expected
+        assert live.count == len(expected)
+
+
+def _checked_search(model, config, queue, monkeypatch):
+    """Search the whole tree, checking the live tuples after posting,
+    after every successful fixpoint and after every backtrack.
+    Returns the number of checks and the solutions."""
+    posted = _spy_on_outof_agents(monkeypatch)
+    store, rt, ok = build(model, config, queue_policy=queue, queue_seed=3)
+    monkeypatch.undo()
+    if not ok:
+        return 0, None
+    checks = [0]
+    fixpoint = rt.run_to_fixpoint
+    backtrack = rt.backtrack_to
+
+    def run_to_fixpoint():
+        ok = fixpoint()
+        if ok:
+            _assert_live_tuples(posted)
+            checks[0] += 1
+        return ok
+
+    def backtrack_to(cp):
+        backtrack(cp)
+        _assert_live_tuples(posted)
+        checks[0] += 1
+
+    rt.run_to_fixpoint = run_to_fixpoint
+    rt.backtrack_to = backtrack_to
+    _assert_live_tuples(posted)
+    if not rt.run_to_fixpoint():
+        return checks[0], None
+    _, solutions = label(rt, model.label_order, all_solutions=True)
+    return checks[0], solutions
+
+
+@pytest.mark.parametrize("queue", ["fifo", "lifo", "random"])
+def test_live_tuples_hold_the_uncommitted_elements_at_every_node(queue, monkeypatch):
+    """Over random all_distinct models and magic(3), at every node of a
+    whole search, each constraint's live tuple is exactly its elements
+    whose agent is not at END, in list order; the solutions are those
+    of the brute-force oracle."""
+    rng = random.Random(25)
+    checks = 0
+    for model in _distinct_models(rng, 30):
+        expected = enumerate_solutions(model.to_ground())
+        for strategy in ("linear", "wac"):
+            n, solutions = _checked_search(model, SolverConfig(alldistinct=strategy),
+                                           queue, monkeypatch)
+            checks += n
+            assert set(solutions or ()) == expected, (model, strategy)
+    n, solutions = _checked_search(get_benchmark("magic(3)"),
+                                   SolverConfig(level="ic", alldistinct="wac"),
+                                   queue, monkeypatch)
+    assert len(solutions) == 8
+    assert n > 20 and checks > 200, (n, checks)
 
 
 def test_weak_ac_root_failure_without_labeling():
@@ -244,7 +372,6 @@ def test_solution_sets_match_brute_force_all_strategies():
     rng = random.Random(12)
     for model in _distinct_models(rng, 25):
         ground = model.to_ground()
-        from fdprop.oracle import enumerate_solutions
         expected = enumerate_solutions(ground)
         for strategy in ("naive", "linear", "wac"):
             r = solve_model(model, SolverConfig(alldistinct=strategy, mode="all"))

@@ -262,7 +262,9 @@ def test_in_place_narrowing_matches_a_set_reference():
     choice points, checked after every step against Python sets and the
     reference event classification: one trail entry per variable per
     depth, a snapshot that is replaced exactly on a real change, and
-    backtracks that restore every field and stamp."""
+    backtracks that restore every field and stamp and bring back, as
+    ``domain``, the very snapshot cached before the first change at
+    that depth, never a later one."""
     rng = random.Random(11)
     for _ in range(200):
         store, events = recording_store()
@@ -270,17 +272,19 @@ def test_in_place_narrowing_matches_a_set_reference():
             vd = random_domain(rng)
             store.new_var(make_set(vd.values) if vd.values else make_interval(vd.lo, vd.hi))
         refs = [set(store.domain(x).values()) for x in range(len(store.vars))]
-        open_cps = []  # (choice point, fields, reference sets) per depth
+        # (choice point, fields, reference sets, snapshots) per depth
+        open_cps = []
         for _ in range(40):
             roll = rng.random()
             if roll < 0.15 and len(open_cps) < 3:
                 open_cps.append((store.push_choice_point(), _fields(store),
-                                 [set(r) for r in refs]))
+                                 [set(r) for r in refs], [v.domain for v in store.vars]))
                 continue
             if roll < 0.3 and open_cps:
-                cp, fields, refs = open_cps.pop()
+                cp, fields, refs, snapshots = open_cps.pop()
                 store.backtrack_to(cp)
                 assert _fields(store) == fields
+                assert all(v.domain is d for v, d in zip(store.vars, snapshots))
                 _assert_matches(store, refs)
                 continue
             x = rng.randrange(len(store.vars))
@@ -313,7 +317,29 @@ def test_in_place_narrowing_matches_a_set_reference():
                 segment = [entry[0] for entry in store._trail[start:end]]
                 assert len(segment) == len(set(map(id, segment)))
         while open_cps:
-            cp, fields, refs = open_cps.pop()
+            cp, fields, refs, snapshots = open_cps.pop()
             store.backtrack_to(cp)
             assert _fields(store) == fields
+            assert all(v.domain is d for v, d in zip(store.vars, snapshots))
             _assert_matches(store, refs)
+
+
+def test_backtrack_restores_the_snapshot_of_the_restored_fields():
+    """A backtrack brings back the snapshot that was cached when the
+    fields were trailed, or none when none was: ``domain`` then builds
+    one from the restored fields."""
+    store = Store()
+    x = store.new_var(make_interval(1, 9))
+    assert store.exclude(x, 5) and store.exclude(x, 6)  # snapshot dropped, not rebuilt
+    outer = store.push_choice_point()
+    assert store.exclude(x, 1)
+    middle = store.domain(x)
+    inner = store.push_choice_point()
+    assert store.exclude(x, 9)
+    later = store.domain(x)
+    store.backtrack_to(inner)
+    assert store.domain(x) is middle and later is not middle
+    assert store.exclude(x, 2)  # depth 1 again: its entry is still there
+    store.backtrack_to(outer)
+    assert store.vars[x].snapshot is None
+    assert list(store.domain(x).values()) == [1, 2, 3, 4, 7, 8, 9]

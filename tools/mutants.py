@@ -30,6 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 STORE = "src/fdprop/store.py"
 IN_PLACE = "tests/test_store.py::test_in_place_narrowing_matches_a_set_reference"
 FRAMES = "tests/test_search.py::test_label_frames_iterate_the_domain_at_frame_creation"
+RESTORED_SNAPSHOT = \
+    "tests/test_store.py::test_backtrack_restores_the_snapshot_of_the_restored_fields"
+ALLDISTINCT = "src/fdprop/alldistinct.py"
+FULL_SCAN = "tests/test_alldistinct.py::test_outof_reducer_matches_full_scan"
+LIVE_TUPLES = ("tests/test_alldistinct.py::"
+               "test_live_tuples_hold_the_uncommitted_elements_at_every_node")
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,12 @@ MUTATIONS = (
              "self.event_sink(DOM, x, v)", "self.event_sink(BOUND, x, None)",
              (IN_PLACE,)),
     Mutation("snapshot-kept-on-narrowing", STORE,
-             "var.snapshot = None\n        depth = len(self._cps)",
-             "depth = len(self._cps)",
+             "var.stamp = depth\n        var.snapshot = None",
+             "var.stamp = depth",
              (IN_PLACE, FRAMES)),
     Mutation("snapshot-kept-on-backtrack", STORE,
-             "= trail.pop()\n            var.snapshot = None", "= trail.pop()",
-             (IN_PLACE,)),
+             "var.stamp, var.snapshot = trail.pop()", "var.stamp, _ = trail.pop()",
+             (IN_PLACE, RESTORED_SNAPSHOT)),
     Mutation("save-trails-every-change", STORE,
              "if var.stamp != depth:", "if True:",
              (IN_PLACE, "tests/test_store.py::test_one_trail_entry_per_variable_per_choice_point",
@@ -66,13 +72,26 @@ MUTATIONS = (
              "if var.stamp != depth:", "if False:",
              (IN_PLACE, "tests/test_store.py::test_nested_backtracking_matches_reference_snapshots")),
     Mutation("backtrack-keeps-stamps", STORE,
-             "var.bits, var.stamp = trail.pop()", "var.bits, _ = trail.pop()",
+             "var.bits, var.stamp, var.snapshot = trail.pop()",
+             "var.bits, _, var.snapshot = trail.pop()",
              (IN_PLACE, "tests/test_store.py::test_one_trail_entry_per_variable_per_choice_point")),
     Mutation("revise-reads-live-members", "src/fdprop/linear.py",
              "for val in members(vx.lo, vx.hi, vx.bits):",
              "for val in (w for w in range(vx.lo, vx.hi + 1)"
              " if vx.bits is None or (vx.bits >> (w - vx.lo)) & 1):",
              ("tests/test_fixpoint_depth.py",)),
+    Mutation("spare-from-whole-list", ALLDISTINCT,
+             "spare = live.count - n", "spare = len(scope) - n",
+             (FULL_SCAN, LIVE_TUPLES)),
+    Mutation("filled-domain-skips-exclusions", ALLDISTINCT,
+             "failing = spare", "failing = 0",
+             (FULL_SCAN,)),
+    Mutation("commit-keeps-live-count", "src/fdprop/linear.py",
+             "live.count -= 1", "pass",
+             (LIVE_TUPLES,)),
+    Mutation("live-tuple-not-trailed", "src/fdprop/linear.py",
+             "store.save(live)", "pass",
+             (LIVE_TUPLES,)),
     Mutation("fixpoint-ignores-deadline", "src/fdprop/runtime.py",
              'raise LimitReached("time limit")', "pass",
              ("tests/test_model_cli.py::test_time_limit_cuts_a_long_fixpoint_short",
