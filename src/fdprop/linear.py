@@ -15,8 +15,10 @@ No agent is spawned during search.
 Disequalities are forward checked by one exclusion agent per variable,
 the paper's ``outof(X, Left, Right)`` generalised to offsets: it holds
 X's partners with their offsets and, once X is bound, excludes every
-implied value from them.  Every all_distinct strategy posts the same
-agent.
+implied value from them.  The offsets of a partner are kept as a value
+mask, so the commit tests a free partner with one shift and one AND
+against its bit vector, and removes every value hit with one store
+call.  Every all_distinct strategy posts the same agent.
 
 Each sum is checked at posting against a signed 64-bit budget,
 |c| + sum(|a_i| * max|X_i|), which bounds every intermediate value its
@@ -226,16 +228,20 @@ class _Pair:
 # -- disequality ---------------------------------------------------------------
 
 
-def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None, live=None) -> bool:
+def post_diseq(rt: Runtime, x: int, partners, name: str, reduce=None, live=None) -> bool:
     """Spawn X's forward-checking exclusion agent: Z != X + d for every
-    partner Z != X and offset d of each (partners, offsets) pair of
-    ``groups``.  It sleeps on ins of X; once X is bound to v it bars
-    v + d from each partner, in group, partner and offset order, and
-    ends.  A bound partner is tested by its value, a free one gets one
-    exclusion per offset.  With ``reduce`` it also wakes on bound and
-    dom of X and runs ``reduce`` on each wake and once at generation.
+    offset d of each (Z, offsets) entry of ``partners``; an entry with
+    Z == X is dropped, and so is an offset that cannot reach Z's
+    domain from X's.  It sleeps on ins of X; once X is bound to v it
+    bars v + d from each partner, in partner order, and ends.  A bound
+    partner is tested by its value.  For a free one, the offsets are a
+    mask, bit d - min(offsets) set for each d, kept from posting: the
+    commit shifts it to the partner's ``lo``, ANDs it with the members
+    and, if any is hit, removes them all with one ``Store.remove_bits``
+    call.  With ``reduce`` it also wakes on bound and dom of X and runs
+    ``reduce`` on each wake and once at generation.
 
-    ``live`` is an all_distinct's live record (``groups`` is then
+    ``live`` is an all_distinct's live record (``partners`` is then
     empty): its count is the number of elements whose agent has not
     committed and its snapshot those elements, in list order.  The
     partners are the live elements, offset 0, and the commit first
@@ -243,24 +249,51 @@ def post_diseq(rt: Runtime, x: int, groups, name: str, reduce=None, live=None) -
     store = rt.store
     vars_ = store.vars
     vx = vars_[x]
+    remove_bits = store.remove_bits
+    # (Z, its variable, offsets, min(offsets), mask) per partner.  An
+    # offset outside [lo_z - hi_x, hi_z - lo_x] can never bar a value of
+    # Z, and domains only shrink, so it is dropped: the mask and the
+    # commit's shift stay within the two domain widths.
+    entries = []
+    for z, offsets in partners:
+        if z == x:
+            continue
+        vz = vars_[z]
+        reach_lo, reach_hi = vz.lo - vx.hi, vz.hi - vx.lo
+        dmin = min(offsets)
+        if dmin < reach_lo or max(offsets) > reach_hi:
+            offsets = tuple(d for d in offsets if reach_lo <= d <= reach_hi)
+            if not offsets:
+                continue
+            dmin = min(offsets)
+        mask = 0
+        for d in offsets:
+            mask |= 1 << (d - dmin)
+        entries.append((z, vz, offsets, dmin, mask))
+    entries = tuple(entries)
 
     def free():
         return vx.count != 1
 
     def exclude(_event):
         v = vx.lo
-        for partners, offsets in groups:
-            for z in partners:
-                if z == x:
+        for z, vz, offsets, dmin, mask in entries:
+            lo = vz.lo
+            if vz.count == 1:
+                if lo - v in offsets:
+                    return False
+                continue
+            shift = v + dmin - lo
+            if shift >= 0:
+                if shift > vz.hi - lo:
                     continue
-                vz = vars_[z]
-                if vz.count == 1:
-                    if vz.lo - v in offsets:
-                        return False
-                    continue
-                for d in offsets:
-                    if not store.exclude(z, v + d):
-                        return False
+                m = mask << shift
+            else:
+                m = mask >> -shift
+            bits = vz.bits
+            m &= (1 << (vz.hi - lo + 1)) - 1 if bits is None else bits
+            if m and not remove_bits(z, vz, m):
+                return False
         return True
 
     def exclude_live(_event):

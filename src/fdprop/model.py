@@ -188,135 +188,150 @@ def _weak_arc_consistent(con, domains) -> bool:
 # -- parsing -------------------------------------------------------------------
 
 
-def _parse_int(token: str, line_no: int, col: int) -> int:
+class _TokenError(Exception):
+    """A model error, its str the message, at one token of the line
+    being parsed, given by the token's index: ``parse_model`` finds its
+    column only then."""
+
+    def __init__(self, message: str, token: int):
+        super().__init__(message)
+        self.token = token
+
+
+def _column(line: str, tokens: list[str], i: int) -> int:
+    """The 1-based column of tokens[i], the line's i-th token."""
+    pos = 0
+    for tok in tokens[:i]:
+        pos = line.index(tok, pos) + len(tok)
+    return line.index(tokens[i], pos) + 1
+
+
+def _parse_int(token: str, i: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ModelError(f"expected an integer, got {token!r}", line_no, col) from None
+        raise _TokenError(f"expected an integer, got {token!r}", i) from None
 
 
-def _parse_term(token: str, line_no: int, col: int) -> tuple[int, str]:
+def _parse_term(token: str, i: int) -> tuple[int, str]:
     parts = token.split("*")
     if len(parts) != 2 or not parts[1]:
-        raise ModelError(f"expected <coef>*<name>, got {token!r}", line_no, col)
-    return _parse_int(parts[0], line_no, col), parts[1]
+        raise _TokenError(f"expected <coef>*<name>, got {token!r}", i)
+    return _parse_int(parts[0], i), parts[1]
+
+
+def _resolve(index: dict[str, int], tok: str, i: int) -> int:
+    if tok not in index:
+        raise _TokenError(f"undeclared variable {tok!r}", i)
+    return index[tok]
 
 
 def parse_model(text: str, name: str = "model") -> Model:
     model = Model(name)
     index: dict[str, int] = {}
     label_line = None
-
-    def resolve(tok: str, line_no: int, col: int) -> int:
-        if tok not in index:
-            raise ModelError(f"undeclared variable {tok!r}", line_no, col)
-        return index[tok]
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         tokens = line.split()
-        cols = []
-        pos = 0
-        for tok in tokens:
-            pos = line.index(tok, pos)
-            cols.append(pos + 1)
-            pos += len(tok)
-        head = tokens[0]
-
-        if head == "var":
-            if len(tokens) != 4 or tokens[2] != "in":
-                raise ModelError("expected: var <name> in <domain>", line_no, cols[0])
-            vname = tokens[1]
-            if vname in index:
-                raise ModelError(f"duplicate declaration of {vname!r}", line_no, cols[1])
-            spec = tokens[3]
-            try:
-                if spec.startswith("{") and spec.endswith("}"):
-                    vals = tuple(sorted({_parse_int(v, line_no, cols[3])
-                                         for v in spec[1:-1].split(",") if v}))
-                    if not vals:
-                        raise ModelError("empty value set", line_no, cols[3])
-                    dom = make_set(vals)
-                elif ".." in spec:
-                    lo_s, hi_s = spec.split("..", 1)
-                    lo = _parse_int(lo_s, line_no, cols[3])
-                    hi = _parse_int(hi_s, line_no, cols[3])
-                    dom = make_interval(lo, hi)
-                    vals = None
-                else:
-                    raise ModelError(f"bad domain spec {spec!r}", line_no, cols[3])
-            except DomainError as exc:
-                raise ModelError(str(exc), line_no, cols[3]) from None
-            if vals is not None and dom.is_interval():
-                vals = None  # contiguous set normalizes to an interval
-            index[vname] = len(model.vars)
-            model.vars.append(VarDecl(vname, dom.lo, dom.hi, vals))
-
-        elif head == "lin":
-            if len(tokens) < 5 or tokens[-2] != "=" or tokens[-1] != "0":
-                raise ModelError("expected: lin <c0> <a>*<name> ... = 0", line_no, cols[0])
-            c0 = _parse_int(tokens[1], line_no, cols[1])
-            terms = []
-            for tok, col in zip(tokens[2:-2], cols[2:-2]):
-                a, vname = _parse_term(tok, line_no, col)
-                if a == 0:
-                    raise ModelError("zero coefficient", line_no, col)
-                terms.append((a, resolve(vname, line_no, col)))
-            model.constraints.append(NaryLinear(c0, tuple(terms)))
-
-        elif head == "eq":
-            if len(tokens) != 6 or tokens[2] != "=" or tokens[4] != "+":
-                raise ModelError("expected: eq <a>*<x> = <b>*<y> + <c>",
-                                 line_no, cols[0])
-            a, xname = _parse_term(tokens[1], line_no, cols[1])
-            b, yname = _parse_term(tokens[3], line_no, cols[3])
-            c = _parse_int(tokens[5], line_no, cols[5])
-            if a < 1 or b < 1:
-                raise ModelError("eq coefficients must be positive", line_no, cols[1])
-            model.constraints.append(BinaryLinear(
-                a, resolve(xname, line_no, cols[1]),
-                b, resolve(yname, line_no, cols[3]), c))
-
-        elif head == "neq":
-            if len(tokens) != 4:
-                raise ModelError("expected: neq <x> <y> <c>", line_no, cols[0])
-            model.constraints.append(Diseq(
-                resolve(tokens[1], line_no, cols[1]),
-                resolve(tokens[2], line_no, cols[2]),
-                _parse_int(tokens[3], line_no, cols[3])))
-
-        elif head == "alldistinct":
-            if len(tokens) < 2:
-                raise ModelError("alldistinct needs at least one variable",
-                                 line_no, cols[0])
-            model.constraints.append(Distinct(tuple(
-                resolve(tok, line_no, col)
-                for tok, col in zip(tokens[1:], cols[1:]))))
-
-        elif head == "label":
-            if label_line is not None:
-                raise ModelError("duplicate label line", line_no, cols[0])
-            if len(tokens) < 2:
-                raise ModelError("label needs at least one variable", line_no, cols[0])
-            seen = set()
-            order = []
-            for tok, col in zip(tokens[1:], cols[1:]):
-                i = resolve(tok, line_no, col)
-                if i in seen:
-                    raise ModelError(f"variable {tok!r} labeled twice", line_no, col)
-                seen.add(i)
-                order.append(i)
-            label_line = order
-
-        else:
-            raise ModelError(f"unknown directive {head!r}", line_no, cols[0])
+        try:
+            label_line = _parse_line(model, index, tokens, label_line)
+        except _TokenError as exc:
+            raise ModelError(str(exc), line_no, _column(line, tokens, exc.token)) from None
 
     if label_line is None:
         raise ModelError("missing required label line")
     model.label_order = label_line
     return model
+
+
+def _parse_line(model: Model, index: dict[str, int], tokens: list[str],
+                label_line: Optional[list[int]]) -> Optional[list[int]]:
+    """Add one line's declaration or constraint to the model; return
+    the label order, the line's if it is the label line."""
+    head = tokens[0]
+
+    if head == "var":
+        if len(tokens) != 4 or tokens[2] != "in":
+            raise _TokenError("expected: var <name> in <domain>", 0)
+        vname = tokens[1]
+        if vname in index:
+            raise _TokenError(f"duplicate declaration of {vname!r}", 1)
+        spec = tokens[3]
+        try:
+            if spec.startswith("{") and spec.endswith("}"):
+                vals = tuple(sorted({_parse_int(v, 3) for v in spec[1:-1].split(",") if v}))
+                if not vals:
+                    raise _TokenError("empty value set", 3)
+                dom = make_set(vals)
+            elif ".." in spec:
+                lo_s, hi_s = spec.split("..", 1)
+                dom = make_interval(_parse_int(lo_s, 3), _parse_int(hi_s, 3))
+                vals = None
+            else:
+                raise _TokenError(f"bad domain spec {spec!r}", 3)
+        except DomainError as exc:
+            raise _TokenError(str(exc), 3) from None
+        if vals is not None and dom.is_interval():
+            vals = None  # contiguous set normalizes to an interval
+        index[vname] = len(model.vars)
+        model.vars.append(VarDecl(vname, dom.lo, dom.hi, vals))
+
+    elif head == "lin":
+        if len(tokens) < 5 or tokens[-2] != "=" or tokens[-1] != "0":
+            raise _TokenError("expected: lin <c0> <a>*<name> ... = 0", 0)
+        c0 = _parse_int(tokens[1], 1)
+        terms = []
+        for i in range(2, len(tokens) - 2):
+            a, vname = _parse_term(tokens[i], i)
+            if a == 0:
+                raise _TokenError("zero coefficient", i)
+            terms.append((a, _resolve(index, vname, i)))
+        model.constraints.append(NaryLinear(c0, tuple(terms)))
+
+    elif head == "eq":
+        if len(tokens) != 6 or tokens[2] != "=" or tokens[4] != "+":
+            raise _TokenError("expected: eq <a>*<x> = <b>*<y> + <c>", 0)
+        a, xname = _parse_term(tokens[1], 1)
+        b, yname = _parse_term(tokens[3], 3)
+        c = _parse_int(tokens[5], 5)
+        if a < 1 or b < 1:
+            raise _TokenError("eq coefficients must be positive", 1)
+        model.constraints.append(BinaryLinear(a, _resolve(index, xname, 1),
+                                              b, _resolve(index, yname, 3), c))
+
+    elif head == "neq":
+        if len(tokens) != 4:
+            raise _TokenError("expected: neq <x> <y> <c>", 0)
+        model.constraints.append(Diseq(_resolve(index, tokens[1], 1),
+                                       _resolve(index, tokens[2], 2),
+                                       _parse_int(tokens[3], 3)))
+
+    elif head == "alldistinct":
+        if len(tokens) < 2:
+            raise _TokenError("alldistinct needs at least one variable", 0)
+        model.constraints.append(Distinct(tuple(
+            _resolve(index, tokens[i], i) for i in range(1, len(tokens)))))
+
+    elif head == "label":
+        if label_line is not None:
+            raise _TokenError("duplicate label line", 0)
+        if len(tokens) < 2:
+            raise _TokenError("label needs at least one variable", 0)
+        seen = set()
+        order = []
+        for i in range(1, len(tokens)):
+            x = _resolve(index, tokens[i], i)
+            if x in seen:
+                raise _TokenError(f"variable {tokens[i]!r} labeled twice", i)
+            seen.add(x)
+            order.append(x)
+        return order
+
+    else:
+        raise _TokenError(f"unknown directive {head!r}", 0)
+    return label_line
 
 
 def format_model(model: Model) -> str:
@@ -379,9 +394,9 @@ class SolverConfig:
         return None if self.time_limit is None else started + self.time_limit
 
 
-def _diseq_groups(constraints) -> dict[int, tuple]:
-    """The partner groups of each variable's exclusion agent, one
-    ((z,), offsets) group per partner in order of first mention: X != Y
+def _diseq_partners(constraints) -> dict[int, tuple]:
+    """The partners of each variable's exclusion agent, one (z, offsets)
+    entry per partner in order of first mention: X != Y
     + c gives X's agent offset -c on Y and Y's agent offset +c on X.  A
     repeated offset is dropped, and so is X != X + c, which holds iff
     c != 0 (build checks that)."""
@@ -393,7 +408,7 @@ def _diseq_groups(constraints) -> dict[int, tuple]:
             ds = offsets.setdefault(x, {}).setdefault(z, [])
             if d not in ds:
                 ds.append(d)
-    return {x: tuple(((z,), tuple(ds)) for z, ds in partners.items())
+    return {x: tuple((z, tuple(ds)) for z, ds in partners.items())
             for x, partners in offsets.items()}
 
 
@@ -416,7 +431,7 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     for vd in model.vars:
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
         store.new_var(dom, vd.name)
-    diseqs = _diseq_groups(model.constraints)
+    diseqs = _diseq_partners(model.constraints)
     for con in model.constraints:
         if isinstance(con, BinaryLinear):
             ok = post_binary(rt, con, level)

@@ -145,11 +145,14 @@ class Store:
     Beldiceanu's time-stamping).  A backtrack writes all six back.
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
-    event a narrowing (``exclude``, ``intersect``, ``bind``) posts; the
-    runtime installs itself here.  The default sink drops the events
-    (domains still narrow correctly).  A narrowing writes the fields
-    before it posts, and posts nothing when nothing changes or when the
-    domain would become empty, which leaves it as it was.
+    event a narrowing (``exclude``, ``remove_bits``, ``intersect``,
+    ``bind``) posts; the runtime installs itself here.  The default
+    sink drops the events (domains still narrow correctly).  A
+    narrowing writes the fields before it posts, and posts nothing when
+    nothing changes or when the domain would become empty, which leaves
+    it as it was.  ``exclude`` removes one value; ``remove_bits``
+    removes a set of members given as a bit vector aligned to ``lo``,
+    with one trail entry and one write, for forward checking's commit.
     """
 
     def __init__(self, event_sink: Callable[[int, int, Optional[int]], None] = _drop_event):
@@ -228,6 +231,41 @@ class Store:
         else:
             var.hi = hi - 1
         self.event_sink(INS if count == 1 else BOUND, x, None)
+        return True
+
+    def remove_bits(self, x: int, var: Variable, m: int) -> bool:
+        """Remove from x's domain (var is its variable) the members
+        named by m, a non-empty subset of them as a bit vector aligned
+        to ``lo``: bit i stands for ``lo + i``.  False on wipe-out,
+        before anything is written.  Otherwise one save, one write of
+        the fields, and the events in a fixed order: ins (one member
+        left) or bound, if a bound moved; then, unless bound, one dom
+        per removed value strictly inside the new bounds, ascending."""
+        n = m.bit_count()
+        if var.count <= n:
+            return False
+        lo = var.lo
+        hi = var.hi
+        bits = var.bits
+        if bits is None:
+            bits = (1 << (hi - lo + 1)) - 1
+        self.save(var)
+        count = var.count = var.count - n
+        _set_bits(var, bits ^ m, lo)
+        sink = self.event_sink
+        if count == 1:
+            sink(INS, x, None)
+            return True
+        new_lo = var.lo
+        new_hi = var.hi
+        if new_lo != lo or new_hi != hi:
+            sink(BOUND, x, None)
+        # the removed values in new_lo+1 .. new_hi-1, bit j for new_lo+1+j
+        inner = (m >> (new_lo + 1 - lo)) & ((1 << (new_hi - new_lo - 1)) - 1)
+        while inner:
+            low = inner & -inner
+            sink(DOM, x, new_lo + low.bit_length())
+            inner ^= low
         return True
 
     def intersect(self, x: int, lo: int, hi: int) -> bool:

@@ -195,9 +195,9 @@ def _spy_on_outof_agents(monkeypatch):
     posted = []
     post = alldistinct.post_diseq
 
-    def spy(rt, x, groups, name, reduce=None, live=None):
+    def spy(rt, x, partners, name, reduce=None, live=None):
         first = len(rt.agents)
-        ok = post(rt, x, groups, name, reduce, live)
+        ok = post(rt, x, partners, name, reduce, live)
         posted.append((live, x, rt.agents[first]))
         return ok
 

@@ -26,7 +26,7 @@ from fdprop.model import (
     Model,
     SolverConfig,
     VarDecl,
-    _diseq_groups,
+    _diseq_partners,
     build,
     fixpoint_violations,
     parse_model,
@@ -152,7 +152,7 @@ def test_diseq_examples():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, (((y,), (0,)),), "neq(_0)")  # Y != X + 0
+    assert post_diseq(rt, x, ((y, (0,)),), "neq(_0)")  # Y != X + 0
     assert [a.name for a in rt.agents] == ["neq(_0)"]
     assert store.bind(x, 3) and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 2, 4, 5)
@@ -162,18 +162,75 @@ def test_diseq_examples():
         store, rt = fresh()
         x = store.new_var(make_interval(1, 5))
         y = store.new_var(make_interval(1, 5))
-        assert post_diseq(rt, x, (((y,), (-2,)),), "neq(_0)")
-        assert post_diseq(rt, y, (((x,), (2,)),), "neq(_1)")
+        assert post_diseq(rt, x, ((y, (-2,)),), "neq(_0)")
+        assert post_diseq(rt, y, ((x, (2,)),), "neq(_1)")
         assert store.bind(x, vx) and store.bind(y, vy)
         assert rt.run_to_fixpoint() == consistent
 
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, (((y,), (0, 1, -1)),), "neq(_0)") and rt.run_to_fixpoint()
+    assert post_diseq(rt, x, ((y, (0, 1, -1)),), "neq(_0)") and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 2, 3, 4, 5)  # x free: asleep
     assert store.bind(x, 3) and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 5)  # every offset barred
+
+
+def test_forward_checking_commit_by_mask():
+    """X bound to 3 commits against three partners: one bound, tested by
+    its value; a holed one whose barred values 3 and 4 all lie outside
+    it, left untouched; and W, offsets (1, 2, -1), which bar 4, 5 and 2,
+    a mask shifted right onto W's lo.  W = {4, 5} is wiped out by the
+    second offset: one remove_bits call fails before it writes or posts
+    anything.  W = {4, 5, 7} loses 4 and 5, and 2 lies below it: one
+    trail entry, one ins."""
+    for w_values, consistent in (((4, 5), False), ((4, 5, 7), True)):
+        store, rt = fresh()
+        x = store.new_var(make_interval(1, 5))
+        b = store.new_var(make_interval(9, 9))
+        o = store.new_var(make_set([1, 2, 8, 9]))
+        w = store.new_var(make_set(w_values))
+        assert post_diseq(rt, x, ((b, (5, 7)), (o, (0, 1)), (w, (1, 2, -1))), "neq(_0)")
+        events = []
+        sink = store.event_sink
+
+        def spy(kind, var, value, sink=sink, events=events):
+            events.append((kind, var, value))
+            sink(kind, var, value)
+        store.event_sink = spy
+        rt.push_choice_point()
+        assert store.bind(x, 3)
+        events.clear()
+        mark = len(store._trail)
+        o_domain, w_domain = store.domain(o), store.domain(w)
+        assert rt.run_to_fixpoint() is consistent
+        assert store.domain(o) is o_domain and store.vars[o].stamp == 0
+        if consistent:
+            assert events == [(INS, w, None)]
+            assert [entry[0] for entry in store._trail[mark:]] == [store.vars[w]]
+            assert store.value(w) == 7
+        else:
+            assert events == [] and store._trail[mark:] == []
+            assert store.domain(w) is w_domain and store.vars[w].stamp == 0
+
+
+@pytest.mark.parametrize("big", [2 ** 40, 2 ** 62, 10 ** 30])
+def test_diseq_offsets_far_outside_the_domains(big):
+    """An offset no value pair can meet is dropped at posting, so a
+    partner with offsets -big, 1 and +big keeps a mask of the domain
+    widths and the commit never shifts past them."""
+    model = parse_model("var x in 1..3\nvar y in 1..3\nvar z in 1..3\n"
+                        f"neq x y {big}\nneq x y {-big}\nneq x y 1\nneq y z {big}\n"
+                        "neq x z 0\nlabel x y z\n")
+    store, rt, ok = build(model)
+    assert ok and rt.run_to_fixpoint()
+    oracle = enumerate_solutions(model.to_ground())
+    assert len(oracle) == 14
+    for policy in ("fifo", "lifo"):
+        result = solve_model(model, SolverConfig(mode="all"), queue_policy=policy)
+        assert set(result.solutions) == oracle
+    assert store.bind(1, 2) and rt.run_to_fixpoint()  # Y's agent commits
+    assert domain_values(store, 0) == (1, 2) and domain_values(store, 2) == (1, 2, 3)
 
 
 def test_diseq_same_variable():
@@ -210,8 +267,8 @@ def _build_one_agent_per_diseq(model, policy):
             if con.x == con.y:
                 ok = ok and con.c != 0
                 continue
-            ok = (ok and post_diseq(rt, con.x, (((con.y,), (-con.c,)),), f"neq(_{con.x})")
-                  and post_diseq(rt, con.y, (((con.x,), (con.c,)),), f"neq(_{con.y})"))
+            ok = (ok and post_diseq(rt, con.x, ((con.y, (-con.c,)),), f"neq(_{con.x})")
+                  and post_diseq(rt, con.y, ((con.x, (con.c,)),), f"neq(_{con.y})"))
     return store, rt, ok
 
 
@@ -233,8 +290,8 @@ def test_merged_diseq_posting_matches_one_agent_per_record(policy):
         if trial % 2:
             model = _with_pair_diseqs(rng, model)
         # agents that hold more than one (partner, offset) pair
-        merged_agents += sum(sum(len(offsets) for _, offsets in groups) > 1
-                             for groups in _diseq_groups(model.constraints).values())
+        merged_agents += sum(sum(len(offsets) for _, offsets in partners) > 1
+                             for partners in _diseq_partners(model.constraints).values())
         merged = _root_and_solutions(*build(model, queue_policy=policy, queue_seed=7),
                                      model)
         single = _root_and_solutions(*_build_one_agent_per_diseq(model, policy), model)
@@ -247,10 +304,10 @@ def test_diseq_merge_edge_cases():
     decls = [VarDecl("x", 1, 3), VarDecl("y", 1, 3), VarDecl("z", 1, 3)]
     # Y != X - 1 is X != Y + 1 again; X != X + 3 is dropped
     records = [Diseq(0, 1, 1), Diseq(1, 0, -1), Diseq(0, 0, 3), Diseq(2, 0, 0)]
-    assert _diseq_groups(records) == {
-        0: (((1,), (-1,)), ((2,), (0,))),
-        1: (((0,), (1,)),),
-        2: (((0,), (0,)),),
+    assert _diseq_partners(records) == {
+        0: ((1, (-1,)), (2, (0,))),
+        1: ((0, (1,)),),
+        2: ((0, (0,)),),
     }
     store, rt, ok = build(Model("m", decls, records, [0, 1, 2]))
     assert ok

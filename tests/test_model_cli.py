@@ -70,6 +70,86 @@ def test_parse_errors_carry_location():
     assert str(exc.value) == "line 3, column 12: variable 'x' labeled twice"
 
 
+# (model text, the error's message) for every error the parser raises,
+# with tokens spaced unevenly so that each column is the token's own
+PARSE_ERRORS = [
+    ('var x 1..3\nlabel x\n',
+     'line 1, column 1: expected: var <name> in <domain>'),
+    ('  var x in 1..3\n var x  in 2..4\nlabel x\n',
+     "line 2, column 6: duplicate declaration of 'x'"),
+    ('var x in {1,a,3}\nlabel x\n',
+     "line 1, column 10: expected an integer, got 'a'"),
+    ('var x in {,}\nlabel x\n',
+     'line 1, column 10: empty value set'),
+    ('var x in 1..b\nlabel x\n',
+     "line 1, column 10: expected an integer, got 'b'"),
+    ('var  x in  7\nlabel x\n',
+     "line 1, column 12: bad domain spec '7'"),
+    ('var x in 5..1 # reversed\nlabel x\n',
+     'line 1, column 10: empty interval 5..1'),
+    ('var x in 1..3\nvar y in 1..3\nlin 0 1*x = 1\nlabel x\n',
+     'line 3, column 1: expected: lin <c0> <a>*<name> ... = 0'),
+    ('var x in 1..3\nvar y in 1..3\nlin z 1*x = 0\nlabel x\n',
+     "line 3, column 5: expected an integer, got 'z'"),
+    ('var x in 1..3\nvar y in 1..3\nlin 0  1*x 2y = 0\nlabel x\n',
+     "line 3, column 12: expected <coef>*<name>, got '2y'"),
+    ('var x in 1..3\nvar y in 1..3\nlin 0 1*x q*y = 0\nlabel x\n',
+     "line 3, column 11: expected an integer, got 'q'"),
+    ('var x in 1..3\nvar y in 1..3\nlin 0 1*x 0*y = 0\nlabel x\n',
+     'line 3, column 11: zero coefficient'),
+    ('var x in 1..3\nvar y in 1..3\nlin 0 1*x 1*w = 0\nlabel x\n',
+     "line 3, column 11: undeclared variable 'w'"),
+    ('var x in 1..3\nvar y in 1..3\neq 1*x = 1*y 1\nlabel x\n',
+     'line 3, column 1: expected: eq <a>*<x> = <b>*<y> + <c>'),
+    ('var x in 1..3\nvar y in 1..3\neq 1*x = 1*y + c\nlabel x\n',
+     "line 3, column 16: expected an integer, got 'c'"),
+    ('var x in 1..3\nvar y in 1..3\neq   x = 1*y + 1\nlabel x\n',
+     "line 3, column 6: expected <coef>*<name>, got 'x'"),
+    ('var x in 1..3\nvar y in 1..3\neq 1*x = 2*  + 1\nlabel x\n',
+     "line 3, column 10: expected <coef>*<name>, got '2*'"),
+    ('var x in 1..3\nvar y in 1..3\neq 0*x = 1*y + 1\nlabel x\n',
+     'line 3, column 4: eq coefficients must be positive'),
+    ('var x in 1..3\nvar y in 1..3\neq 1*x = 1*v + 1\nlabel x\n',
+     "line 3, column 10: undeclared variable 'v'"),
+    ('var x in 1..3\nvar y in 1..3\nneq x y\nlabel x\n',
+     'line 3, column 1: expected: neq <x> <y> <c>'),
+    ('var x in 1..3\nvar y in 1..3\nneq x y k\nlabel x\n',
+     "line 3, column 9: expected an integer, got 'k'"),
+    ('var x in 1..3\nvar y in 1..3\nneq x x1 0\nlabel x\n',
+     "line 3, column 7: undeclared variable 'x1'"),
+    ('var x in 1..3\nvar y in 1..3\nalldistinct\nlabel x\n',
+     'line 3, column 1: alldistinct needs at least one variable'),
+    ('var x in 1..3\nvar y in 1..3\nalldistinct x y  yy\nlabel x\n',
+     "line 3, column 18: undeclared variable 'yy'"),
+    ('var x in 1..3\nvar y in 1..3\nlabel\n',
+     'line 3, column 1: label needs at least one variable'),
+    ('var x in 1..3\nvar y in 1..3\nlabel x y\nlabel x\n',
+     'line 4, column 1: duplicate label line'),
+    ('var x in 1..3\nvar y in 1..3\nlabel x x\n',
+     "line 3, column 9: variable 'x' labeled twice"),
+    ('var x in 1..3\nvar y in 1..3\nlabel x z\n',
+     "line 3, column 9: undeclared variable 'z'"),
+    ('var x in 1..3\nvar y in 1..3\n  frob x\n',
+     "line 3, column 3: unknown directive 'frob'"),
+    ('var x in 1..3\nvar y in 1..3\n',
+     'missing required label line'),
+    ('var x in 1..3\nvar xx in 1..3\nlabel xx x xx\n',
+     "line 3, column 12: variable 'xx' labeled twice"),
+    ('var x in 1..3\nvar xx in 1..3\nneq xx x xx\nlabel x\n',
+     "line 3, column 10: expected an integer, got 'xx'"),
+    ("var x\tin 1..3\nlabel\tx \t x\n",
+     "line 2, column 11: variable 'x' labeled twice"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS,
+                         ids=[f"error{i}" for i in range(len(PARSE_ERRORS))])
+def test_parse_error_messages_name_the_token_column(text, message):
+    with pytest.raises(ModelError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+
+
 def test_round_trip_all_shipped_and_generated_models():
     models = [get_benchmark(n) for n in FILE_BENCHMARKS]
     models += [queens_model(5), magic_model(3), holed_chain_model(2)]

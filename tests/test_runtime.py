@@ -205,8 +205,8 @@ def test_ins_only_agents_never_enter_consumed():
     store, rt = fresh()
     rt.consumed = NoEntries()
     xs = [store.new_var(make_interval(1, hi)) for hi in (3, 2, 3)]
-    for x in xs:  # pairwise X != Y
-        assert post_diseq(rt, x, ((tuple(xs), (0,)),), f"neq(_{x})")
+    for x in xs:  # pairwise X != Y; the entry of X itself is dropped
+        assert post_diseq(rt, x, tuple((z, (0,)) for z in xs), f"neq(_{x})")
     assert store.bind(xs[0], 2)
     assert rt.queue
     assert rt.run_to_fixpoint()  # binds xs[1] to 1, then xs[2] to 3

@@ -140,8 +140,8 @@ def test_label_frames_iterate_the_domain_at_frame_creation():
     rt = Runtime(store)
     y = store.new_var(make_interval(1, 2))
     x = store.new_var(make_set([1, 4, 5, 7]))
-    assert post_diseq(rt, y, (((x,), (0,)),), "neq(_y)")
-    assert post_diseq(rt, x, (((y,), (0,)),), "neq(_x)")
+    assert post_diseq(rt, y, ((x, (0,)),), "neq(_y)")
+    assert post_diseq(rt, x, ((y, (0,)),), "neq(_x)")
     stats, sols = label(rt, [y, x], all_solutions=True)
     assert stats.backtracks == 0
     assert sols == [(1, 4), (1, 5), (1, 7), (2, 1), (2, 4), (2, 5), (2, 7)]

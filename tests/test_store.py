@@ -223,7 +223,8 @@ def _fields(store) -> list[tuple]:
 def _reference_step(ref: set, op: tuple):
     """What a narrowing should do to a domain with members ``ref``: the
     call's result, the members after it and the events it posts, given
-    as (kind, value) pairs."""
+    as (kind, value) pairs.  ("remove_bits", base, mask) removes the
+    values base + i for each bit i of mask."""
     name, *args = op
     if name == "bind":
         (v,) = args
@@ -233,6 +234,9 @@ def _reference_step(ref: set, op: tuple):
     if name == "exclude":
         (v,) = args
         new = ref - {v}
+    elif name == "remove_bits":
+        base, mask = args
+        new = {w for w in ref if w < base or not (mask >> (w - base)) & 1}
     else:
         lo, hi = args
         new = {w for w in ref if lo <= w <= hi}
@@ -242,9 +246,22 @@ def _reference_step(ref: set, op: tuple):
         return False, ref, []
     if len(new) == 1:
         return True, new, [(INS, None)]
+    if name == "remove_bits":
+        moved = (min(new), max(new)) != (min(ref), max(ref))
+        return True, new, [(BOUND, None)] * moved + [
+            (DOM, w) for w in sorted(ref - new) if min(new) < w < max(new)]
     if name == "exclude" and min(ref) < op[1] < max(ref):
         return True, new, [(DOM, op[1])]
     return True, new, [(BOUND, None)]
+
+
+def _aligned_hits(var, base: int, mask: int) -> int:
+    """The members of var among the values base + i, bit i of mask, as a
+    bit vector aligned to var's ``lo``: the forward-checking commit's
+    shift and AND."""
+    shift = base - var.lo
+    m = mask << shift if shift >= 0 else mask >> -shift
+    return m & ((1 << (var.hi - var.lo + 1)) - 1 if var.bits is None else var.bits)
 
 
 def _assert_matches(store, refs):
@@ -258,15 +275,19 @@ def _assert_matches(store, refs):
 
 
 def test_in_place_narrowing_matches_a_set_reference():
-    """Random exclude/intersect/bind sequences inside up to three nested
-    choice points, checked after every step against Python sets and the
-    reference event classification: one trail entry per variable per
+    """Random exclude/remove_bits/intersect/bind sequences inside up to
+    three nested choice points, checked after every step against Python
+    sets and the reference events: one trail entry per variable per
     depth, a snapshot that is replaced exactly on a real change, and
     backtracks that restore every field and stamp and bring back, as
     ``domain``, the very snapshot cached before the first change at
     that depth, never a later one."""
     rng = random.Random(11)
-    for _ in range(200):
+    # remove_bits calls by shift direction (mask shifted left: its base
+    # above lo), and those that wipe the domain out
+    shifted = {True: 0, False: 0}
+    wipe_outs = 0
+    for _ in range(250):
         store, events = recording_store()
         for _ in range(rng.randint(1, 3)):
             vd = random_domain(rng)
@@ -290,8 +311,14 @@ def test_in_place_narrowing_matches_a_set_reference():
             x = rng.randrange(len(store.vars))
             lo = min(refs[x]) - 2
             hi = max(refs[x]) + 2
-            if roll < 0.7:
+            if roll < 0.55:
                 op = ("exclude", rng.randint(lo, hi))
+            elif roll < 0.7:
+                base = rng.randint(lo, hi)
+                values = {w for w in range(base, hi + 3) if rng.random() < 0.3}
+                if rng.random() < 0.1:
+                    values |= {w for w in refs[x] if w >= base}
+                op = ("remove_bits", base, sum(1 << (w - base) for w in values))
             elif roll < 0.9:
                 a = rng.randint(lo, hi)
                 op = ("intersect", a, a + rng.randint(0, 5))
@@ -302,7 +329,16 @@ def test_in_place_narrowing_matches_a_set_reference():
             trail_len = len(store._trail)
             fresh = store.vars[x].stamp != store.depth()
             events.clear()
-            assert getattr(store, op[0])(x, *op[1:]) is ok
+            if op[0] == "remove_bits":
+                m = _aligned_hits(store.vars[x], *op[1:])
+                if not m:
+                    assert new is refs[x]
+                    continue
+                shifted[op[1] > store.vars[x].lo] += 1
+                wipe_outs += not ok
+                assert store.remove_bits(x, store.vars[x], m) is ok
+            else:
+                assert getattr(store, op[0])(x, *op[1:]) is ok
             assert events == [(kind, x, value) for kind, value in expected]
             changed = new is not refs[x]
             refs[x] = new
@@ -322,6 +358,7 @@ def test_in_place_narrowing_matches_a_set_reference():
             assert _fields(store) == fields
             assert all(v.domain is d for v, d in zip(store.vars, snapshots))
             _assert_matches(store, refs)
+    assert min(shifted.values()) > 100 and wipe_outs > 20, (shifted, wipe_outs)
 
 
 def test_backtrack_restores_the_snapshot_of_the_restored_fields():

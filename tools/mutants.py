@@ -36,6 +36,9 @@ ALLDISTINCT = "src/fdprop/alldistinct.py"
 FULL_SCAN = "tests/test_alldistinct.py::test_outof_reducer_matches_full_scan"
 LIVE_TUPLES = ("tests/test_alldistinct.py::"
                "test_live_tuples_hold_the_uncommitted_elements_at_every_node")
+LINEAR = "src/fdprop/linear.py"
+MASK_COMMIT = "tests/test_linear.py::test_forward_checking_commit_by_mask"
+FC_REFERENCE = "tests/test_linear.py::test_forward_checking_reaches_reference_fixpoint"
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,22 @@ MUTATIONS = (
              "var.bits, var.stamp, var.snapshot = trail.pop()",
              "var.bits, _, var.snapshot = trail.pop()",
              (IN_PLACE, "tests/test_store.py::test_one_trail_entry_per_variable_per_choice_point")),
-    Mutation("revise-reads-live-members", "src/fdprop/linear.py",
+    Mutation("remove-bits-wipe-out-test-off-by-one", STORE,
+             "if var.count <= n:", "if var.count < n:",
+             (IN_PLACE,)),
+    Mutation("remove-bits-dom-outside-new-bounds", STORE,
+             "inner = (m >> (new_lo + 1 - lo)) & ((1 << (new_hi - new_lo - 1)) - 1)",
+             "inner = m >> (new_lo + 1 - lo)",
+             (IN_PLACE,)),
+    Mutation("mask-commit-skips-membership-and", LINEAR,
+             "m &= (1 << (vz.hi - lo + 1)) - 1 if bits is None else bits",
+             "m &= (1 << (vz.hi - lo + 1)) - 1",
+             (MASK_COMMIT, FC_REFERENCE)),
+    Mutation("mask-commit-shifts-the-wrong-way", LINEAR,
+             "m = mask << shift\n            else:\n                m = mask >> -shift",
+             "m = mask >> shift\n            else:\n                m = mask << -shift",
+             (MASK_COMMIT, FC_REFERENCE)),
+    Mutation("revise-reads-live-members", LINEAR,
              "for val in members(vx.lo, vx.hi, vx.bits):",
              "for val in (w for w in range(vx.lo, vx.hi + 1)"
              " if vx.bits is None or (vx.bits >> (w - vx.lo)) & 1):",
@@ -86,12 +104,19 @@ MUTATIONS = (
     Mutation("filled-domain-skips-exclusions", ALLDISTINCT,
              "failing = spare", "failing = 0",
              (FULL_SCAN,)),
-    Mutation("commit-keeps-live-count", "src/fdprop/linear.py",
+    Mutation("commit-keeps-live-count", LINEAR,
              "live.count -= 1", "pass",
              (LIVE_TUPLES,)),
-    Mutation("live-tuple-not-trailed", "src/fdprop/linear.py",
+    Mutation("live-tuple-not-trailed", LINEAR,
              "store.save(live)", "pass",
              (LIVE_TUPLES,)),
+    Mutation("exhausted-subtree-counted-as-backtrack", "src/fdprop/search.py",
+             "            stack.pop()\n        return False",
+             "            stack.pop()\n            stats.backtracks += 1\n        return False",
+             ("tests/test_count_matrix.py::test_count_matrix_fast_rows_match",)),
+    Mutation("restore-keeps-watchers", "src/fdprop/runtime.py",
+             "vars_[var].watchers[kind].pop()", "pass",
+             ("tests/test_runtime.py::test_backtrack_restores_agent_table_and_watchers",)),
     Mutation("fixpoint-ignores-deadline", "src/fdprop/runtime.py",
              'raise LimitReached("time limit")', "pass",
              ("tests/test_model_cli.py::test_time_limit_cuts_a_long_fixpoint_short",
