@@ -169,9 +169,8 @@ def _cmd_verify(args) -> int:
     model = _load(args.model)
     config = _config(args, ALL_SOLUTIONS)
     started = time.perf_counter()
-    store, rt, ok = build(model, config)
-    rt.deadline = config.deadline(started)
     try:
+        store, rt, ok = build(model, config)
         ok = ok and rt.run_to_fixpoint()
     except LimitReached as exc:
         _limit_reached(str(exc))

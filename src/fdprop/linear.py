@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass
 
 from .domain import members
-from .runtime import Rule, Runtime
+from .runtime import Rule, Runtime, check_deadline
 from .store import BOUND, DOM, GENERATED, INS
 
 INT64_MAX = (1 << 63) - 1
@@ -133,11 +133,14 @@ def _narrow_from(store, x, a, vy, b, c) -> bool:
     return store.intersect(x, ceil_div(t_lo, a), t_hi // a)
 
 
-def _revise(store, x, vx, a, vy, b, c) -> bool:
+def _revise(store, x, vx, a, vy, b, c, deadline) -> bool:
     """Drop the values of X (variable vx) of a*X = b*Y + c that have no
     support in Y (variable vy, another variable).  X's members are read
     once, before the first exclusion narrows them in place; Y does not
-    change meanwhile."""
+    change meanwhile.  The pass visits every member of X, and at
+    posting no fixpoint reads the clock, so it first checks
+    ``deadline`` (see ``check_deadline``)."""
+    check_deadline(deadline)
     y_lo = vy.lo
     y_hi = vy.hi
     y_bits = vy.bits
@@ -203,11 +206,13 @@ class _Pair:
         return (_narrow_from(store, self.x, self.a, self.vy, self.b, self.c)
                 and _narrow_from(store, self.y, self.ma, self.vx, self.mb, self.mc))
 
-    def revise(self) -> bool:
-        """Revise X against Y, then Y against X."""
+    def revise(self, deadline) -> bool:
+        """Revise X against Y, then Y against X, each half first
+        checking ``deadline``."""
         store = self.store
-        return (_revise(store, self.x, self.vx, self.a, self.vy, self.b, self.c)
-                and _revise(store, self.y, self.vy, self.ma, self.vx, self.mb, self.mc))
+        return (_revise(store, self.x, self.vx, self.a, self.vy, self.b, self.c, deadline)
+                and _revise(store, self.y, self.vy, self.ma, self.vx, self.mb, self.mc,
+                            deadline))
 
     def step(self, event) -> bool:
         """One wake on a bound or dom event of X or Y.  A bound event
@@ -462,13 +467,13 @@ def _post_sum(rt, c, terms, level, binary=False) -> bool:
         kinds += (DOM,)
     watch = tuple([(kind, x) for _, x in terms for kind in kinds])
     if pair:
-        rules = [_pair_rule(store, c, terms, watch, arc)]
+        rules = [_pair_rule(rt, c, terms, watch, arc)]
     else:
         guard = None if commit_at is None else more_free
         rules = [Rule(guard, watch, _make_reducer(rt, c, terms) if interval else _true,
                       run_on_generated=interval)]
         if arc:
-            rules.append(_pair_rule(store, c, terms, tuple([(DOM, x) for _, x in terms]), True))
+            rules.append(_pair_rule(rt, c, terms, tuple([(DOM, x) for _, x in terms]), True))
 
     def commit(_event):
         return _solve(store, c, terms)
@@ -480,19 +485,21 @@ def _post_sum(rt, c, terms, level, binary=False) -> bool:
     return rt.spawn(rules, name=name) is not None
 
 
-def _pair_rule(store, c, terms, watch, arc) -> Rule:
+def _pair_rule(rt, c, terms, watch, arc) -> Rule:
     """The pair rule of c + sum(a_i * X_i) = 0, for while exactly two
     terms are free, sleeping on ``watch``.  On entry it folds the bound
     terms into the constant, keeps the two survivors as a ``_Pair``,
-    narrows both sides and, with ``arc``, revises them; two survivors
-    on one variable are solved on entry instead.  Each later wake runs
-    ``_Pair.step``, ignoring records of other variables: a hybrid sum's
-    bound terms, queued before the switch.
+    narrows both sides and, with ``arc``, revises them under the
+    runtime's deadline; two survivors on one variable are solved on
+    entry instead.  Each later wake runs ``_Pair.step``, ignoring
+    records of other variables: a hybrid sum's bound terms, queued
+    before the switch.
 
     ``pair`` holds the survivors' equation, or None for two survivors
     on one variable, as of the latest entry.  It needs no trail: a
     backtrack that undoes an entry also moves the agent off this rule,
     so the agent sleeps here only after the entry that set ``pair``."""
+    store = rt.store
     vars_ = store.vars
     pair = None
 
@@ -511,7 +518,7 @@ def _pair_rule(store, c, terms, watch, arc) -> Rule:
                 pair = None
                 return _solve(store, k, free)
             pair = _Pair(store, k, free)
-            return pair.narrow() and (not arc or pair.revise())
+            return pair.narrow() and (not arc or pair.revise(rt.deadline))
         if pair is None or (event.var != pair.x and event.var != pair.y):
             return True
         return pair.step(event)

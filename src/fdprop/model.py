@@ -373,8 +373,8 @@ class SolverConfig:
     n-ary ones; 'ic' keeps interval consistency everywhere; 'fc' is plain
     forward checking.  mode is FIRST_SOLUTION or ALL_SOLUTIONS.
     max_backtracks and time_limit (seconds from the start of the solve)
-    bound the search, and time_limit bounds every fixpoint, the root's
-    included; None leaves it unbounded."""
+    bound the search, and time_limit bounds posting and every
+    fixpoint, the root's included; None leaves it unbounded."""
 
     level: str = "ac"
     alldistinct: str = "linear"
@@ -422,10 +422,27 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     its first record; X != X + 0 fails there.  The returned flag
     is False when posting already failed; root propagation
     (run_to_fixpoint) is the caller's next step.  A trace_stream gets
-    one line per activation."""
-    store = Store()
-    rt = Runtime(store, queue_policy=queue_policy, queue_seed=queue_seed,
+    one line per activation.  The config's time limit counts from the
+    call and is the runtime's deadline before anything is posted, so
+    posting past it raises ``LimitReached``."""
+    rt = _runtime(config, time.perf_counter(), queue_policy, queue_seed, trace_stream)
+    return rt.store, rt, _post(rt, model, config)
+
+
+def _runtime(config: SolverConfig, started: float, queue_policy: str,
+             queue_seed: Optional[int], trace_stream) -> Runtime:
+    """A runtime on a new store, its deadline the config's time limit
+    counted from ``started``."""
+    rt = Runtime(Store(), queue_policy=queue_policy, queue_seed=queue_seed,
                  trace=trace_stream)
+    rt.deadline = config.deadline(started)
+    return rt
+
+
+def _post(rt: Runtime, model: Model, config: SolverConfig) -> bool:
+    """Make the model's variables and post its constraints (see
+    ``build``); False when posting failed."""
+    store = rt.store
     level = ConsistencyLevel(config.level)
     strategy = Strategy(config.alldistinct)
     for vd in model.vars:
@@ -447,8 +464,8 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
         else:
             raise TypeError(f"unknown constraint record {con!r}")
         if not ok:
-            return store, rt, False
-    return store, rt, True
+            return False
+    return True
 
 
 @dataclass
@@ -469,13 +486,13 @@ def solve_model(model: Model, config: SolverConfig = SolverConfig(), *,
                 trace_stream=None) -> SolveResult:
     """Post, propagate to the root fixpoint, and label.  A search cut
     short by a limit of the config names it in ``SolveResult.limit``;
-    the time limit can cut root propagation short, too."""
+    the time limit can cut posting and root propagation short, too."""
     started = time.perf_counter()
-    store, rt, ok = build(model, config, queue_policy=queue_policy,
-                          queue_seed=queue_seed, trace_stream=trace_stream)
-    agents = len(rt.agents)
-    rt.deadline = config.deadline(started)
+    rt = _runtime(config, started, queue_policy, queue_seed, trace_stream)
+    agents = 0
     try:
+        ok = _post(rt, model, config)
+        agents = len(rt.agents)
         ok = ok and rt.run_to_fixpoint()
     except LimitReached as exc:
         return _result(rt, started, agents, [], 0, str(exc), False)

@@ -14,16 +14,18 @@ the index.  An event wakes every agent not at END that watched it when
 it was posted, and is then erased: agents that suspend later never see
 it.
 
-Scheduling is first-generated-first-served.  A post queues one record
-(event, watcher list, the list's length at post time, post sequence
-number), and the global queue is drained FIFO.  Taking a record
-expands it: the agents at the first n positions of the list wake in
-ascending creation order.  A list only grows within a fixpoint, so an
-agent that suspends on it after the post never sees the event.
-Monotone propagators must not rely on that order; a test-only queue
-policy switch (lifo / random, over records) exists to certify they do
-not.  A failed fixpoint leaves records queued; the backtrack that
-follows discards them.
+Scheduling is first-generated-first-served.  The store posts an event
+only to a non-empty watcher list, and a post queues one record (event,
+watcher list, the list's length at post time, post sequence number);
+the global queue is drained FIFO.  An ins or bound record holds the
+variable's one shared event of that kind; a dom record holds a new
+event with its value.  Taking a record expands it: the agents at the
+first n positions of the list wake in ascending creation order.  A
+list only grows within a fixpoint, so an agent that suspends on it
+after the post never sees the event.  Monotone propagators must not
+rely on that order; a test-only queue policy switch (lifo / random,
+over records) exists to certify they do not.  A failed fixpoint leaves
+records queued; the backtrack that follows discards them.
 
 Duplicate bound wakes are coalesced per agent, for those spawned with
 ``coalesce`` (the default, for constraint propagators), when a bound
@@ -37,7 +39,9 @@ empties the queue.
 A runtime may have a deadline.  ``run_to_fixpoint`` reads the clock
 once every ``DEADLINE_EVERY`` records it takes and raises
 ``LimitReached`` once the deadline has passed: a limit, not a failure.
-The queue is left as a failed fixpoint leaves it.
+The queue is left as a failed fixpoint leaves it.  A rule whose entry
+can run long outside a fixpoint, such as the arc pair rule's revise
+at posting, reads it with ``check_deadline``, too.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import time
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from .store import BOUND, DOM, EVENT_NAMES, GENERATED, InvariantError, Store
+from .store import BOUND, GENERATED, Event, InvariantError, Store
 
 
 END = -1  # Agent.rule before the first suspension and after commitment
@@ -61,24 +65,11 @@ class LimitReached(Exception):
     the limit."""
 
 
-class Event:
-    """A posted occurrence: kind, variable, and for dom events the
-    excluded element."""
-
-    __slots__ = ("kind", "var", "value")
-
-    def __init__(self, kind: int, var: Optional[int], value: Optional[int]):
-        self.kind = kind
-        self.var = var
-        self.value = value
-
-    def __repr__(self):
-        name = EVENT_NAMES[self.kind]
-        if self.kind == GENERATED:
-            return "generated"
-        if self.kind == DOM:
-            return f"dom(_{self.var},{self.value})"
-        return f"{name}(_{self.var})"
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise ``LimitReached`` once ``time.perf_counter()`` is past
+    ``deadline``; None is no deadline."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise LimitReached("time limit")
 
 
 class Rule:
@@ -168,6 +159,7 @@ class Runtime:
         self.deadline: Optional[float] = None
         self._trace_seq = 0
         self._trail: list[tuple[Agent, int]] = []
+        self._vars = store.vars
         store.event_sink = self._post_kind
 
     def _taker(self, policy: str, seed: Optional[int]):
@@ -197,7 +189,7 @@ class Runtime:
         each list."""
         agent_count, trail_mark = marks
         trail = self._trail
-        vars_ = self.store.vars
+        vars_ = self._vars
         while len(trail) > trail_mark:
             agent, rule = trail.pop()
             if agent.rule != END:
@@ -211,13 +203,16 @@ class Runtime:
     # -- posting and waking ----------------------------------------------------
 
     def _post_kind(self, kind: int, var: int, value: Optional[int]) -> None:
-        """Store-facing sink: queue the event with its watcher list and
-        that list's length, so that only the agents sleeping on it now
-        wake when it is taken."""
-        watchers = self.store.vars[var].watchers[kind]
-        if watchers:
-            self.clock += 1
-            self.queue.append((Event(kind, var, value), watchers, len(watchers), self.clock))
+        """Store-facing sink, called only for a non-empty watcher list:
+        queue the event with that list and its length, so that only the
+        agents sleeping on it now wake when it is taken.  An ins or
+        bound event is the variable's shared one; only a dom event,
+        which carries its value, is made here."""
+        v = self._vars[var]
+        watchers = v.watchers[kind]
+        self.clock += 1
+        self.queue.append((v.events[kind] or Event(kind, var, value), watchers,
+                           len(watchers), self.clock))
 
     # -- spawning ---------------------------------------------------------------
 
@@ -256,7 +251,7 @@ class Runtime:
                 # the events its own entry-time action posts)
                 self._trail.append((agent, agent.rule))
                 agent.rule = idx
-                vars_ = self.store.vars
+                vars_ = self._vars
                 for kind, var in watch:
                     vars_[var].watchers[kind].append(agent)
                 if not rule.run_on_generated:
@@ -303,8 +298,7 @@ class Runtime:
             if deadline is not None:
                 countdown -= 1
                 if not countdown:
-                    if time.perf_counter() > deadline:
-                        raise LimitReached("time limit")
+                    check_deadline(deadline)
                     countdown = DEADLINE_EVERY
             self.walked += n
             bound = event.kind == BOUND

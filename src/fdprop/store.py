@@ -14,7 +14,11 @@ it composes with the search loop's unwind.
 
 Each variable carries the watcher lists of the agents suspended on it,
 but the store never changes them: the runtime appends to them and
-undoes its appends on its own trail.
+undoes its appends on its own trail.  The store reads them only to
+post an event to a list that some agent watches: an event that no
+agent watches activates nothing.  A variable also holds its two
+payload-free events, ``ins`` and ``bound``, made once and shared by
+every post of them.
 
 A store and everything it owns is confined to one thread of control;
 independent stores may run in parallel.
@@ -44,6 +48,28 @@ class InvariantError(RuntimeError):
     """An internal consistency contract was violated."""
 
 
+class Event:
+    """A posted occurrence: kind, variable, and for dom events the
+    excluded element.  Never written after construction: a variable's
+    ins and bound events are shared by all their posts, and agents
+    only read an event."""
+
+    __slots__ = ("kind", "var", "value")
+
+    def __init__(self, kind: int, var: Optional[int], value: Optional[int]):
+        self.kind = kind
+        self.var = var
+        self.value = value
+
+    def __repr__(self):
+        name = EVENT_NAMES[self.kind]
+        if self.kind == GENERATED:
+            return "generated"
+        if self.kind == DOM:
+            return f"dom(_{self.var},{self.value})"
+        return f"{name}(_{self.var})"
+
+
 class Variable:
     """A decision variable: its domain, narrowed in place, the
     per-event suspension lists (the agents, in registration order) and
@@ -66,17 +92,22 @@ class Variable:
 
     ``watchers[kind]`` is the list for event kind ``kind``.  The
     GENERATED slot is an empty tuple: that event is never posted.
+    ``events[kind]`` is the variable's one ``Event`` of kind INS or
+    BOUND, which every post of that kind queues; the GENERATED and DOM
+    slots are None, since a dom event carries its value.
     """
 
-    __slots__ = ("lo", "hi", "count", "bits", "snapshot", "watchers", "name", "stamp")
+    __slots__ = ("lo", "hi", "count", "bits", "snapshot", "watchers", "events", "name",
+                 "stamp")
 
-    def __init__(self, domain: FiniteDomain, name: Optional[str] = None):
+    def __init__(self, domain: FiniteDomain, name: Optional[str], events: tuple):
         self.lo = domain.lo
         self.hi = domain.hi
         self.count = domain.count
         self.bits = domain.bits
         self.snapshot = domain
         self.watchers: tuple = ((), [], [], [])
+        self.events = events
         self.name = name
         self.stamp = 0
 
@@ -146,7 +177,8 @@ class Store:
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
     event a narrowing (``exclude``, ``remove_bits``, ``intersect``,
-    ``bind``) posts; the runtime installs itself here.  The default
+    ``bind``) posts, and only when the variable's watcher list for that
+    kind is non-empty; the runtime installs itself here.  The default
     sink drops the events (domains still narrow correctly).  A
     narrowing writes the fields before it posts, and posts nothing when
     nothing changes or when the domain would become empty, which leaves
@@ -165,14 +197,17 @@ class Store:
 
     def new_var(self, domain: FiniteDomain, name: Optional[str] = None) -> int:
         """Add a fresh variable at depth 0, bound if its domain is a
-        singleton.  Variables are made before the first choice point: a
-        backtrack does not remove them."""
+        singleton, with its shared ins and bound events.  Variables are
+        made before the first choice point: a backtrack does not remove
+        them."""
         if domain.count == 0:
             raise InvariantError("cannot create a variable with an empty domain")
         if self._cps:
             raise InvariantError("cannot create a variable after a choice point")
-        self.vars.append(Variable(domain, name))
-        return len(self.vars) - 1
+        x = len(self.vars)
+        self.vars.append(Variable(domain, name,
+                                  (None, Event(INS, x, None), Event(BOUND, x, None), None)))
+        return x
 
     def domain(self, x: int) -> FiniteDomain:
         """A snapshot of x's domain (see ``Variable.domain``)."""
@@ -222,7 +257,8 @@ class Store:
             if bits is None:
                 bits = (1 << (hi - lo + 1)) - 1
             var.bits = bits ^ (1 << (v - lo))
-            self.event_sink(DOM, x, v)
+            if var.watchers[DOM]:
+                self.event_sink(DOM, x, v)
             return True
         if bits is not None:
             _set_bits(var, bits ^ (1 << (v - lo)), lo)
@@ -230,7 +266,9 @@ class Store:
             var.lo = lo + 1
         else:
             var.hi = hi - 1
-        self.event_sink(INS if count == 1 else BOUND, x, None)
+        kind = INS if count == 1 else BOUND
+        if var.watchers[kind]:
+            self.event_sink(kind, x, None)
         return True
 
     def remove_bits(self, x: int, var: Variable, m: int) -> bool:
@@ -252,20 +290,23 @@ class Store:
         self.save(var)
         count = var.count = var.count - n
         _set_bits(var, bits ^ m, lo)
+        watchers = var.watchers
         sink = self.event_sink
         if count == 1:
-            sink(INS, x, None)
+            if watchers[INS]:
+                sink(INS, x, None)
             return True
         new_lo = var.lo
         new_hi = var.hi
-        if new_lo != lo or new_hi != hi:
+        if (new_lo != lo or new_hi != hi) and watchers[BOUND]:
             sink(BOUND, x, None)
-        # the removed values in new_lo+1 .. new_hi-1, bit j for new_lo+1+j
-        inner = (m >> (new_lo + 1 - lo)) & ((1 << (new_hi - new_lo - 1)) - 1)
-        while inner:
-            low = inner & -inner
-            sink(DOM, x, new_lo + low.bit_length())
-            inner ^= low
+        if watchers[DOM]:
+            # the removed values in new_lo+1 .. new_hi-1, bit j for new_lo+1+j
+            inner = (m >> (new_lo + 1 - lo)) & ((1 << (new_hi - new_lo - 1)) - 1)
+            while inner:
+                low = inner & -inner
+                sink(DOM, x, new_lo + low.bit_length())
+                inner ^= low
         return True
 
     def intersect(self, x: int, lo: int, hi: int) -> bool:
@@ -296,7 +337,9 @@ class Store:
             self.save(var)
             count = var.count = bits.bit_count()
             _set_bits(var, bits, lo)
-        self.event_sink(INS if count == 1 else BOUND, x, None)
+        kind = INS if count == 1 else BOUND
+        if var.watchers[kind]:
+            self.event_sink(kind, x, None)
         return True
 
     def bind(self, x: int, v: int) -> bool:

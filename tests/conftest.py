@@ -12,7 +12,8 @@ from fdprop.benchmarks import get_benchmark
 from fdprop.linear import BinaryLinear, Diseq, NaryLinear
 from fdprop.model import Distinct, Model, VarDecl
 from fdprop.oracle import enumerate_solutions
-from fdprop.runtime import Runtime
+from fdprop.runtime import Agent, Runtime
+from fdprop.store import BOUND, DOM, INS
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,24 @@ def general_agents():
         yield
     finally:
         Runtime.spawn = original
+
+
+# An agent at END: on a watcher list it makes the store post that
+# list's events, and no fixpoint wakes it.
+PLACEHOLDER = Agent(-1, (), False, "placeholder")
+
+
+def watch_every_list(store, xs=None, kinds=(INS, BOUND, DOM)) -> None:
+    """Put ``PLACEHOLDER`` on the ``kinds`` watcher lists of the
+    variables ``xs`` (default: every variable of the store) that do not
+    hold it yet.  The store hands an event to its sink only when the
+    variable's list for that kind is non-empty, so a test that records
+    events through a sink watches the lists first."""
+    for x in range(len(store.vars)) if xs is None else xs:
+        watchers = store.vars[x].watchers
+        for kind in kinds:
+            if PLACEHOLDER not in watchers[kind]:
+                watchers[kind].append(PLACEHOLDER)
 
 
 def random_domain(rng: random.Random, max_values: int = 9) -> VarDecl:

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import domain_snapshot, domain_values, random_domain, random_model
+from conftest import (
+    domain_snapshot,
+    domain_values,
+    random_domain,
+    random_model,
+    watch_every_list,
+)
 
 import fdprop.alldistinct as alldistinct
 from fdprop.alldistinct import Strategy, outof_reducer, post_alldistinct
@@ -144,6 +150,7 @@ def _run_recorded(reducer, domains, pos):
     have ``domains``; x is the one at ``pos`` and scope is all of them."""
     store = Store()
     scope = tuple(store.new_var(make_set(d)) for d in domains)
+    watch_every_list(store)
     events = []
     store.event_sink = lambda kind, var, value: events.append((kind, var, value))
     result = reducer(store, scope[pos], scope)

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import domain_snapshot, domain_values, random_domain, random_model
+from conftest import (
+    domain_snapshot,
+    domain_values,
+    random_domain,
+    random_model,
+    watch_every_list,
+)
 
 from fdprop.domain import make_interval, make_set
 from fdprop.linear import (
@@ -191,6 +197,7 @@ def test_forward_checking_commit_by_mask():
         o = store.new_var(make_set([1, 2, 8, 9]))
         w = store.new_var(make_set(w_values))
         assert post_diseq(rt, x, ((b, (5, 7)), (o, (0, 1)), (w, (1, 2, -1))), "neq(_0)")
+        watch_every_list(store)
         events = []
         sink = store.event_sink
 
@@ -723,6 +730,7 @@ def _recording_store(domains):
     rt = Runtime(store)
     for d in domains:
         store.new_var(make_set(d))
+    watch_every_list(store)
     events = []
     store.event_sink = lambda kind, var, value: events.append((kind, var, value))
     return store, rt, events

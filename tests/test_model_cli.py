@@ -323,6 +323,30 @@ def test_time_limit_cuts_a_long_fixpoint_short(command, text, level, tmp_path, c
         assert "solutions agree" not in captured.out
 
 
+@pytest.mark.parametrize("level", ["ic", "ac"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_time_limit_cuts_posting_short(command, level, tmp_path, capsys):
+    """The cycle over 1..1000000.  At ac each pair agent revises both
+    sides at posting, a million values a side; the deadline is set
+    before posting and each half reads it first, so the limit strikes
+    while the model is posted: at most the two entry activations run, where
+    an unbounded build takes over half a second and then hands the root
+    fixpoint hundreds of records.  At ic posting only narrows the
+    bounds, and the limit strikes in the root fixpoint."""
+    path = tmp_path / "cycle.fd"
+    path.write_text(CYCLE_AT_ROOT.replace("300000", "1000000"))
+    started = time.perf_counter()
+    assert main([command, str(path), "--level", level, "--time-limit", "0.05"]) == 5
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == "error: search limit reached (time limit)\n"
+    if command == "verify":
+        assert "solutions agree" not in captured.out
+    else:
+        activations = int(captured.out.split()[2].removeprefix("activations="))
+        assert activations <= 2 if level == "ac" else activations > 256
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "bench:queens(4)", "--max-backtracks", "-1"],
     ["solve", "bench:queens(4)", "--time-limit", "-0.5"],

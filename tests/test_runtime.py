@@ -113,6 +113,67 @@ def test_event_erasure_during_expansion():
     assert late[0].rule == 0
 
 
+def test_event_erasure_between_post_and_take():
+    """An agent that suspends on a list after that list's event was
+    posted, while the record waits in the queue, is not woken by it:
+    the record holds the list's length at the post."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 5))
+    y = store.new_var(make_interval(1, 5))
+    seen = []
+    late = []
+
+    def spawn_late(e):
+        late.append(rt.spawn([Rule(None, ((INS, x),),
+                                   lambda e: (seen.append("late"), True)[1])]))
+        return True
+
+    rt.spawn([Rule(None, ((INS, y),), spawn_late)])
+    rt.spawn([Rule(None, ((INS, x),), lambda e: (seen.append("early"), True)[1])])
+    assert store.bind(y, 1) and store.bind(x, 2)
+    assert rt.run_to_fixpoint()
+    assert seen == ["early"]
+    assert late[0].rule == 0
+
+
+def test_posts_reach_only_watched_lists_with_shared_events():
+    """The store calls the sink only for a kind that some agent watches
+    on the variable.  An ins or bound record holds the variable's one
+    event of that kind, the same object on every post; a dom record
+    holds a new event with its value.  Waking reads the events and
+    writes none of them."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 9))
+    y = store.new_var(make_interval(1, 9))
+    calls = []
+    sink = store.event_sink
+
+    def spy(kind, var, value):
+        calls.append((kind, var, value))
+        sink(kind, var, value)
+    store.event_sink = spy
+    seen = []
+    rt.spawn([Rule(None, ((BOUND, x), (DOM, x), (INS, x), (INS, y)),
+                   lambda e: (seen.append(e), True)[1])], coalesce=False)
+    assert store.intersect(y, 2, 9) and store.exclude(y, 5)  # y: only ins is watched
+    assert store.intersect(x, 2, 9) and store.exclude(x, 5) and store.intersect(x, 3, 9)
+    assert store.bind(x, 4) and store.bind(y, 3)
+    assert calls == [(BOUND, x, None), (DOM, x, 5), (BOUND, x, None), (INS, x, None),
+                     (INS, y, None)]
+    events = [record[0] for record in rt.queue]
+    assert rt.clock == len(events) == 5
+    vx, vy = store.vars[x], store.vars[y]
+    assert events[0] is events[2] is vx.events[BOUND]
+    assert events[3] is vx.events[INS] and events[4] is vy.events[INS]
+    assert (events[1].kind, events[1].var, events[1].value) == (DOM, x, 5)
+    assert vx.events[DOM] is None and vx.events[0] is None
+    assert rt.run_to_fixpoint()
+    assert seen == events
+    for i, var in enumerate(store.vars):
+        assert [(e.kind, e.var, e.value) for e in var.events[INS:DOM]] == \
+            [(INS, i, None), (BOUND, i, None)]
+
+
 def test_action_failure_propagates():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))

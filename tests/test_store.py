@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_domain, store_snapshot
+from conftest import random_domain, store_snapshot, watch_every_list
 
 from fdprop.domain import DeltaKind, make_interval, make_set, members
 from fdprop.store import (
@@ -38,17 +38,20 @@ def test_new_var_singleton_autobinds_silently():
 def test_tighten_event_mapping():
     store, events = recording_store()
     x = store.new_var(make_interval(1, 5))
+    watch_every_list(store)
     assert store.exclude(x, 3)
     assert events == [(DOM, x, 3)]
 
     events.clear()
     y = store.new_var(make_set([2, 3]))
+    watch_every_list(store)
     assert store.exclude(y, 3)
     assert events == [(INS, y, None)]  # no bound event on instantiation
     assert store.value(y) == 2
 
     events.clear()
     z = store.new_var(make_interval(1, 5))
+    watch_every_list(store)
     assert store.intersect(z, 2, 9)
     assert events == [(BOUND, z, None)]
 
@@ -60,6 +63,7 @@ def test_tighten_event_mapping():
 def test_bind_posts_ins_and_sets_value():
     store, events = recording_store()
     x = store.new_var(make_interval(1, 5))
+    watch_every_list(store)
     assert store.bind(x, 3)
     assert store.value(x) == 3
     assert events == [(INS, x, None)]
@@ -77,6 +81,7 @@ def test_bind_posts_ins_and_sets_value():
 def test_noop_narrowing_posts_nothing_and_trails_nothing(narrow):
     store, events = recording_store()
     x = store.new_var(make_set([1, 2, 4, 6]))
+    watch_every_list(store)
     store.push_choice_point()  # a real change would add a trail entry here
     domain = store.domain(x)
     trail_len = len(store._trail)
@@ -190,6 +195,7 @@ def test_event_faithfulness_randomized():
     for _ in range(300):
         store, events = recording_store()
         x = store.new_var(make_set(sorted(rng.sample(range(-5, 15), rng.randint(2, 10)))))
+        watch_every_list(store)
         store.push_choice_point()
         dom_before = store.domain(x)
         if rng.random() < 0.5:
@@ -281,8 +287,15 @@ def test_in_place_narrowing_matches_a_set_reference():
     depth, a snapshot that is replaced exactly on a real change, and
     backtracks that restore every field and stamp and bring back, as
     ``domain``, the very snapshot cached before the first change at
-    that depth, never a later one."""
+    that depth, never a later one.  Each variable watches a random set
+    of kinds: the sink gets exactly the reference's events of those
+    kinds, in order, and is never called for the others."""
     rng = random.Random(11)
+    # the watched kinds come from their own generator, so that the
+    # narrowing sequence is the same whatever is watched
+    watch_rng = random.Random(12)
+    delivered = dict.fromkeys((INS, BOUND, DOM), 0)
+    withheld = dict(delivered)
     # remove_bits calls by shift direction (mask shifted left: its base
     # above lo), and those that wipe the domain out
     shifted = {True: 0, False: 0}
@@ -292,6 +305,10 @@ def test_in_place_narrowing_matches_a_set_reference():
         for _ in range(rng.randint(1, 3)):
             vd = random_domain(rng)
             store.new_var(make_set(vd.values) if vd.values else make_interval(vd.lo, vd.hi))
+        watched = [{kind for kind in (INS, BOUND, DOM) if watch_rng.random() < 0.6}
+                   for _ in store.vars]
+        for x, kinds in enumerate(watched):
+            watch_every_list(store, [x], kinds)
         refs = [set(store.domain(x).values()) for x in range(len(store.vars))]
         # (choice point, fields, reference sets, snapshots) per depth
         open_cps = []
@@ -339,7 +356,10 @@ def test_in_place_narrowing_matches_a_set_reference():
                 assert store.remove_bits(x, store.vars[x], m) is ok
             else:
                 assert getattr(store, op[0])(x, *op[1:]) is ok
-            assert events == [(kind, x, value) for kind, value in expected]
+            assert events == [(kind, x, value) for kind, value in expected
+                              if kind in watched[x]]
+            for kind, _ in expected:
+                (delivered if kind in watched[x] else withheld)[kind] += 1
             changed = new is not refs[x]
             refs[x] = new
             _assert_matches(store, refs)
@@ -359,6 +379,7 @@ def test_in_place_narrowing_matches_a_set_reference():
             assert all(v.domain is d for v, d in zip(store.vars, snapshots))
             _assert_matches(store, refs)
     assert min(shifted.values()) > 100 and wipe_outs > 20, (shifted, wipe_outs)
+    assert min(delivered.values()) > 100 and min(withheld.values()) > 100, (delivered, withheld)
 
 
 def test_backtrack_restores_the_snapshot_of_the_restored_fields():

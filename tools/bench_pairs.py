@@ -3,14 +3,20 @@
     python tools/bench_pairs.py --parent REV --workload queens --seeds 1-10 \
         --out BENCH_<n>.json [--seconds 40]
     python tools/bench_pairs.py --parent REV --traced --out BENCH_<n>.json
+    python tools/bench_pairs.py --parent REV --opcodes [--max-backtracks N]
 
 The parent is exported with ``git archive`` and the change is the
 working tree (its tracked files and untracked, not ignored ones), each
 copied into a temporary directory and byte-compiled once.  For each
 seed the tool runs ``perfbench/run.py --workload W --seed S --seconds
 N`` in both, one process at a time, the parent first on odd seeds and
-the change first on even ones, and keeps each run's last-line JSON.  ``--traced`` instead records the seed-0 ``--trace 1``
-figures of every workload for both trees.
+the change first on even ones, and keeps each run's last-line JSON.
+``--traced`` instead records the seed-0 ``--trace 1`` figures of every
+workload for both trees.  ``--opcodes`` writes no file: it runs each
+tree's ``tools/opcount.py`` on the seed-0 solve of every workload, with
+this interpreter, and prints the total and per-module opcode counts of
+both and their difference.  Those counts are exact, so one run shows a
+change in work.
 
 The results are merged into ``--out`` in the layout of the earlier
 ``BENCH_*.json`` files: commits, command, order, seeds, every run's JSON
@@ -34,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("queens", "alpha", "magic-wac")
 END_TO_END = ("solve_s", "setup_s", "search_s", "peak_rss_mb")
 TRACED = ("search.backtracks", "runtime.activations", "runtime.events.ins",
           "runtime.events.bound", "runtime.events.dom", "store.narrow_ratio",
@@ -70,6 +77,33 @@ def run(tree: Path, *args: str) -> dict:
     out = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def opcodes(tree: Path, workload: str, max_backtracks: int | None = None) -> dict[str, int]:
+    """The seed-0 solve's opcode counts from tree's ``tools/opcount.py``:
+    "total", then one entry per module, the most counted first."""
+    args = [sys.executable, "tools/opcount.py", "--workload", workload]
+    if max_backtracks is not None:
+        args += ["--max-backtracks", str(max_backtracks)]
+    lines = subprocess.run(args, cwd=tree, check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    counts = {"total": int(lines[1].split()[0].replace(",", ""))}
+    start = lines.index("per module:") + 1
+    for line in lines[start:lines.index("", start)]:
+        n, _, module = line.split()
+        counts[module] = int(n.replace(",", ""))
+    return counts
+
+
+def opcode_deltas(workload: str, parent: dict[str, int], change: dict[str, int]) -> str:
+    """A table of the parent's and the change's counts and the change
+    in each, the total first and then the modules in the parent's order."""
+    lines = [f"{workload:<18}{'parent':>14}{'change':>14}{'delta':>14}"]
+    for name in [*parent, *(m for m in change if m not in parent)]:
+        p, c = parent.get(name, 0), change.get(name, 0)
+        share = f"{100 * (c - p) / p:+7.2f}%" if p else "     new"
+        lines.append(f"  {name:<16}{p:>14,}{c:>14,}{c - p:>+14,}  {share}")
+    return "\n".join(lines)
 
 
 def seeds_of(text: str) -> list[int]:
@@ -111,8 +145,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--traced", action="store_true",
                         help="record the seed-0 traced figures instead of pairs")
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--opcodes", action="store_true",
+                        help="print the seed-0 opcode counts of both trees instead of pairs")
+    parser.add_argument("--max-backtracks", type=int, default=None,
+                        help="with --opcodes: stop each solve once more than this many"
+                             " attempts have failed")
+    parser.add_argument("--out", type=Path, help="the BENCH file to write or extend")
     args = parser.parse_args(argv)
+    if args.opcodes:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+            export(args.parent, parent)
+            export(None, change)
+            for workload in WORKLOADS:
+                print(opcode_deltas(workload, opcodes(parent, workload, args.max_backtracks),
+                                    opcodes(change, workload, args.max_backtracks)),
+                      flush=True)
+        return 0
+    if args.out is None:
+        parser.error("--out is required without --opcodes")
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("parent", _git("rev-parse", args.parent))
@@ -125,7 +176,7 @@ def main(argv=None) -> int:
             traced = doc.setdefault("traced_seed0", {
                 "command": "python3 perfbench/run.py --workload <workload> --seed 0 --trace 1",
                 "metrics": {}})
-            for workload in ("queens", "alpha", "magic-wac"):
+            for workload in WORKLOADS:
                 traced["metrics"][workload] = {}
                 for side, tree in trees.items():
                     metrics = run(tree, "--workload", workload, "--seed", "0",

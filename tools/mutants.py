@@ -37,6 +37,8 @@ FULL_SCAN = "tests/test_alldistinct.py::test_outof_reducer_matches_full_scan"
 LIVE_TUPLES = ("tests/test_alldistinct.py::"
                "test_live_tuples_hold_the_uncommitted_elements_at_every_node")
 LINEAR = "src/fdprop/linear.py"
+RUNTIME = "src/fdprop/runtime.py"
+SHARED_EVENTS = "tests/test_runtime.py::test_posts_reach_only_watched_lists_with_shared_events"
 MASK_COMMIT = "tests/test_linear.py::test_forward_checking_commit_by_mask"
 FC_REFERENCE = "tests/test_linear.py::test_forward_checking_reaches_reference_fixpoint"
 
@@ -58,7 +60,17 @@ MUTATIONS = (
              "var.bits = None if var.count == hi - lo + 1 else bits", "var.bits = bits",
              (IN_PLACE,)),
     Mutation("interior-exclusion-posts-bound", STORE,
-             "self.event_sink(DOM, x, v)", "self.event_sink(BOUND, x, None)",
+             "if var.watchers[DOM]:\n                self.event_sink(DOM, x, v)",
+             "if var.watchers[BOUND]:\n                self.event_sink(BOUND, x, None)",
+             (IN_PLACE,)),
+    Mutation("remove-bits-tests-the-bound-list-for-dom", STORE,
+             "if watchers[DOM]:", "if watchers[BOUND]:",
+             (IN_PLACE,)),
+    Mutation("intersect-posts-ins-only-when-bound-is-watched", STORE,
+             "_set_bits(var, bits, lo)\n        kind = INS if count == 1 else BOUND\n"
+             "        if var.watchers[kind]:",
+             "_set_bits(var, bits, lo)\n        kind = INS if count == 1 else BOUND\n"
+             "        if var.watchers[BOUND]:",
              (IN_PLACE,)),
     Mutation("snapshot-kept-on-narrowing", STORE,
              "var.stamp = depth\n        var.snapshot = None",
@@ -114,13 +126,25 @@ MUTATIONS = (
              "            stack.pop()\n        return False",
              "            stack.pop()\n            stats.backtracks += 1\n        return False",
              ("tests/test_count_matrix.py::test_count_matrix_fast_rows_match",)),
-    Mutation("restore-keeps-watchers", "src/fdprop/runtime.py",
+    Mutation("post-reaches-agents-suspended-after-it", RUNTIME,
+             "for agent in watchers[:n]:", "for agent in watchers[:len(watchers)]:",
+             ("tests/test_runtime.py::test_event_erasure_between_post_and_take",)),
+    Mutation("expansion-walks-the-live-list", RUNTIME,
+             "for agent in watchers[:n]:", "for agent in watchers:",
+             ("tests/test_runtime.py::test_event_erasure_during_expansion",)),
+    Mutation("post-makes-a-new-ins-or-bound-event", RUNTIME,
+             "v.events[kind] or Event(kind, var, value)", "Event(kind, var, value)",
+             (SHARED_EVENTS,)),
+    Mutation("restore-keeps-watchers", RUNTIME,
              "vars_[var].watchers[kind].pop()", "pass",
              ("tests/test_runtime.py::test_backtrack_restores_agent_table_and_watchers",)),
-    Mutation("fixpoint-ignores-deadline", "src/fdprop/runtime.py",
+    Mutation("fixpoint-ignores-deadline", RUNTIME,
              'raise LimitReached("time limit")', "pass",
              ("tests/test_model_cli.py::test_time_limit_cuts_a_long_fixpoint_short",
               "tests/test_search.py::test_a_fixpoint_past_the_deadline_unwinds_the_search_to_the_root")),
+    Mutation("posting-revise-ignores-deadline", LINEAR,
+             "check_deadline(deadline)\n    y_lo = vy.lo", "y_lo = vy.lo",
+             ("tests/test_model_cli.py::test_time_limit_cuts_posting_short",)),
 )
 
 
