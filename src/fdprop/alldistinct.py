@@ -4,11 +4,11 @@ Each strategy posts one forward-checking exclusion agent per list
 element, ``linear.post_diseq``: it sleeps until its variable is bound
 and then excludes the value from every other element.  Every agent of
 one constraint shares the constraint's one live record, a ``Record``
-saved through the store's trail: its snapshot is the tuple of the
-elements whose agent has not committed, in list order, and its count
-their number.  A commitment excludes its value from the live elements
-only, then drops its own element, so posting takes memory linear in
-the list's length and a committed element is never visited again.
+saved through the store's trail: its ``live`` field is the tuple of
+the elements whose agent has not committed, in list order.  A
+commitment excludes its value from the live elements only, then drops
+its own element, so posting takes memory linear in the list's length
+and a committed element is never visited again.
 LINEAR_SPACE is that agent alone.  NAIVE_PAIRWISE names the same
 posting: the pairwise disequalities give each variable one exclusion
 agent over all its partners, the very agent LINEAR_SPACE posts, so the
@@ -67,11 +67,9 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int],
     vx = vars_[x]
     n = vx.count
     # how many more elements may still fail the subset test
-    if live is None:
-        spare = len(scope) - n
-    else:
-        spare = live.count - n
-        scope = live.snapshot
+    if live is not None:
+        scope = live.live
+    spare = len(scope) - n
     if spare < 0:
         return True
     failing = spare  # how many elements fail the test if m == n
@@ -123,7 +121,7 @@ def post_alldistinct(rt: Runtime, vars: Sequence[int], strategy: Strategy) -> bo
     vars = tuple(vars)
     if len(set(vars)) < len(vars):
         return False
-    live = Record(len(vars), vars)
+    live = Record(vars)
     store = rt.store
     for x in vars:
         reduce = None

@@ -3,8 +3,8 @@
 A domain is a contiguous interval [lo, hi] or, when it has holes, an
 interval plus a bit vector of the surviving elements.  ``FiniteDomain``
 is an immutable value: models are parsed into it, the store seeds its
-variables from it and hands out snapshots of them as it, and the oracle
-and tests compare against it.  The store narrows a variable's four
+variables from it and hands a variable's current domain out as one,
+and the oracle and tests compare against it.  The store narrows a variable's four
 fields in place and classifies each change itself.
 
 ``exclude_value`` and ``intersect_range`` return a fresh domain and a

@@ -247,10 +247,10 @@ def post_diseq(rt: Runtime, x: int, partners, name: str, reduce=None, live=None)
     ``reduce`` on each wake and once at generation.
 
     ``live`` is an all_distinct's live record (``partners`` is then
-    empty): its count is the number of elements whose agent has not
-    committed and its snapshot those elements, in list order.  The
-    partners are the live elements, offset 0, and the commit first
-    drops X from the record under the trail."""
+    empty): ``live.live`` is the tuple of the elements whose agent has
+    not committed, in list order.  The partners are the live elements,
+    offset 0, and the commit first drops X from the record under the
+    trail."""
     store = rt.store
     vars_ = store.vars
     vx = vars_[x]
@@ -303,11 +303,10 @@ def post_diseq(rt: Runtime, x: int, partners, name: str, reduce=None, live=None)
 
     def exclude_live(_event):
         v = vx.lo
-        elements = live.snapshot
-        store.save(live)
+        elements = live.live
+        store.save_record(live)
         i = elements.index(x)
-        rest = live.snapshot = elements[:i] + elements[i + 1:]
-        live.count -= 1
+        rest = live.live = elements[:i] + elements[i + 1:]
         for z in rest:
             vz = vars_[z]
             if vz.count == 1:

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .domain import members
 from .runtime import LimitReached, Runtime
 from .store import InvariantError
 
@@ -73,11 +74,11 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
 
     # One frame per variable on the current branch: the variable, its
     # untried values, and the choice point of the value on trial.  The
-    # values iterate the domain snapshot taken when the frame is made,
-    # never the live fields, which each trial narrows in place.  Every
-    # frame below the top one holds a live choice point, so the bottom
-    # frame's is the way back to the root.  The stack is explicit so
-    # that the branch length is not bounded by the interpreter's
+    # values are ``members`` of the fields read when the frame is made,
+    # so the trials, which narrow them in place, cannot change them.
+    # Every frame below the top one holds a live choice point, so the
+    # bottom frame's is the way back to the root.  The stack is explicit
+    # so that the branch length is not bounded by the interpreter's
     # recursion limit.
     stack: list[list] = []
 
@@ -117,7 +118,8 @@ def label(rt: Runtime, var_ids: Sequence[int], *, all_solutions: bool = False,
             if not all_solutions:
                 break
         else:
-            stack.append([x, vars_[x].domain.values(), None])
+            var = vars_[x]
+            stack.append([x, members(var.lo, var.hi, var.bits), None])
         try:
             if not advance():
                 break

@@ -5,12 +5,11 @@ converts each real change into a posted event, and restores domains
 exactly through a trail and a choice-point stack.  A variable holds its
 domain as ``FiniteDomain``'s four fields (``lo``, ``hi``, ``count``,
 ``bits``), the way B-Prolog keeps a domain variable: an interval plus a
-bit vector, updated in place under the trail.  Those fields, the
-cached snapshot and the stamp are a variable's only trailed state; it
-is bound when ``count`` is 1.  A ``Record`` is the same trailed layout
-outside the variable table, for a constraint's own backtrackable
-state.  Failure is a returned status (False), never an exception, so
-it composes with the search loop's unwind.
+bit vector, updated in place under the trail.  Those fields and the
+stamp are a variable's only trailed state; it is bound when ``count``
+is 1.  A ``Record`` is a constraint's trailed state outside the
+variable table.  Failure is a returned status (False), never an
+exception, so it composes with the search loop's unwind.
 
 Each variable carries the watcher lists of the agents suspended on it,
 but the store never changes them: the runtime appends to them and
@@ -82,13 +81,11 @@ class Variable:
     (so bit 0 is set and a hole exists).  The variable is bound when
     ``count`` is 1, to ``lo``.  Only the store writes these fields.
 
-    ``domain`` is an immutable ``FiniteDomain`` snapshot of the fields,
-    built on first read and kept until a narrowing changes them: the
-    same object across no-ops, a new one after every real change.  The
-    trail saves it with the fields, so a backtrack brings back the
-    snapshot of the restored fields, or None if none was built.  The
-    engine reads the fields; the snapshot is for callers that keep a
-    domain, such as a label frame's untried values.
+    ``domain`` is an immutable ``FiniteDomain`` of the fields, kept
+    untrailed in ``memo`` while its four fields equal the variable's:
+    the same object across no-ops, a new one after every real change
+    or backtrack.  The engine reads the fields; ``domain`` is for the
+    CLI, the API and the tests.
 
     ``watchers[kind]`` is the list for event kind ``kind``.  The
     GENERATED slot is an empty tuple: that event is never posted.
@@ -97,15 +94,14 @@ class Variable:
     slots are None, since a dom event carries its value.
     """
 
-    __slots__ = ("lo", "hi", "count", "bits", "snapshot", "watchers", "events", "name",
-                 "stamp")
+    __slots__ = ("lo", "hi", "count", "bits", "memo", "watchers", "events", "name", "stamp")
 
     def __init__(self, domain: FiniteDomain, name: Optional[str], events: tuple):
         self.lo = domain.lo
         self.hi = domain.hi
         self.count = domain.count
         self.bits = domain.bits
-        self.snapshot = domain
+        self.memo = domain
         self.watchers: tuple = ((), [], [], [])
         self.events = events
         self.name = name
@@ -113,9 +109,9 @@ class Variable:
 
     @property
     def domain(self) -> FiniteDomain:
-        d = self.snapshot
-        if d is None:
-            d = self.snapshot = FiniteDomain(self.lo, self.hi, self.count, self.bits)
+        d = self.memo
+        if d.lo != self.lo or d.hi != self.hi or d.count != self.count or d.bits != self.bits:
+            d = self.memo = FiniteDomain(self.lo, self.hi, self.count, self.bits)
         return d
 
     def __repr__(self):
@@ -124,19 +120,14 @@ class Variable:
 
 
 class Record:
-    """A trailed record outside the variable table: ``count`` and
-    ``snapshot`` hold whatever state its owner keeps under the trail,
-    and the owner calls ``Store.save`` before each change.  ``lo``,
-    ``hi`` and ``bits`` are unused; they exist so that a record's trail
-    entry has a variable's layout."""
+    """A trailed record outside the variable table: ``live`` is the
+    tuple of an all_distinct's uncommitted elements, and its owner
+    calls ``Store.save_record`` before each change of it."""
 
-    __slots__ = ("lo", "hi", "count", "bits", "snapshot", "stamp")
+    __slots__ = ("live", "stamp")
 
-    def __init__(self, count: int, snapshot):
-        self.lo = self.hi = 0
-        self.bits = None
-        self.count = count
-        self.snapshot = snapshot
+    def __init__(self, live: tuple):
+        self.live = live
         self.stamp = 0
 
 
@@ -169,11 +160,10 @@ def _drop_event(kind: int, var: int, value: Optional[int]) -> None:
 class Store:
     """Variable table + trail + choice-point stack.
 
-    The trail holds (record, lo, hi, count, bits, stamp, snapshot)
-    entries, the record a variable or a ``Record``: its fields, stamp
-    and snapshot as they were before its first change at a choice-point
-    depth, one entry per record per depth at most (Aggoun &
-    Beldiceanu's time-stamping).  A backtrack writes all six back.
+    The trail holds (var, lo, hi, count, bits, stamp) and (record,
+    live, stamp) entries, each the state before the first change at a
+    choice-point depth, at most one per variable or record per depth
+    (Aggoun & Beldiceanu's time-stamping); a backtrack writes it back.
 
     ``event_sink`` is called as sink(kind, var_id, payload) for every
     event a narrowing (``exclude``, ``remove_bits``, ``intersect``,
@@ -210,7 +200,7 @@ class Store:
         return x
 
     def domain(self, x: int) -> FiniteDomain:
-        """A snapshot of x's domain (see ``Variable.domain``)."""
+        """x's domain as a ``FiniteDomain`` (see ``Variable.domain``)."""
         return self.vars[x].domain
 
     def value(self, x: int) -> Optional[int]:
@@ -222,16 +212,19 @@ class Store:
 
     # -- trailing ----------------------------------------------------------
 
-    def save(self, var) -> None:
-        """Ready var, a variable or a ``Record``, for a real change: on
-        its first change at this choice-point depth, trail its fields
-        and snapshot; then drop the snapshot."""
+    def save(self, var: Variable) -> None:
+        """Trail var's fields and stamp on its first change at this depth."""
         depth = len(self._cps)
         if var.stamp != depth:
-            self._trail.append((var, var.lo, var.hi, var.count, var.bits, var.stamp,
-                                var.snapshot))
+            self._trail.append((var, var.lo, var.hi, var.count, var.bits, var.stamp))
             var.stamp = depth
-        var.snapshot = None
+
+    def save_record(self, record: Record) -> None:
+        """Trail record's ``live`` and stamp on its first change at this depth."""
+        depth = len(self._cps)
+        if record.stamp != depth:
+            self._trail.append((record, record.live, record.stamp))
+            record.stamp = depth
 
     # -- narrowing ---------------------------------------------------------
 
@@ -357,19 +350,27 @@ class Store:
         return cp
 
     def backtrack_to(self, cp: ChoicePoint) -> None:
-        """Restore every domain and record to the instant cp was created."""
-        while self._cps and self._cps[-1] is not cp:
-            self._cps.pop()
-        if not self._cps:
+        """Restore every domain and record to cp's instant; a stale cp
+        raises and changes nothing."""
+        cps = self._cps
+        i = len(cps) - 1
+        while i >= 0 and cps[i] is not cp:
+            i -= 1
+        if i < 0:
             raise InvariantError("backtrack target is not on the choice-point stack")
-        self._cps.pop()
+        del cps[i:]
 
-        # A depth can be used again: every record stamped in a popped
-        # segment gets its older stamp back from the trail, and its
-        # snapshot with its fields.
+        # Restoring stamps lets a depth be used again.  A record's entry
+        # has three fields, so the six-field unpack raises before any
+        # write: the try adds no opcode per variable entry, where a length
+        # test added 0.55 M on seed-0 queens (tools/opcount.py).
         trail = self._trail
         while len(trail) > cp.trail_mark:
-            var, var.lo, var.hi, var.count, var.bits, var.stamp, var.snapshot = trail.pop()
+            entry = trail.pop()
+            try:
+                var, var.lo, var.hi, var.count, var.bits, var.stamp = entry
+            except ValueError:
+                record, record.live, record.stamp = entry
 
     def depth(self) -> int:
         return len(self._cps)

@@ -166,7 +166,7 @@ def _live_reducer(committed):
     scope but the ``committed`` positions, in scope order."""
     def run(store, x, scope):
         live = tuple(z for i, z in enumerate(scope) if i not in committed)
-        return outof_reducer(store, x, scope, Record(len(live), live))
+        return outof_reducer(store, x, scope, Record(live))
     return run
 
 
@@ -213,15 +213,14 @@ def _spy_on_outof_agents(monkeypatch):
 
 
 def _assert_live_tuples(posted):
-    """Each live tuple holds, in list order, the elements whose agent
-    has not committed, and its count is their number."""
+    """Each live record's ``live`` tuple holds, in list order, the
+    elements whose agent has not committed, and nothing else."""
     elements = {}
     for live, x, agent in posted:
         elements.setdefault(id(live), (live, []))[1].append((x, agent))
     for live, pairs in elements.values():
         expected = tuple(x for x, agent in pairs if agent.rule != END)
-        assert live.snapshot == expected
-        assert live.count == len(expected)
+        assert live.live == expected
 
 
 def _checked_search(model, config, queue, monkeypatch):

@@ -67,6 +67,7 @@ def test_count_matrix_prints_work_totals(tmp_path, capsys):
     fresh = rows[0]["activations"] + rows[1]["activations"]
     queued = rows[0]["queued"] + rows[1]["queued"]
     walked = rows[0]["walked"] + rows[1]["walked"]
+    trailed = rows[0]["trailed"] + rows[1]["trailed"]
     rows[0]["activations"] += 2
     rows[1]["activations"] -= 1  # the fresh run rose on this row
     del rows[0]["walked"]  # a row stored before the column: 0 -> fresh
@@ -78,6 +79,7 @@ def test_count_matrix_prints_work_totals(tmp_path, capsys):
         f"activations over 2 moved row(s): {fresh + 1} -> {fresh}, rose on 1",
         f"queued over 2 moved row(s): {queued} -> {queued}, rose on 0",
         f"walked over 2 moved row(s): {rows[1]['walked']} -> {walked}, rose on 1",
+        f"trailed over 2 moved row(s): {trailed} -> {trailed}, rose on 0",
         "activations moved on 2 row(s)",
         "walked moved on 1 row(s)",
         "count matrix: 2 difference(s)",

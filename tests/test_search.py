@@ -8,7 +8,7 @@ from conftest import domain_snapshot, random_model
 
 from fdprop.alldistinct import Strategy, post_alldistinct
 from fdprop.benchmarks import queens_model
-from fdprop.domain import make_interval, make_set
+from fdprop.domain import make_interval, make_set, members
 from fdprop.linear import ConsistencyLevel, NaryLinear, post_diseq, post_nary
 from fdprop.model import Model, SolverConfig, VarDecl, solve_model
 from fdprop.oracle import enumerate_solutions
@@ -145,8 +145,10 @@ def test_label_frames_iterate_the_domain_at_frame_creation():
     stats, sols = label(rt, [y, x], all_solutions=True)
     assert stats.backtracks == 0
     assert sols == [(1, 4), (1, 5), (1, 7), (2, 1), (2, 4), (2, 5), (2, 7)]
-    # a frame's values are a snapshot: narrowing x in place leaves them
-    values = store.vars[x].domain.values()
+    # a frame's values read the fields at its making: narrowing x in
+    # place leaves them
+    var = store.vars[x]
+    values = members(var.lo, var.hi, var.bits)
     cp = store.push_choice_point()
     assert store.exclude(x, 4) and store.bind(x, 5)
     assert list(values) == [1, 4, 5, 7]

@@ -10,6 +10,7 @@ from fdprop.store import (
     DOM,
     INS,
     InvariantError,
+    Record,
     Store,
 )
 
@@ -128,6 +129,25 @@ def test_backtrack_requires_live_choice_point():
     store.backtrack_to(cp)
     with pytest.raises(InvariantError):
         store.backtrack_to(cp)
+
+
+def test_a_stale_choice_point_leaves_the_store_as_it_was():
+    # b is gone after the first backtrack to it: the second must raise
+    # before it pops anything, so a stays live and restores x
+    store = Store()
+    x = store.new_var(make_interval(1, 9))
+    a = store.push_choice_point()
+    assert store.exclude(x, 1)
+    b = store.push_choice_point()
+    assert store.exclude(x, 9)
+    store.backtrack_to(b)
+    with pytest.raises(InvariantError):
+        store.backtrack_to(b)
+    assert store.depth() == 1
+    assert list(store.domain(x).values()) == list(range(2, 10))
+    store.backtrack_to(a)
+    assert store.depth() == 0
+    assert list(store.domain(x).values()) == list(range(1, 10))
 
 
 def test_no_variable_after_a_choice_point():
@@ -270,6 +290,19 @@ def _aligned_hits(var, base: int, mask: int) -> int:
     return m & ((1 << (var.hi - var.lo + 1)) - 1 if var.bits is None else var.bits)
 
 
+def _domain_fields(d) -> tuple:
+    return (d.lo, d.hi, d.count, d.bits)
+
+
+def _assert_domains(store, refs):
+    """Each variable's ``domain`` read has the variable's fields and
+    the reference's members."""
+    for var, ref in zip(store.vars, refs):
+        d = var.domain
+        assert _domain_fields(d) == (var.lo, var.hi, var.count, var.bits)
+        assert list(d.values()) == sorted(ref)
+
+
 def _assert_matches(store, refs):
     for var, ref in zip(store.vars, refs):
         assert set(members(var.lo, var.hi, var.bits)) == ref
@@ -277,19 +310,20 @@ def _assert_matches(store, refs):
         # bits exactly when a hole exists, and then bit 0 stands for lo
         assert (var.bits is None) == (var.count == var.hi - var.lo + 1)
         assert var.bits is None or var.bits & 1
-        assert list(var.domain.values()) == sorted(ref)
+    _assert_domains(store, refs)
 
 
 def test_in_place_narrowing_matches_a_set_reference():
     """Random exclude/remove_bits/intersect/bind sequences inside up to
     three nested choice points, checked after every step against Python
     sets and the reference events: one trail entry per variable per
-    depth, a snapshot that is replaced exactly on a real change, and
-    backtracks that restore every field and stamp and bring back, as
-    ``domain``, the very snapshot cached before the first change at
-    that depth, never a later one.  Each variable watches a random set
-    of kinds: the sink gets exactly the reference's events of those
-    kinds, in order, and is never called for the others."""
+    depth, a ``domain`` read that is a new object exactly on a real
+    change and, after every step, has the fields and the reference's
+    members, and backtracks that restore every field and stamp, so
+    that a read gives the domain of the choice point by value.  Each
+    variable watches a random set of kinds: the sink gets exactly the
+    reference's events of those kinds, in order, and is never called
+    for the others."""
     rng = random.Random(11)
     # the watched kinds come from their own generator, so that the
     # narrowing sequence is the same whatever is watched
@@ -310,19 +344,20 @@ def test_in_place_narrowing_matches_a_set_reference():
         for x, kinds in enumerate(watched):
             watch_every_list(store, [x], kinds)
         refs = [set(store.domain(x).values()) for x in range(len(store.vars))]
-        # (choice point, fields, reference sets, snapshots) per depth
+        # (choice point, fields, reference sets, domain fields) per depth
         open_cps = []
         for _ in range(40):
             roll = rng.random()
             if roll < 0.15 and len(open_cps) < 3:
                 open_cps.append((store.push_choice_point(), _fields(store),
-                                 [set(r) for r in refs], [v.domain for v in store.vars]))
+                                 [set(r) for r in refs],
+                                 [_domain_fields(v.domain) for v in store.vars]))
                 continue
             if roll < 0.3 and open_cps:
-                cp, fields, refs, snapshots = open_cps.pop()
+                cp, fields, refs, domains = open_cps.pop()
                 store.backtrack_to(cp)
                 assert _fields(store) == fields
-                assert all(v.domain is d for v, d in zip(store.vars, snapshots))
+                assert [_domain_fields(v.domain) for v in store.vars] == domains
                 _assert_matches(store, refs)
                 continue
             x = rng.randrange(len(store.vars))
@@ -373,22 +408,23 @@ def test_in_place_narrowing_matches_a_set_reference():
                 segment = [entry[0] for entry in store._trail[start:end]]
                 assert len(segment) == len(set(map(id, segment)))
         while open_cps:
-            cp, fields, refs, snapshots = open_cps.pop()
+            cp, fields, refs, domains = open_cps.pop()
             store.backtrack_to(cp)
             assert _fields(store) == fields
-            assert all(v.domain is d for v, d in zip(store.vars, snapshots))
+            assert [_domain_fields(v.domain) for v in store.vars] == domains
             _assert_matches(store, refs)
     assert min(shifted.values()) > 100 and wipe_outs > 20, (shifted, wipe_outs)
     assert min(delivered.values()) > 100 and min(withheld.values()) > 100, (delivered, withheld)
 
 
-def test_backtrack_restores_the_snapshot_of_the_restored_fields():
-    """A backtrack brings back the snapshot that was cached when the
-    fields were trailed, or none when none was: ``domain`` then builds
-    one from the restored fields."""
+def test_a_read_after_a_backtrack_gives_the_restored_fields():
+    """The memo behind ``domain`` is not trailed: after a backtrack it
+    may still hold a later domain, and a read must give the restored
+    fields instead, also when only the holes differ."""
     store = Store()
     x = store.new_var(make_interval(1, 9))
-    assert store.exclude(x, 5) and store.exclude(x, 6)  # snapshot dropped, not rebuilt
+    var = store.vars[x]
+    assert store.exclude(x, 5) and store.exclude(x, 6)
     outer = store.push_choice_point()
     assert store.exclude(x, 1)
     middle = store.domain(x)
@@ -396,8 +432,93 @@ def test_backtrack_restores_the_snapshot_of_the_restored_fields():
     assert store.exclude(x, 9)
     later = store.domain(x)
     store.backtrack_to(inner)
-    assert store.domain(x) is middle and later is not middle
-    assert store.exclude(x, 2)  # depth 1 again: its entry is still there
+    assert var.memo is later
+    restored = store.domain(x)
+    assert restored is store.domain(x)  # kept while the fields hold
+    assert _domain_fields(restored) == _domain_fields(middle)
+    assert list(restored.values()) == [2, 3, 4, 7, 8, 9]
+    # a different interior exclusion, with no read in between: the
+    # memo has the same bounds and count as the fields, not the holes
+    cp = store.push_choice_point()
+    assert store.exclude(x, 3)
+    assert list(store.domain(x).values()) == [2, 4, 7, 8, 9]
+    store.backtrack_to(cp)
+    assert store.exclude(x, 4)
+    assert (var.memo.lo, var.memo.hi, var.memo.count) == (var.lo, var.hi, var.count)
+    assert list(store.domain(x).values()) == [2, 3, 7, 8, 9]
     store.backtrack_to(outer)
-    assert store.vars[x].snapshot is None
     assert list(store.domain(x).values()) == [1, 2, 3, 4, 7, 8, 9]
+
+
+def test_records_and_variables_share_one_trail_randomized():
+    """Random narrowings and record changes, each record change after
+    ``save_record`` as the all_distinct commit makes it, inside up to
+    four nested choice points: one trail entry per variable or record
+    per depth, and every backtrack restores each variable's fields and
+    stamp and each record's ``live`` and stamp, checked against copies
+    taken at the choice point.  Domains are read only now and then, so
+    a read often finds the memo of another state."""
+    rng = random.Random(29)
+    record_entries = variable_entries = stale_reads = 0
+    for _ in range(150):
+        store = Store()
+        for _ in range(rng.randint(1, 3)):
+            vd = random_domain(rng)
+            store.new_var(make_set(vd.values) if vd.values else make_interval(vd.lo, vd.hi))
+        records = [Record(tuple(range(rng.randint(0, 4)))) for _ in range(rng.randint(1, 2))]
+        refs = [set(store.domain(x).values()) for x in range(len(store.vars))]
+
+        def state():
+            return _fields(store), [(r.live, r.stamp) for r in records]
+
+        # (choice point, state, reference sets) per depth
+        open_cps = []
+        for _ in range(50):
+            roll = rng.random()
+            if roll < 0.15 and len(open_cps) < 4:
+                open_cps.append((store.push_choice_point(), state(), [set(r) for r in refs]))
+            elif roll < 0.3 and open_cps:
+                cp, before, refs = open_cps.pop()
+                store.backtrack_to(cp)
+                assert state() == before
+            elif roll < 0.5:
+                record = rng.choice(records)
+                trail_len = len(store._trail)
+                fresh = record.stamp != store.depth()
+                store.save_record(record)
+                live = record.live
+                if live and rng.random() < 0.5:
+                    i = rng.randrange(len(live))
+                    record.live = live[:i] + live[i + 1:]
+                else:
+                    record.live = live + (rng.randint(0, 9),)
+                assert len(store._trail) == trail_len + fresh
+                assert record.stamp == store.depth()
+                record_entries += fresh
+            else:
+                x = rng.randrange(len(store.vars))
+                lo = min(refs[x]) - 1
+                if rng.random() < 0.6:
+                    op = ("exclude", rng.randint(lo, max(refs[x]) + 1))
+                else:
+                    a = rng.randint(lo, max(refs[x]))
+                    op = ("intersect", a, a + rng.randint(0, 6))
+                ok, new, _ = _reference_step(refs[x], op)
+                trail_len = len(store._trail)
+                fresh = store.vars[x].stamp != store.depth()
+                assert getattr(store, op[0])(x, *op[1:]) is ok
+                changed = new is not refs[x]
+                assert len(store._trail) == trail_len + (changed and fresh)
+                variable_entries += changed and fresh
+                refs[x] = new
+            if rng.random() < 0.3:
+                stale_reads += sum(_domain_fields(v.memo) != _domain_fields(v)
+                                   for v in store.vars)
+                _assert_domains(store, refs)
+        while open_cps:
+            cp, before, refs = open_cps.pop()
+            store.backtrack_to(cp)
+            assert state() == before
+            _assert_domains(store, refs)
+    assert min(record_entries, variable_entries, stale_reads) > 200, \
+        (record_entries, variable_entries, stale_reads)

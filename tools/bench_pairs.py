@@ -11,8 +11,8 @@ copied into a temporary directory and byte-compiled once.  For each
 seed the tool runs ``perfbench/run.py --workload W --seed S --seconds
 N`` in both, one process at a time, the parent first on odd seeds and
 the change first on even ones, and keeps each run's last-line JSON.
-``--traced`` instead records the seed-0 ``--trace 1`` figures of every
-workload for both trees.  ``--opcodes`` writes no file: it runs each
+``--traced`` instead records every metric of the seed-0 ``--trace 1``
+run of every workload for both trees.  ``--opcodes`` writes no file: it runs each
 tree's ``tools/opcount.py`` on the seed-0 solve of every workload, with
 this interpreter, and prints the total and per-module opcode counts of
 both and their difference.  Those counts are exact, so one run shows a
@@ -42,12 +42,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("queens", "alpha", "magic-wac")
 END_TO_END = ("solve_s", "setup_s", "search_s", "peak_rss_mb")
-TRACED = ("search.backtracks", "runtime.activations", "runtime.events.ins",
-          "runtime.events.bound", "runtime.events.dom", "store.narrow_ratio",
-          "store.exclude.calls", "store.intersect.calls",
-          "domain.exclude_value.calls", "domain.intersect_range.calls",
-          "domain.is_subset_of.calls", "domain.self_s", "store.self_s",
-          "store.tighten.us_per_call", "trace.wall_s")
 
 
 def _git(*args: str) -> str:
@@ -182,7 +176,7 @@ def main(argv=None) -> int:
                     metrics = run(tree, "--workload", workload, "--seed", "0",
                                   "--trace", "1")["metrics"]
                     traced["metrics"][workload][side] = {
-                        name: metrics[name]["value"] for name in TRACED}
+                        name: metric["value"] for name, metric in metrics.items()}
                     print(workload, side, traced["metrics"][workload][side], flush=True)
         else:
             doc["command"] = ("python3 perfbench/run.py --workload <workload> --seed <seed>"

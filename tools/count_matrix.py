@@ -3,18 +3,24 @@
 Each row is one first-solution solve of a benchmark configuration in
 one posting order, under one queue policy.  It records backtracks,
 solutions, activations, queued event records, watcher entries walked,
-agents (after posting), the first solution and a sha256 of the
-``--trace`` activation stream.  A change that must keep the engine's
-counts can be checked against the committed file; one that moves them
-shows, in the file's diff, exactly which runs moved.  ``activations``,
-``queued`` and ``walked`` are work columns: a change that makes the
-engine do more work fails the check with the row named, and after the
-differences ``--check`` prints, per work column, its sum over the moved
-rows, stored -> fresh, and how many rows rose, and then, per field
-that moved, how many rows it moved on.
+trail entries pushed, agents (after posting), the first solution and a
+sha256 of the ``--trace`` activation stream.  A change that must keep
+the engine's counts can be checked against the committed file; one
+that moves them shows, in the file's diff, exactly which runs moved.
+``activations``, ``queued``, ``walked`` and ``trailed`` are work
+columns: a change that makes the engine do more work fails the check
+with the row named, and after the differences ``--check`` prints, per
+work column, its sum over the moved rows, stored -> fresh, and how
+many rows rose, and then, per field that moved, how many rows it moved
+on.
 
     PYTHONPATH=src python tools/count_matrix.py --write COUNTS.json
     PYTHONPATH=src python tools/count_matrix.py --check COUNTS.json [--exclude alpha]
+
+``trailed`` is counted here, not in the engine: for the length of a
+solve the tool wraps the store's save methods (``Store.save`` and,
+where it exists, ``Store.save_record``) and adds up how much each call
+grows the trail.
 
 Posting order 0 is the shipped constraint order; order k > 0 is the
 shipped order shuffled by ``random.Random(k)``.  The label order never
@@ -34,6 +40,7 @@ solutions must hold on every row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,6 +49,7 @@ import sys
 
 from fdprop.benchmarks import get_benchmark
 from fdprop.model import SolverConfig, solve_model
+from fdprop.store import Store
 
 CONFIGS = (
     # (benchmark, level, alldistinct)
@@ -66,7 +74,7 @@ QUEUES = ("fifo", "lifo", "random")
 QUEUE_SEED = 0
 
 KEY = ("model", "level", "alldistinct", "order", "queue")
-WORK = ("activations", "queued", "walked")
+WORK = ("activations", "queued", "walked", "trailed")
 
 
 class _TraceHash:
@@ -79,6 +87,30 @@ class _TraceHash:
         self.sha.update(line.encode())
 
 
+@contextlib.contextmanager
+def counting_trail_entries():
+    """Within the block, count the trail entries the store's save
+    methods push; yields a one-element list holding the count."""
+    counted = [0]
+    originals = {name: getattr(Store, name) for name in ("save", "save_record")
+                 if hasattr(Store, name)}
+
+    def wrap(save):
+        def counted_save(store, record):
+            n = len(store._trail)
+            save(store, record)
+            counted[0] += len(store._trail) - n
+        return counted_save
+
+    for name, save in originals.items():
+        setattr(Store, name, wrap(save))
+    try:
+        yield counted
+    finally:
+        for name, save in originals.items():
+            setattr(Store, name, save)
+
+
 def run_row(name: str, level: str, alldistinct: str, order: int, queue: str) -> dict:
     model = get_benchmark(name)
     if order:
@@ -87,13 +119,15 @@ def run_row(name: str, level: str, alldistinct: str, order: int, queue: str) -> 
         model = dataclasses.replace(model, constraints=constraints)
     trace = _TraceHash()
     config = SolverConfig(level=level, alldistinct=alldistinct)
-    r = solve_model(model, config, queue_policy=queue, queue_seed=QUEUE_SEED,
-                    trace_stream=trace)
+    with counting_trail_entries() as trailed:
+        r = solve_model(model, config, queue_policy=queue, queue_seed=QUEUE_SEED,
+                        trace_stream=trace)
     return {
         "model": name, "level": level, "alldistinct": alldistinct,
         "order": order, "queue": queue,
         "backtracks": r.backtracks, "solutions": len(r.solutions),
         "activations": r.activations, "queued": r.queued, "walked": r.walked,
+        "trailed": trailed[0],
         "agents": r.agents,
         "first_solution": list(r.solutions[0]) if r.solutions else None,
         "trace_sha256": trace.sha.hexdigest(),

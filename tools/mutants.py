@@ -29,9 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 STORE = "src/fdprop/store.py"
 IN_PLACE = "tests/test_store.py::test_in_place_narrowing_matches_a_set_reference"
-FRAMES = "tests/test_search.py::test_label_frames_iterate_the_domain_at_frame_creation"
-RESTORED_SNAPSHOT = \
-    "tests/test_store.py::test_backtrack_restores_the_snapshot_of_the_restored_fields"
+RESTORED_READ = "tests/test_store.py::test_a_read_after_a_backtrack_gives_the_restored_fields"
+SHARED_TRAIL = "tests/test_store.py::test_records_and_variables_share_one_trail_randomized"
 ALLDISTINCT = "src/fdprop/alldistinct.py"
 FULL_SCAN = "tests/test_alldistinct.py::test_outof_reducer_matches_full_scan"
 LIVE_TUPLES = ("tests/test_alldistinct.py::"
@@ -72,13 +71,12 @@ MUTATIONS = (
              "_set_bits(var, bits, lo)\n        kind = INS if count == 1 else BOUND\n"
              "        if var.watchers[BOUND]:",
              (IN_PLACE,)),
-    Mutation("snapshot-kept-on-narrowing", STORE,
-             "var.stamp = depth\n        var.snapshot = None",
-             "var.stamp = depth",
-             (IN_PLACE, FRAMES)),
-    Mutation("snapshot-kept-on-backtrack", STORE,
-             "var.stamp, var.snapshot = trail.pop()", "var.stamp, _ = trail.pop()",
-             (IN_PLACE, RESTORED_SNAPSHOT)),
+    Mutation("exclude-moves-a-bound-one-value-too-far", STORE,
+             "var.lo = lo + 1", "var.lo = lo + 2",
+             (IN_PLACE,)),
+    Mutation("memo-skips-the-bits-comparison", STORE,
+             " or d.bits != self.bits:", ":",
+             (RESTORED_READ, SHARED_TRAIL)),
     Mutation("save-trails-every-change", STORE,
              "if var.stamp != depth:", "if True:",
              (IN_PLACE, "tests/test_store.py::test_one_trail_entry_per_variable_per_choice_point",
@@ -87,9 +85,15 @@ MUTATIONS = (
              "if var.stamp != depth:", "if False:",
              (IN_PLACE, "tests/test_store.py::test_nested_backtracking_matches_reference_snapshots")),
     Mutation("backtrack-keeps-stamps", STORE,
-             "var.bits, var.stamp, var.snapshot = trail.pop()",
-             "var.bits, _, var.snapshot = trail.pop()",
+             "var.bits, var.stamp = entry", "var.bits, _ = entry",
              (IN_PLACE, "tests/test_store.py::test_one_trail_entry_per_variable_per_choice_point")),
+    Mutation("record-entry-not-restored", STORE,
+             "record, record.live, record.stamp = entry", "pass",
+             (SHARED_TRAIL, LIVE_TUPLES)),
+    Mutation("stale-choice-point-pops-the-stack", STORE,
+             "i = len(cps) - 1\n        while i >= 0 and cps[i] is not cp:\n            i -= 1\n",
+             "while cps and cps[-1] is not cp:\n            cps.pop()\n        i = len(cps) - 1\n",
+             ("tests/test_store.py::test_a_stale_choice_point_leaves_the_store_as_it_was",)),
     Mutation("remove-bits-wipe-out-test-off-by-one", STORE,
              "if var.count <= n:", "if var.count < n:",
              (IN_PLACE,)),
@@ -111,16 +115,14 @@ MUTATIONS = (
              " if vx.bits is None or (vx.bits >> (w - vx.lo)) & 1):",
              ("tests/test_fixpoint_depth.py",)),
     Mutation("spare-from-whole-list", ALLDISTINCT,
-             "spare = live.count - n", "spare = len(scope) - n",
+             "    if live is not None:\n        scope = live.live\n    spare = len(scope) - n\n",
+             "    spare = len(scope) - n\n    if live is not None:\n        scope = live.live\n",
              (FULL_SCAN, LIVE_TUPLES)),
     Mutation("filled-domain-skips-exclusions", ALLDISTINCT,
              "failing = spare", "failing = 0",
              (FULL_SCAN,)),
-    Mutation("commit-keeps-live-count", LINEAR,
-             "live.count -= 1", "pass",
-             (LIVE_TUPLES,)),
     Mutation("live-tuple-not-trailed", LINEAR,
-             "store.save(live)", "pass",
+             "store.save_record(live)", "pass",
              (LIVE_TUPLES,)),
     Mutation("exhausted-subtree-counted-as-backtrack", "src/fdprop/search.py",
              "            stack.pop()\n        return False",
