@@ -473,7 +473,7 @@ class SolveResult:
     solutions: list[tuple]
     backtracks: int
     activations: int
-    queued: int  # event records queued: the runtime's post clock
+    queued: int  # event records queued; merged bound posts queue none
     walked: int  # watcher entries walked: the list lengths of the records taken
     agents: int  # agents after posting, before root propagation
     time_ms: int

@@ -16,24 +16,24 @@ it.
 
 Scheduling is first-generated-first-served.  The store posts an event
 only to a non-empty watcher list, and a post queues one record (event,
-watcher list, the list's length at post time, post sequence number);
-the global queue is drained FIFO.  An ins or bound record holds the
-variable's one shared event of that kind; a dom record holds a new
-event with its value.  Taking a record expands it: the agents at the
-first n positions of the list wake in ascending creation order.  A
-list only grows within a fixpoint, so an agent that suspends on it
-after the post never sees the event.  Monotone propagators must not
-rely on that order; a test-only queue policy switch (lifo / random,
-over records) exists to certify they do not.  A failed fixpoint leaves
-records queued; the backtrack that follows discards them.
+watcher list, the list's length at post time); the global queue is
+drained FIFO.  An ins or bound record holds the variable's one shared
+event of that kind; a dom record holds a new event with its value.
+Taking a record expands it: the agents at the first n positions of the
+list wake in ascending creation order.  A list only grows within a
+fixpoint, so an agent that suspends on it after the post never sees
+the event.  Monotone propagators must not rely on that order; a
+test-only queue policy switch (lifo / random, over records) exists to
+certify they do not.  A failed fixpoint leaves records queued; the
+backtrack that follows discards them.
 
-Duplicate bound wakes are coalesced per agent, for those spawned with
-``coalesce`` (the default, for constraint propagators), when a bound
-record is expanded: its wake is dropped if the agent has consumed a
-bound wake on the same variable since the record was posted.  Every
-other wake runs.  General agents (``coalesce=False``) get every event.
-Distinct dom payloads are never merged.  An ins needs no bookkeeping:
-it is the last event a variable posts before a backtrack, which
+A bound event carries no payload: the agents it wakes read the
+variable's current bounds.  So a variable has at most one queued bound
+record.  A bound post while that record waits untaken sets its length
+to the list's current length and queues nothing; once the record is
+taken, the next post queues a new one.  An ins or dom post always
+queues its own record: distinct dom payloads are never merged, and an
+ins is the last event a variable posts before a backtrack, which
 empties the queue.
 
 A runtime may have a deadline.  ``run_to_fixpoint`` reads the clock
@@ -106,13 +106,12 @@ class Agent:
     it is at END.
     """
 
-    __slots__ = ("id", "rules", "rule", "coalesce", "name")
+    __slots__ = ("id", "rules", "rule", "name")
 
-    def __init__(self, aid: int, rules: Sequence[Rule], coalesce: bool, name: str):
+    def __init__(self, aid: int, rules: Sequence[Rule], name: str):
         self.id = aid
         self.rules = rules
         self.rule = END
-        self.coalesce = coalesce
         self.name = name
 
     def __repr__(self):
@@ -127,20 +126,17 @@ class Runtime:
     Its choice point is the store's plus its own marks, so that a
     backtrack restores both.
 
-    ``queue`` holds one record per posted event.  ``clock`` counts the
-    records queued; a record's sequence number is the clock after its
-    post.  ``walked`` sums the watcher-list lengths of the records
-    taken: the watcher entries a fixpoint walks, ended agents included.
-    ``consumed`` maps (agent id, var) to the clock at which a
-    coalescing agent last consumed a bound wake on var; a bound record
-    whose sequence number is not above that clock is a duplicate for
-    the agent.  A choice point is only made with an empty queue, so
-    backtracking empties both, and a fixpoint that succeeds empties
-    ``consumed``: later records have larger sequence numbers.  The trail
-    holds (agent, old rule) for every change of an agent's rule, a new
-    agent's first suspension included; a backtrack undoes those, popping
-    the agent from the watcher lists of the rule it leaves, and drops
-    the agents created since.  ``deadline`` is None or the
+    ``queue`` holds the records [event, watchers, n] of the posted
+    events, and ``pending`` maps a variable id to its queued, untaken
+    bound record, which later bound posts of the variable extend.
+    ``clock`` counts the records queued.  ``walked`` sums the
+    watcher-list lengths of the records taken: the watcher entries a
+    fixpoint walks, ended agents included.  A choice point is only made
+    with an empty queue, so backtracking empties both.  The trail holds
+    (agent, old rule) for every change of an agent's rule, a new agent's
+    first suspension included; a backtrack undoes those, popping the
+    agent from the watcher lists of the rule it leaves, and drops the
+    agents created since.  ``deadline`` is None or the
     ``time.perf_counter()`` reading past which ``run_to_fixpoint``
     raises ``LimitReached``.
     """
@@ -149,8 +145,8 @@ class Runtime:
                  queue_seed: Optional[int] = None, trace=None):
         self.store = store
         self.agents: list[Agent] = []
-        self.queue: deque[tuple[Event, list, int, int]] = deque()
-        self.consumed: dict[tuple[int, int], int] = {}
+        self.queue: deque[list] = deque()
+        self.pending: dict[int, list] = {}
         self.clock = 0
         self._take = self._taker(queue_policy, queue_seed)
         self.trace = trace
@@ -198,7 +194,7 @@ class Runtime:
             agent.rule = rule
         del self.agents[agent_count:]
         self.queue.clear()
-        self.consumed.clear()
+        self.pending.clear()
 
     # -- posting and waking ----------------------------------------------------
 
@@ -207,12 +203,21 @@ class Runtime:
         queue the event with that list and its length, so that only the
         agents sleeping on it now wake when it is taken.  An ins or
         bound event is the variable's shared one; only a dom event,
-        which carries its value, is made here."""
+        which carries its value, is made here.  A bound post on a
+        variable whose bound record is still queued extends that
+        record to the list's current length instead."""
         v = self._vars[var]
         watchers = v.watchers[kind]
+        if kind == BOUND:
+            record = self.pending.get(var)
+            if record is not None:
+                record[2] = len(watchers)
+                return
+            record = self.pending[var] = [v.events[BOUND], watchers, len(watchers)]
+        else:
+            record = [v.events[kind] or Event(kind, var, value), watchers, len(watchers)]
         self.clock += 1
-        self.queue.append((v.events[kind] or Event(kind, var, value), watchers,
-                           len(watchers), self.clock))
+        self.queue.append(record)
 
     # -- spawning ---------------------------------------------------------------
 
@@ -220,11 +225,10 @@ class Runtime:
               name: str = "") -> Optional[Agent]:
         """Create an agent and run rule selection.  Returns the agent,
         or None when the agent fails (no applicable rule, or its
-        generation-time action fails).  coalesce marks the agent as a
-        constraint propagator whose duplicate bound wakes may be
-        suppressed; general agents should pass False to receive every
-        event."""
-        agent = Agent(len(self.agents), rules, coalesce, name)
+        generation-time action fails).  ``coalesce`` is ignored: bound
+        posts are merged per variable in the queue, for every agent.
+        It stays only because perfbench's tracer passes it."""
+        agent = Agent(len(self.agents), rules, name)
         self.agents.append(agent)
         if self._select(agent, 0, _GENERATED_EVENT):
             return agent
@@ -289,29 +293,24 @@ class Runtime:
         ``LimitReached``; only the clock is read, so no count moves."""
         queue = self.queue
         take = self._take
-        consumed = self.consumed
+        pending = self.pending
         trace = self.trace
         deadline = self.deadline
         countdown = DEADLINE_EVERY
         while queue:
-            event, watchers, n, seq = take()
+            event, watchers, n = take()
+            if event.kind == BOUND:
+                del pending[event.var]
             if deadline is not None:
                 countdown -= 1
                 if not countdown:
                     check_deadline(deadline)
                     countdown = DEADLINE_EVERY
             self.walked += n
-            bound = event.kind == BOUND
-            var = event.var
             for agent in watchers[:n]:
                 idx = agent.rule
                 if idx == END:
                     continue
-                if bound and agent.coalesce:
-                    key = (agent.id, var)
-                    if consumed.get(key, 0) >= seq:
-                        continue  # a duplicate bound
-                    consumed[key] = self.clock
                 rule = agent.rules[idx]
                 guard = rule.guard
                 if guard is None or guard():
@@ -324,7 +323,6 @@ class Runtime:
                         self._trace_line(agent, event, idx, "ok")
                 elif not self._select(agent, idx + 1, event):
                     return False
-        consumed.clear()
         return True
 
     # -- search support -----------------------------------------------------------

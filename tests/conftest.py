@@ -8,11 +8,12 @@ import random
 
 import pytest
 
+import fdprop.model
 from fdprop.benchmarks import get_benchmark
 from fdprop.linear import BinaryLinear, Diseq, NaryLinear
 from fdprop.model import Distinct, Model, VarDecl
 from fdprop.oracle import enumerate_solutions
-from fdprop.runtime import Agent, Runtime
+from fdprop.runtime import END, Agent, Event, Runtime
 from fdprop.store import BOUND, DOM, INS
 
 
@@ -24,26 +25,59 @@ def sendmoney_oracle_solutions():
     return enumerate_solutions(get_benchmark("sendmoney").to_ground(), cap=10 ** 8)
 
 
+class ItemRuntime(Runtime):
+    """The reference queue, which merges nothing: a post walks the
+    watcher list and queues one (agent, event) item per agent not at
+    END, and taking an item wakes its agent unless it has ended since.
+    Every post thus reaches every agent that watched it, once, and the
+    engine's merged bound records must reach the same fixpoints."""
+
+    def _post_kind(self, kind, var, value):
+        event = Event(kind, var, value)
+        push = self.queue.append
+        for agent in self.store.vars[var].watchers[kind]:
+            if agent.rule != END:
+                push((agent, event))
+
+    def run_to_fixpoint(self):
+        queue = self.queue
+        trace = self.trace
+        while queue:
+            agent, event = self._take()
+            idx = agent.rule
+            if idx == END:
+                continue
+            rule = agent.rules[idx]
+            guard = rule.guard
+            if guard is None or guard():
+                self.activations += 1
+                if not rule.action(event):
+                    if trace is not None:
+                        self._trace_line(agent, event, idx, "fail")
+                    return False
+                if trace is not None:
+                    self._trace_line(agent, event, idx, "ok")
+            elif not self._select(agent, idx + 1, event):
+                return False
+        return True
+
+
 @contextlib.contextmanager
-def general_agents():
-    """Within the block every spawned agent is a general agent
-    (``coalesce=False``), so the runtime coalesces no wake: the
-    reference side of the coalescing equivalence checks."""
-    original = Runtime.spawn
-
-    def spawn(rt, rules, *, coalesce=True, name=""):
-        return original(rt, rules, coalesce=False, name=name)
-
-    Runtime.spawn = spawn
+def unmerged_queue():
+    """Within the block ``model.build`` and ``solve_model`` run on
+    ``ItemRuntime``: the reference side of the merging equivalence
+    checks."""
+    original = fdprop.model.Runtime
+    fdprop.model.Runtime = ItemRuntime
     try:
         yield
     finally:
-        Runtime.spawn = original
+        fdprop.model.Runtime = original
 
 
 # An agent at END: on a watcher list it makes the store post that
 # list's events, and no fixpoint wakes it.
-PLACEHOLDER = Agent(-1, (), False, "placeholder")
+PLACEHOLDER = Agent(-1, (), "placeholder")
 
 
 def watch_every_list(store, xs=None, kinds=(INS, BOUND, DOM)) -> None:

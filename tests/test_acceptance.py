@@ -8,7 +8,7 @@ prints a PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v``
 import random
 import time
 
-from conftest import domain_snapshot, general_agents, random_model, store_snapshot
+from conftest import domain_snapshot, random_model, store_snapshot, unmerged_queue
 
 from fdprop.benchmarks import get_benchmark, holed_chain_model, queens_model
 from fdprop.domain import make_interval
@@ -207,16 +207,16 @@ def _erasure_run(rng):
     return woken == []  # fully-processed events never wake a later spawn
 
 
-def _coalesce_run(rng):
+def _merge_run(rng):
     model = random_model(rng)
 
     def outcome():
         r = solve_model(model, SolverConfig(mode="all"))
         return sorted(r.solutions), r.backtracks, r.root_failed
 
-    coalesced = outcome()
-    with general_agents():
-        return outcome() == coalesced
+    merged = outcome()
+    with unmerged_queue():
+        return outcome() == merged
 
 
 def _multi_dom_run(rng):
@@ -279,7 +279,7 @@ def test_criterion_8_runtime_semantics_1000_runs():
     rng = random.Random(0xCAFE)
     checks = {
         "event erasure": (_erasure_run, 200),
-        "coalescing soundness": (_coalesce_run, 200),
+        "merging soundness": (_merge_run, 200),
         "multi-dom activation": (_multi_dom_run, 200),
         "trail round-trip": (_trail_run, 200),
         "scheduling invariance": (_scheduling_run, 200),

@@ -1,6 +1,8 @@
-"""``tools/bench_pairs.py --opcodes``: exact opcode deltas of two trees."""
+"""``tools/bench_pairs.py``: exact opcode deltas of two trees, and the
+medians of repeated traced runs."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -44,3 +46,31 @@ def test_opcodes_of_one_tree_against_itself_differ_by_nothing(monkeypatch, capsy
     for line in tables:
         if line.startswith(" "):
             assert line.split()[3:] == ["+0", "+0.00%"]
+
+
+def test_traced_runs_alternate_and_record_medians(monkeypatch, tmp_path, capsys):
+    """Each tree's traced solve runs three times, the trees taking turns
+    to go first; the file holds each metric's median, and a count that
+    differs between one tree's runs makes the tool exit 1."""
+    calls = []
+
+    def run(tree, *args):
+        calls.append((tree.name, args[1]))
+        i = sum(1 for name, w in calls if (name, w) == calls[-1])
+        agents = 7 if tree.name == "change" and args[1] == "alpha" and i == 3 else 5
+        return {"metrics": {"wall_s": {"value": float(i), "unit": "s"},
+                            "agents": {"value": agents, "unit": "count"}}}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda _rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--traced", "--out", str(out)]) == 1
+    assert calls[:6] == [("parent", "queens"), ("change", "queens"), ("change", "queens"),
+                         ("parent", "queens"), ("parent", "queens"), ("change", "queens")]
+    assert len(calls) == 6 * len(bench_pairs.WORKLOADS)
+    metrics = json.loads(out.read_text())["traced_seed0"]["metrics"]
+    assert metrics["queens"]["parent"] == {"wall_s": 2.0, "agents": 5}
+    assert metrics["alpha"]["change"] == {"wall_s": 2.0, "agents": 5}
+    assert capsys.readouterr().err.splitlines() == [
+        "count differs between runs: alpha change agents"]

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import general_agents
+from conftest import unmerged_queue
 
 from fdprop.benchmarks import (
     MAX_QUEENS_RECORDS,
@@ -44,7 +44,7 @@ def test_queens_walks_no_ended_agent():
 
     def counting_take():
         record = take()
-        _, watchers, n, _ = record
+        _, watchers, n = record
         walked.extend(agent.rule for agent in watchers[:n])
         return record
 
@@ -238,9 +238,9 @@ def test_no_coalesce_identical_across_full_corpus():
 
     for name in BENCH_CORPUS:
         m = get_benchmark(name)
-        with_c = solve_model(m, SolverConfig())
-        with general_agents():
-            without = solve_model(m, SolverConfig())
-        assert with_c.solutions == without.solutions, name
-        assert with_c.backtracks == without.backtracks, name
+        merged = solve_model(m, SolverConfig())
+        with unmerged_queue():
+            reference = solve_model(m, SolverConfig())
+        assert merged.solutions == reference.solutions, name
+        assert merged.backtracks == reference.backtracks, name
 

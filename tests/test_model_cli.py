@@ -354,7 +354,7 @@ def test_time_limit_cuts_posting_short(command, level, tmp_path, capsys):
     ["bench", "--workers", "0"],
     ["bench", "--workers", "-3"],
     ["verify", "bench:queens(4)", "--cap", "-5"],
-    ["solve", "bench:queens(4)", "--no-coalesce"],  # retired: coalescing is per agent
+    ["solve", "bench:queens(4)", "--no-coalesce"],  # retired: bound posts merge in the queue
 ])
 def test_cli_rejects_bad_limits_and_workers(argv, capsys):
     with pytest.raises(SystemExit) as exc:

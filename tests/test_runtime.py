@@ -1,16 +1,13 @@
-import contextlib
-import io
 import random
 
 import pytest
 
-from conftest import domain_snapshot, general_agents, random_model, store_snapshot
+from conftest import domain_snapshot, random_model, store_snapshot, unmerged_queue
 
-import fdprop.model
 from fdprop.domain import make_interval
 from fdprop.linear import post_diseq
 from fdprop.model import ALL_SOLUTIONS, SolverConfig, build, parse_model, solve_model
-from fdprop.runtime import END, Event, Rule, Runtime
+from fdprop.runtime import END, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
 
 
@@ -139,9 +136,9 @@ def test_event_erasure_between_post_and_take():
 def test_posts_reach_only_watched_lists_with_shared_events():
     """The store calls the sink only for a kind that some agent watches
     on the variable.  An ins or bound record holds the variable's one
-    event of that kind, the same object on every post; a dom record
-    holds a new event with its value.  Waking reads the events and
-    writes none of them."""
+    event of that kind; a dom record holds a new event with its value.
+    A second bound post while the first waits is merged into its
+    record.  Waking reads the events and writes none of them."""
     store, rt = fresh()
     x = store.new_var(make_interval(1, 9))
     y = store.new_var(make_interval(1, 9))
@@ -154,21 +151,22 @@ def test_posts_reach_only_watched_lists_with_shared_events():
     store.event_sink = spy
     seen = []
     rt.spawn([Rule(None, ((BOUND, x), (DOM, x), (INS, x), (INS, y)),
-                   lambda e: (seen.append(e), True)[1])], coalesce=False)
+                   lambda e: (seen.append(e), True)[1])])
     assert store.intersect(y, 2, 9) and store.exclude(y, 5)  # y: only ins is watched
     assert store.intersect(x, 2, 9) and store.exclude(x, 5) and store.intersect(x, 3, 9)
     assert store.bind(x, 4) and store.bind(y, 3)
     assert calls == [(BOUND, x, None), (DOM, x, 5), (BOUND, x, None), (INS, x, None),
                      (INS, y, None)]
     events = [record[0] for record in rt.queue]
-    assert rt.clock == len(events) == 5
+    assert rt.clock == len(events) == 4
+    assert rt.pending == {x: rt.queue[0]}
     vx, vy = store.vars[x], store.vars[y]
-    assert events[0] is events[2] is vx.events[BOUND]
-    assert events[3] is vx.events[INS] and events[4] is vy.events[INS]
+    assert events[0] is vx.events[BOUND]
+    assert events[2] is vx.events[INS] and events[3] is vy.events[INS]
     assert (events[1].kind, events[1].var, events[1].value) == (DOM, x, 5)
     assert vx.events[DOM] is None and vx.events[0] is None
     assert rt.run_to_fixpoint()
-    assert seen == events
+    assert seen == events and rt.pending == {}
     for i, var in enumerate(store.vars):
         assert [(e.kind, e.var, e.value) for e in var.events[INS:DOM]] == \
             [(INS, i, None), (BOUND, i, None)]
@@ -199,12 +197,12 @@ def test_coalescing_duplicate_bounds_collapse(policy):
     rt.spawn([Rule(None, ((BOUND, x),), narrow_twice)])
     store.intersect(x, 2, 9)  # wakes both; the second posts two bound(y)
     assert rt.run_to_fixpoint()
-    assert runs.count("bound(_1)") == 1  # duplicate bound(y) coalesced
+    assert runs.count("bound(_1)") == 1  # the second bound(y) merged into the first
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_ins_does_not_shadow_bound(policy):
-    """A coalescing agent that watches bound(x) and ins(x) gets both
+    """An agent that watches bound(x) and ins(x) gets both
     wakes when x is narrowed and then bound in one activation: the ins
     does not drop the bound queued before it."""
     store, rt = fresh(policy)
@@ -233,7 +231,7 @@ def test_ins_does_not_shadow_bound(policy):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_coalescing_bound_only_agent_runs_when_bound(policy):
-    """A coalescing agent that watches bound(x) but not ins(x) runs on
+    """An agent that watches bound(x) but not ins(x) runs on
     its one bound(x) wake even when x ends the fixpoint bound."""
     store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
@@ -253,18 +251,91 @@ def test_coalescing_bound_only_agent_runs_when_bound(policy):
     assert seen == ["bound(_0)"]
 
 
+def test_bound_posts_before_a_take_share_one_record():
+    """Two bound(x) posts while the first record waits queue one record,
+    extended to the list's length at the second post: it wakes an agent
+    that suspended between the posts, and every agent once."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 9))
+    runs = []
+
+    def watcher(tag):
+        return [Rule(None, ((BOUND, x),), lambda e: (runs.append(tag), True)[1])]
+
+    rt.spawn(watcher("early"))
+    assert store.intersect(x, 2, 9)
+    rt.spawn(watcher("between"))
+    assert store.intersect(x, 3, 9)
+    assert rt.clock == len(rt.queue) == 1
+    record = rt.queue[0]
+    assert rt.pending == {x: record} and record[2] == 2
+    assert rt.run_to_fixpoint()
+    assert runs == ["early", "between"] and rt.pending == {}
+
+
+def test_bound_post_after_the_take_queues_a_new_record():
+    """Taking a bound record removes it from ``pending`` before it wakes
+    anyone, so a bound post made while it is expanded queues a new
+    record.  The agents after the poster on the list wake on both."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 9))
+    runs = []
+    states = []
+
+    def narrow_once(e):
+        runs.append("poster")
+        if len(runs) == 1:
+            states.append(dict(rt.pending))
+            assert store.intersect(x, 3, 9)
+            states.append(dict(rt.pending))
+        return True
+
+    rt.spawn([Rule(None, ((BOUND, x),), narrow_once)])
+    rt.spawn([Rule(None, ((BOUND, x),), lambda e: (runs.append("later"), True)[1])])
+    assert store.intersect(x, 2, 9)
+    first = rt.queue[0]
+    assert rt.run_to_fixpoint()
+    assert states[0] == {}
+    assert list(states[1]) == [x] and states[1][x] is not first
+    assert rt.clock == 2 and rt.pending == {}
+    assert runs == ["poster", "later", "poster", "later"]
+
+
+def test_bound_post_after_a_failed_fixpoint_and_backtrack_queues_afresh():
+    """A failed fixpoint leaves a bound record queued and pending; the
+    backtrack discards both, so the next bound post queues a new record
+    that wakes its agents."""
+    store, rt = fresh()
+    x = store.new_var(make_interval(1, 9))
+    y = store.new_var(make_interval(1, 5))
+    runs = []
+    rt.spawn([Rule(None, ((INS, y),), lambda e: store.value(y) != 1)])
+    rt.spawn([Rule(None, ((BOUND, x),), lambda e: (runs.append(repr(e)), True)[1])])
+    cp = rt.push_choice_point()
+    assert store.bind(y, 1) and store.intersect(x, 2, 9)
+    assert not rt.run_to_fixpoint()  # fails on ins(y), bound(x) still queued
+    assert list(rt.pending) == [x] and len(rt.queue) == 1
+    rt.backtrack_to(cp)
+    assert not rt.queue and rt.pending == {}
+    assert store.intersect(x, 4, 9)
+    assert len(rt.queue) == 1 and rt.pending == {x: rt.queue[0]}
+    assert rt.run_to_fixpoint()
+    assert runs == ["bound(_0)"]
+
+
 class NoEntries(dict):
-    """A ``Runtime.consumed`` that fails the test on any entry."""
+    """A ``Runtime.pending`` that fails the test on any entry."""
 
     def __setitem__(self, key, value):
-        raise AssertionError(f"consumed entry {key}")
+        raise AssertionError(f"pending entry {key}")
 
 
-def test_ins_only_agents_never_enter_consumed():
-    """An ins is the last event of its variable before a backtrack, so
-    agents that watch only ins have no wake to coalesce."""
+def test_ins_only_agents_never_enter_pending():
+    """Agents that watch only ins make the store post only ins, which
+    never enters ``pending``."""
     store, rt = fresh()
-    rt.consumed = NoEntries()
+    assert rt.pending == {}
+    rt.pending = NoEntries()
     xs = [store.new_var(make_interval(1, hi)) for hi in (3, 2, 3)]
     for x in xs:  # pairwise X != Y; the entry of X itself is dropped
         assert post_diseq(rt, x, tuple((z, (0,)) for z in xs), f"neq(_{x})")
@@ -275,29 +346,20 @@ def test_ins_only_agents_never_enter_consumed():
     assert [store.value(x) for x in xs] == [2, 1, 3]
 
 
-def test_no_coalescing_for_general_agents():
-    """The duplicate bound(y) that a coalescing agent drops reaches a
-    general agent."""
-    store, rt = fresh()
+@pytest.mark.parametrize("policy", POLICIES)
+def test_ins_and_dom_posts_never_enter_pending(policy):
+    """Each ins and dom post queues its own record, outside ``pending``:
+    two dom posts of one variable are two records."""
+    store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
-    y = store.new_var(make_interval(1, 9))
-    runs = {True: [], False: []}
-    for coalesce in (True, False):
-        log = runs[coalesce]
-        rt.spawn([Rule(None, ((BOUND, x), (BOUND, y)),
-                       lambda e, log=log: (log.append(repr(e)), True)[1])],
-                 coalesce=coalesce)
-
-    def narrow_twice(e):
-        assert store.intersect(y, 2, 9)
-        assert store.intersect(y, 3, 9)
-        return True
-
-    rt.spawn([Rule(None, ((BOUND, x),), narrow_twice)])
-    store.intersect(x, 2, 9)
+    seen = []
+    rt.spawn([Rule(None, ((INS, x), (DOM, x)), lambda e: (seen.append(repr(e)), True)[1])])
+    assert rt.pending == {}
+    rt.pending = NoEntries()
+    assert store.exclude(x, 4) and store.exclude(x, 6) and store.bind(x, 5)
+    assert rt.clock == len(rt.queue) == 3 and rt.pending == {}
     assert rt.run_to_fixpoint()
-    assert runs[True] == ["bound(_0)", "bound(_1)"]
-    assert runs[False] == ["bound(_0)", "bound(_1)", "bound(_1)"]
+    assert sorted(seen) == ["dom(_0,4)", "dom(_0,6)", "ins(_0)"]
 
 
 def test_distinct_dom_payloads_each_activate():
@@ -389,7 +451,7 @@ def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
     committed = []  # agents whose commitment rule succeeded, in order
     original_spawn = Runtime.spawn
 
-    def spawn(rt, rules, *, coalesce=True, name=""):
+    def spawn(rt, rules, *, name=""):
         aid = len(rt.agents)  # the id the new agent gets
 
         def wrap(rule):
@@ -403,8 +465,7 @@ def test_ended_agents_stay_ended_and_backtrack_restores_rules(monkeypatch):
                 return ok
             return Rule(rule.guard, rule.watch, action, rule.run_on_generated)
 
-        return original_spawn(rt, [wrap(r) for r in rules],
-                              coalesce=coalesce, name=name)
+        return original_spawn(rt, [wrap(r) for r in rules], name=name)
 
     monkeypatch.setattr(Runtime, "spawn", spawn)
     rng = random.Random(31)
@@ -545,94 +606,27 @@ def test_long_fixpoint_trails_each_variable_once(level):
     assert len(store._trail) == 3  # t, x and y, once each
 
 
-class ItemRuntime(Runtime):
-    """The per-item queue that the record queue replaced, kept as the
-    reference: a post walks the watcher list and queues one (agent,
-    event) item per woken agent, and coalescing is done at post time.
-    ``pending`` maps (agent id, var) to the bound item a coalescing
-    agent has queued on var; a further bound on var is not queued for
-    it until that item is taken."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.pending = {}
-
-    def _restore(self, marks):
-        super()._restore(marks)
-        self.pending.clear()
-
-    def _post_kind(self, kind, var, value):
-        watchers = self.store.vars[var].watchers[kind]
-        if not watchers:
-            return
-        event = Event(kind, var, value)
-        push = self.queue.append
-        pending = self.pending
-        if kind == BOUND:
-            for agent in watchers:
-                if agent.rule == END:
-                    continue
-                item = (agent, event)
-                if agent.coalesce:
-                    key = (agent.id, var)
-                    if key in pending:
-                        continue  # a duplicate bound
-                    pending[key] = item
-                push(item)
-        else:
-            for agent in watchers:
-                if agent.rule != END:
-                    push((agent, event))
-
-    def run_to_fixpoint(self):
-        queue = self.queue
-        pending = self.pending
-        trace = self.trace
-        while queue:
-            agent, event = self._take()
-            if agent.coalesce and event.kind == BOUND:
-                del pending[(agent.id, event.var)]
-            idx = agent.rule
-            if idx == END:
-                continue
-            rule = agent.rules[idx]
-            guard = rule.guard
-            if guard is None or guard():
-                self.activations += 1
-                if not rule.action(event):
-                    if trace is not None:
-                        self._trace_line(agent, event, idx, "fail")
-                    return False
-                if trace is not None:
-                    self._trace_line(agent, event, idx, "ok")
-            elif not self._select(agent, idx + 1, event):
-                return False
-        return True
-
-
-def test_record_queue_matches_item_queue(monkeypatch):
-    """Under fifo, queuing one record per event and expanding it when
-    taken gives the per-item queue's activations exactly: the same
-    trace stream, backtracks and solutions, with coalescing agents and
-    with general agents only."""
+def test_record_queue_matches_item_queue():
+    """Under every level, the merged record queue reaches the reference
+    queue's root fixpoints and solutions with the same backtracks
+    (``ItemRuntime``, which merges nothing), and with fewer activations
+    in total over the models."""
     rng = random.Random(41)
     models = [random_model(rng) for _ in range(200)]
 
     def run(model, level):
-        trace = io.StringIO()
-        r = solve_model(model, SolverConfig(level=level, mode=ALL_SOLUTIONS),
-                        trace_stream=trace)
-        return trace.getvalue(), r.backtracks, r.solutions
+        store, rt, ok = build(model, SolverConfig(level=level))
+        root = domain_snapshot(store) if ok and rt.run_to_fixpoint() else None
+        r = solve_model(model, SolverConfig(level=level, mode=ALL_SOLUTIONS))
+        return (root, r.backtracks, r.solutions), r.activations
 
-    lines = {}
-    for general in (False, True):
-        lines[general] = 0
-        with general_agents() if general else contextlib.nullcontext():
-            for model in models:
-                for level in ("fc", "ic", "ac"):
-                    engine = run(model, level)
-                    with monkeypatch.context() as m:
-                        m.setattr(fdprop.model, "Runtime", ItemRuntime)
-                        assert run(model, level) == engine
-                    lines[general] += engine[0].count("\n")
-    assert lines[False] < lines[True]  # some wake was coalesced
+    engine_total = reference_total = 0
+    for model in models:
+        for level in ("fc", "ic", "ac"):
+            engine, activations = run(model, level)
+            engine_total += activations
+            with unmerged_queue():
+                reference, activations = run(model, level)
+            reference_total += activations
+            assert engine == reference
+    assert engine_total < reference_total

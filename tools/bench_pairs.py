@@ -11,8 +11,10 @@ copied into a temporary directory and byte-compiled once.  For each
 seed the tool runs ``perfbench/run.py --workload W --seed S --seconds
 N`` in both, one process at a time, the parent first on odd seeds and
 the change first on even ones, and keeps each run's last-line JSON.
-``--traced`` instead records every metric of the seed-0 ``--trace 1``
-run of every workload for both trees.  ``--opcodes`` writes no file: it runs each
+``--traced`` instead runs the seed-0 ``--trace 1`` solve of every
+workload three times per tree, alternating the trees, and records the
+median of every metric for both; it exits 1, naming the metric, if a
+count differs between one tree's runs.  ``--opcodes`` writes no file: it runs each
 tree's ``tools/opcount.py`` on the seed-0 solve of every workload, with
 this interpreter, and prints the total and per-module opcode counts of
 both and their difference.  Those counts are exact, so one run shows a
@@ -42,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("queens", "alpha", "magic-wac")
 END_TO_END = ("solve_s", "setup_s", "search_s", "peak_rss_mb")
+TRACED_RUNS = 3
 
 
 def _git(*args: str) -> str:
@@ -98,6 +101,18 @@ def opcode_deltas(workload: str, parent: dict[str, int], change: dict[str, int])
         share = f"{100 * (c - p) / p:+7.2f}%" if p else "     new"
         lines.append(f"  {name:<16}{p:>14,}{c:>14,}{c - p:>+14,}  {share}")
     return "\n".join(lines)
+
+
+def traced_medians(runs: list[dict]) -> tuple[dict[str, float], list[str]]:
+    """The median of each metric over one tree's traced runs, and the
+    names of the count metrics whose value is not the same in every run."""
+    medians, unsteady = {}, []
+    for name, metric in runs[0].items():
+        values = [r[name]["value"] for r in runs]
+        medians[name] = statistics.median(values)
+        if metric["unit"] == "count" and len(set(values)) > 1:
+            unsteady.append(name)
+    return medians, unsteady
 
 
 def seeds_of(text: str) -> list[int]:
@@ -162,22 +177,30 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("parent", _git("rev-parse", args.parent))
     doc.setdefault("change", "the commit that adds this file")
+    unsteady = []  # "<workload> <tree> <metric>" of each count that differed
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(args.parent, trees["parent"])
         export(None, trees["change"])
         if args.traced:
-            traced = doc.setdefault("traced_seed0", {
-                "command": "python3 perfbench/run.py --workload <workload> --seed 0 --trace 1",
-                "metrics": {}})
+            traced = doc.setdefault("traced_seed0", {"metrics": {}})
+            traced["command"] = ("python3 perfbench/run.py --workload <workload> --seed 0"
+                                 " --trace 1")
+            traced["runs"] = (f"{TRACED_RUNS} per tree, alternating which tree runs first;"
+                              " each metric is the median")
             for workload in WORKLOADS:
+                runs = {side: [] for side in trees}
+                for i in range(TRACED_RUNS):
+                    for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                        runs[side].append(run(trees[side], "--workload", workload, "--seed",
+                                              "0", "--trace", "1")["metrics"])
                 traced["metrics"][workload] = {}
-                for side, tree in trees.items():
-                    metrics = run(tree, "--workload", workload, "--seed", "0",
-                                  "--trace", "1")["metrics"]
-                    traced["metrics"][workload][side] = {
-                        name: metric["value"] for name, metric in metrics.items()}
-                    print(workload, side, traced["metrics"][workload][side], flush=True)
+                for side, results in runs.items():
+                    medians, differ = traced_medians(results)
+                    traced["metrics"][workload][side] = medians
+                    print(workload, side, medians, flush=True)
+                    for name in differ:
+                        unsteady.append(f"{workload} {side} {name}")
         else:
             doc["command"] = ("python3 perfbench/run.py --workload <workload> --seed <seed>"
                               f" --seconds {args.seconds:g}")
@@ -197,7 +220,9 @@ def main(argv=None) -> int:
                           result["metrics"]["solve_s"]["value"], flush=True)
             doc.setdefault("summary", {})[args.workload] = summarize(runs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    for line in unsteady:
+        print(f"count differs between runs: {line}", file=sys.stderr)
+    return 1 if unsteady else 0
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ Posting order 0 is the shipped constraint order; order k > 0 is the
 shipped order shuffled by ``random.Random(k)``.  The label order never
 changes.  ``--check`` exits 1 and lists the rows that differ.
 
-The queue holds one record per posted event, and taking a record wakes
-every agent that slept on the event.  Under ``lifo`` a take pops the
+The queue holds one record per posted event, except that a bound post
+merges into its variable's queued bound record, and taking a record
+wakes every agent that slept on the event.  Under ``lifo`` a take pops the
 newest whole record; under ``random`` it draws ``randrange`` over the
 queued records.  Rows under the ``random`` policy move whenever a
 change alters the agent set or the number of queued records, even when

@@ -40,6 +40,9 @@ RUNTIME = "src/fdprop/runtime.py"
 SHARED_EVENTS = "tests/test_runtime.py::test_posts_reach_only_watched_lists_with_shared_events"
 MASK_COMMIT = "tests/test_linear.py::test_forward_checking_commit_by_mask"
 FC_REFERENCE = "tests/test_linear.py::test_forward_checking_reaches_reference_fixpoint"
+SUM_REFERENCES = ("tests/test_linear.py::test_unite_reaches_reference_bounds_fixpoint",
+                  "tests/test_linear.py::test_reducer_matches_two_pass_reference",
+                  "tests/test_linear.py::test_linear_models_reach_reference_fixpoint")
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,25 @@ MUTATIONS = (
     Mutation("post-makes-a-new-ins-or-bound-event", RUNTIME,
              "v.events[kind] or Event(kind, var, value)", "Event(kind, var, value)",
              (SHARED_EVENTS,)),
+    Mutation("taken-bound-record-left-pending", RUNTIME,
+             "del pending[event.var]", "pending.get(event.var)",
+             ("tests/test_runtime.py::test_bound_post_after_the_take_queues_a_new_record",)),
+    Mutation("restore-keeps-pending", RUNTIME,
+             "self.pending.clear()", "pass",
+             ("tests/test_runtime.py::"
+              "test_bound_post_after_a_failed_fixpoint_and_backtrack_queues_afresh",)),
+    Mutation("merge-keeps-the-first-length", RUNTIME,
+             "record[2] = len(watchers)", "pass",
+             ("tests/test_runtime.py::test_bound_posts_before_a_take_share_one_record",)),
+    Mutation("reducer-skips-the-store-unless-both-bounds-move", LINEAR,
+             "if new_lo > var.lo or new_hi < var.hi:", "if new_lo > var.lo and new_hi < var.hi:",
+             SUM_REFERENCES),
+    Mutation("slack-test-skips-on-one-side", LINEAR,
+             "if widest <= -t_lo and widest <= t_hi:", "if widest <= -t_lo or widest <= t_hi:",
+             SUM_REFERENCES),
+    Mutation("negative-coefficient-lower-bound-rounded-down", LINEAR,
+             "new_lo = -((cur_hi - los[i]) // -a)", "new_lo = (los[i] - cur_hi) // -a",
+             SUM_REFERENCES),
     Mutation("restore-keeps-watchers", RUNTIME,
              "vars_[var].watchers[kind].pop()", "pass",
              ("tests/test_runtime.py::test_backtrack_restores_agent_table_and_watchers",)),
