@@ -1,14 +1,13 @@
 """The all-distinct global constraint in three strategies.
 
 Each strategy posts one forward-checking exclusion agent per list
-element, ``linear.post_diseq``: it sleeps until its variable is bound
-and then excludes the value from every other element.  Every agent of
-one constraint shares the constraint's one live record, a ``Record``
-saved through the store's trail: its ``live`` field is the tuple of
-the elements whose agent has not committed, in list order.  A
-commitment excludes its value from the live elements only, then drops
-its own element, so posting takes memory linear in the list's length
-and a committed element is never visited again.
+element, ``linear.post_diseq``: once its variable is bound it excludes
+the value from every other element.  The agents of one constraint
+share one partner table, every element at offset 0, and one live
+record, a ``Record`` under the store's trail whose ``live`` field is
+the tuple of the elements whose agent has not committed, in list
+order.  So posting takes memory linear in the list's length, and a
+committed element is never visited again.
 LINEAR_SPACE is that agent alone.  NAIVE_PAIRWISE names the same
 posting: the pairwise disequalities give each variable one exclusion
 agent over all its partners, the very agent LINEAR_SPACE posts, so the
@@ -25,11 +24,11 @@ bound value, so it always fails the containment test.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .domain import is_subset_of, members
 from .linear import post_diseq
-from .runtime import Runtime
+from .runtime import Runtime, check_deadline
 from .store import Record, Store
 
 
@@ -39,18 +38,15 @@ class Strategy(enum.Enum):
     WEAK_AC = "wac"
 
 
-def outof_reducer(store: Store, x: int, scope: Sequence[int],
-                  live: Optional[Record] = None) -> bool:
+def outof_reducer(store: Store, x: int, live: Record) -> bool:
     """Pigeonhole filter for one list element.
 
-    ``scope`` is the whole list, x included, and ``live`` its live
-    record, if any: the scan then visits only the live tuple, which
-    gives the same result (see the module docstring).  With n =
-    |dom(x)| and m = number of scanned elements whose domains are
-    subsets of dom(x) (x always counts; a bound element, one with a
-    singleton domain, counts when its value is in dom(x)): m > n is
-    unsatisfiable; m = n lets every value of dom(x) be excluded from
-    each unbound element whose domain is not such a subset.
+    It scans the live elements of ``live``, the list's live record, x
+    among them (see the module docstring).  With n = |dom(x)| and m =
+    number of scanned elements whose domains are subsets of dom(x) (x
+    always counts; a bound element counts when its value is in dom(x)):
+    m > n is unsatisfiable; m = n lets every value of dom(x) be excluded
+    from each unbound element whose domain is not such a subset.
 
     The filter can act only when m >= n, so at most (scanned elements
     - n) may fail the subset test: the scan returns True as soon as one
@@ -66,9 +62,8 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int],
     vars_ = store.vars
     vx = vars_[x]
     n = vx.count
+    scope = live.live
     # how many more elements may still fail the subset test
-    if live is not None:
-        scope = live.live
     spare = len(scope) - n
     if spare < 0:
         return True
@@ -115,7 +110,8 @@ def outof_reducer(store: Store, x: int, scope: Sequence[int],
 
 def post_alldistinct(rt: Runtime, vars: Sequence[int], strategy: Strategy) -> bool:
     """Post one ``outof(_x)`` agent per element under the chosen
-    strategy, all sharing one live record.  Returns False on
+    strategy, checking the runtime's deadline before each: a WEAK_AC
+    agent runs its filter at generation.  Returns False on
     inconsistency detected while posting (including a repeated
     variable, which can never differ from itself)."""
     vars = tuple(vars)
@@ -123,11 +119,13 @@ def post_alldistinct(rt: Runtime, vars: Sequence[int], strategy: Strategy) -> bo
         return False
     live = Record(vars)
     store = rt.store
+    table = {z: (store.vars[z], (0,), 0, 1) for z in vars}
     for x in vars:
+        check_deadline(rt.deadline)
         reduce = None
         if strategy is Strategy.WEAK_AC:
             def reduce(_event, x=x):
-                return outof_reducer(store, x, vars, live)
-        if not post_diseq(rt, x, (), f"outof(_{x})", reduce, live):
+                return outof_reducer(store, x, live)
+        if not post_diseq(rt, x, live, table, f"outof(_{x})", reduce):
             return False
     return True

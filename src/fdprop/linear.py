@@ -14,11 +14,14 @@ No agent is spawned during search.
 
 Disequalities are forward checked by one exclusion agent per variable,
 the paper's ``outof(X, Left, Right)`` generalised to offsets: it holds
-X's partners with their offsets and, once X is bound, excludes every
-implied value from them.  The offsets of a partner are kept as a value
-mask, so the commit tests a free partner with one shift and one AND
-against its bit vector, and removes every value hit with one store
-call.  Every all_distinct strategy posts the same agent.
+a table of X's partners with their offsets and, once X is bound,
+excludes every implied value from them.  Like the paper's agents, which
+share their lists, the agents of one group share a trailed record of
+the variables whose agent has not committed, and a commit walks only
+those.  The offsets of a partner are kept as a value mask, so the
+commit tests a free partner with one shift and one AND against its bit
+vector, and removes every value hit with one store call.  Every
+all_distinct strategy posts the same agent.
 
 Each sum is checked at posting against a signed 64-bit budget,
 |c| + sum(|a_i| * max|X_i|), which bounds every intermediate value its
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 from .domain import members
 from .runtime import Rule, Runtime, check_deadline
-from .store import BOUND, DOM, GENERATED, INS
+from .store import BOUND, DOM, GENERATED, INS, Record
 
 INT64_MAX = (1 << 63) - 1
 
@@ -233,61 +236,72 @@ class _Pair:
 # -- disequality ---------------------------------------------------------------
 
 
-def post_diseq(rt: Runtime, x: int, partners, name: str, reduce=None, live=None) -> bool:
-    """Spawn X's forward-checking exclusion agent: Z != X + d for every
-    offset d of each (Z, offsets) entry of ``partners``; an entry with
-    Z == X is dropped, and so is an offset that cannot reach Z's
-    domain from X's.  It sleeps on ins of X; once X is bound to v it
-    bars v + d from each partner, in partner order, and ends.  A bound
-    partner is tested by its value.  For a free one, the offsets are a
-    mask, bit d - min(offsets) set for each d, kept from posting: the
-    commit shifts it to the partner's ``lo``, ANDs it with the members
-    and, if any is hit, removes them all with one ``Store.remove_bits``
-    call.  With ``reduce`` it also wakes on bound and dom of X and runs
-    ``reduce`` on each wake and once at generation.
-
-    ``live`` is an all_distinct's live record (``partners`` is then
-    empty): ``live.live`` is the tuple of the elements whose agent has
-    not committed, in list order.  The partners are the live elements,
-    offset 0, and the commit first drops X from the record under the
-    trail."""
-    store = rt.store
+def diseq_table(store, x: int, partners) -> dict:
+    """X's partner table: {Z: (Z's variable, offsets, min(offsets),
+    mask)} for each Z -> offsets of ``partners``, offset d meaning Z !=
+    X + d and the mask having bit d - min(offsets) set.  An offset
+    outside [lo_z - hi_x, hi_z - lo_x] can never bar a value of Z, since
+    domains only shrink, so it is dropped, which keeps the commit's
+    shift within the domain widths; a partner left without offsets has
+    mask 0."""
     vars_ = store.vars
     vx = vars_[x]
-    remove_bits = store.remove_bits
-    # (Z, its variable, offsets, min(offsets), mask) per partner.  An
-    # offset outside [lo_z - hi_x, hi_z - lo_x] can never bar a value of
-    # Z, and domains only shrink, so it is dropped: the mask and the
-    # commit's shift stay within the two domain widths.
-    entries = []
-    for z, offsets in partners:
-        if z == x:
-            continue
+    table = {}
+    for z, offsets in partners.items():
         vz = vars_[z]
         reach_lo, reach_hi = vz.lo - vx.hi, vz.hi - vx.lo
         dmin = min(offsets)
         if dmin < reach_lo or max(offsets) > reach_hi:
-            offsets = tuple(d for d in offsets if reach_lo <= d <= reach_hi)
-            if not offsets:
-                continue
-            dmin = min(offsets)
+            offsets = [d for d in offsets if reach_lo <= d <= reach_hi]
+            dmin = min(offsets, default=0)
         mask = 0
         for d in offsets:
             mask |= 1 << (d - dmin)
-        entries.append((z, vz, offsets, dmin, mask))
-    entries = tuple(entries)
+        table[z] = (vz, tuple(offsets), dmin, mask)
+    return table
+
+
+def post_diseq(rt: Runtime, x: int, record: Record, table: dict, name: str,
+               reduce=None) -> bool:
+    """Spawn X's forward-checking exclusion agent.  ``record.live`` is
+    the tuple of the variables of X's group, X among them, whose agent
+    has not committed; ``table`` (see ``diseq_table``) has an entry for
+    every other one: Z != X + d for each of Z's offsets d.  The agent
+    sleeps on ins of X.  Once X is bound to v it drops X from the record
+    under the trail, bars v + d from each live partner in order, and
+    ends.  Skipping a committed partner is exact: a group holds each
+    disequality both ways, so that partner's commit already barred what
+    conflicts with it.  A bound partner is tested by its value; a free
+    one gets one ``Store.exclude`` for a single offset (mask 1), else
+    its mask, shifted to its ``lo``, is ANDed with its members and, if
+    any is hit, one ``Store.remove_bits`` call removes them all.  With
+    ``reduce`` it also wakes on bound and dom of X and runs ``reduce``
+    on each wake and once at generation."""
+    store = rt.store
+    vx = store.vars[x]
+    exclude_one = store.exclude
+    remove_bits = store.remove_bits
 
     def free():
         return vx.count != 1
 
     def exclude(_event):
         v = vx.lo
-        for z, vz, offsets, dmin, mask in entries:
-            lo = vz.lo
+        elements = record.live
+        store.save_record(record)
+        i = elements.index(x)
+        rest = record.live = elements[:i] + elements[i + 1:]
+        for z in rest:
+            vz, offsets, dmin, mask = table[z]
             if vz.count == 1:
-                if lo - v in offsets:
+                if vz.lo - v in offsets:
                     return False
                 continue
+            if mask == 1:
+                if not exclude_one(z, v + dmin):
+                    return False
+                continue
+            lo = vz.lo
             shift = v + dmin - lo
             if shift >= 0:
                 if shift > vz.hi - lo:
@@ -300,25 +314,6 @@ def post_diseq(rt: Runtime, x: int, partners, name: str, reduce=None, live=None)
             if m and not remove_bits(z, vz, m):
                 return False
         return True
-
-    def exclude_live(_event):
-        v = vx.lo
-        elements = live.live
-        store.save_record(live)
-        i = elements.index(x)
-        rest = live.live = elements[:i] + elements[i + 1:]
-        for z in rest:
-            vz = vars_[z]
-            if vz.count == 1:
-                if vz.lo == v:
-                    return False
-                continue
-            if not store.exclude(z, v):
-                return False
-        return True
-
-    if live is not None:
-        exclude = exclude_live
 
     if reduce is None:
         first = Rule(free, ((INS, x),), _true)

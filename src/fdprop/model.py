@@ -28,6 +28,7 @@ from .linear import (
     ConsistencyLevel,
     Diseq,
     NaryLinear,
+    diseq_table,
     post_binary,
     post_diseq,
     post_nary,
@@ -40,7 +41,7 @@ from .oracle import (
 )
 from .runtime import LimitReached, Runtime
 from .search import UnboundVariableError, label
-from .store import Store
+from .store import Record, Store
 
 
 class ModelError(ValueError):
@@ -394,12 +395,11 @@ class SolverConfig:
         return None if self.time_limit is None else started + self.time_limit
 
 
-def _diseq_partners(constraints) -> dict[int, tuple]:
-    """The partners of each variable's exclusion agent, one (z, offsets)
-    entry per partner in order of first mention: X != Y
-    + c gives X's agent offset -c on Y and Y's agent offset +c on X.  A
-    repeated offset is dropped, and so is X != X + c, which holds iff
-    c != 0 (build checks that)."""
+def _diseq_partners(constraints) -> dict[int, dict[int, list[int]]]:
+    """The partners of each variable's exclusion agent, {z: offsets}
+    in order of first mention: X != Y + c gives X's agent offset -c on
+    Y and Y's agent offset +c on X.  A repeated offset is dropped, and
+    so is X != X + c, which holds iff c != 0 (build checks that)."""
     offsets: dict[int, dict[int, list[int]]] = {}
     for con in constraints:
         if not isinstance(con, Diseq) or con.x == con.y:
@@ -408,8 +408,7 @@ def _diseq_partners(constraints) -> dict[int, tuple]:
             ds = offsets.setdefault(x, {}).setdefault(z, [])
             if d not in ds:
                 ds.append(d)
-    return {x: tuple((z, tuple(ds)) for z, ds in partners.items())
-            for x, partners in offsets.items()}
+    return offsets
 
 
 def build(model: Model, config: SolverConfig = SolverConfig(), *,
@@ -449,6 +448,9 @@ def _post(rt: Runtime, model: Model, config: SolverConfig) -> bool:
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
         store.new_var(dom, vd.name)
     diseqs = _diseq_partners(model.constraints)
+    # one record for all neq agents if each variable partners every other
+    whole = all(len(partners) == len(diseqs) - 1 for partners in diseqs.values())
+    shared = Record(tuple(diseqs)) if whole else None
     for con in model.constraints:
         if isinstance(con, BinaryLinear):
             ok = post_binary(rt, con, level)
@@ -458,7 +460,9 @@ def _post(rt: Runtime, model: Model, config: SolverConfig) -> bool:
             ok = con.x != con.y or con.c != 0
             for x in (con.x, con.y):
                 if ok and x in diseqs:  # not yet posted
-                    ok = post_diseq(rt, x, diseqs.pop(x), f"neq(_{x})")
+                    partners = diseqs.pop(x)
+                    ok = post_diseq(rt, x, shared or Record((x, *partners)),
+                                    diseq_table(store, x, partners), f"neq(_{x})")
         elif isinstance(con, Distinct):
             ok = post_alldistinct(rt, con.vars, strategy)
         else:

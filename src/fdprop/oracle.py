@@ -35,10 +35,12 @@ def enumerate_solutions(gm: GroundModel, cap: int = DEFAULT_CAP) -> set[tuple[in
     """All satisfying total assignments, by exhaustive tree search with
     no propagation (a constraint is tested as soon as its variables are
     assigned).  Refuses instances whose raw assignment count exceeds
-    the cap."""
-    total = math.prod(len(d) for d in gm.domains)
+    the cap, counting no further than cap + 1 however wide the model."""
+    total = 1
+    for d in gm.domains:
+        total = min(total * len(d), cap + 1)
     if total > cap:
-        raise CapExceeded(f"{total} assignments exceed cap {cap}")
+        raise CapExceeded(f"more than {cap} assignments")
     n = len(gm.domains)
     if n == 0:
         return {()} if all(pred() for _, pred in gm.constraints) else set()

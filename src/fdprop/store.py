@@ -121,8 +121,9 @@ class Variable:
 
 class Record:
     """A trailed record outside the variable table: ``live`` is the
-    tuple of an all_distinct's uncommitted elements, and its owner
-    calls ``Store.save_record`` before each change of it."""
+    tuple of the variables of a group of exclusion agents (an
+    all_distinct's elements, say) whose agent has not committed, and
+    each agent calls ``Store.save_record`` before it changes it."""
 
     __slots__ = ("live", "stamp")
 

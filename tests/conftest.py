@@ -10,11 +10,11 @@ import pytest
 
 import fdprop.model
 from fdprop.benchmarks import get_benchmark
-from fdprop.linear import BinaryLinear, Diseq, NaryLinear
+from fdprop.linear import BinaryLinear, Diseq, NaryLinear, diseq_table, post_diseq
 from fdprop.model import Distinct, Model, VarDecl
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import END, Agent, Event, Runtime
-from fdprop.store import BOUND, DOM, INS
+from fdprop.store import BOUND, DOM, INS, Record
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +91,15 @@ def watch_every_list(store, xs=None, kinds=(INS, BOUND, DOM)) -> None:
         for kind in kinds:
             if PLACEHOLDER not in watchers[kind]:
                 watchers[kind].append(PLACEHOLDER)
+
+
+def post_own_diseq(rt, x, partners, name):
+    """Post X's exclusion agent over ``partners`` (Z -> offsets, X not
+    among them) with a record of its own, ``(x, *partners)``, as the
+    model posts a disequality graph whose variables are not all partners
+    of each other: the agent walks every partner whatever other agents
+    do, so partners may be listed one way only."""
+    return post_diseq(rt, x, Record((x, *partners)), diseq_table(rt.store, x, partners), name)
 
 
 def random_domain(rng: random.Random, max_values: int = 9) -> VarDecl:

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     domain_snapshot,
     domain_values,
+    post_own_diseq,
     random_domain,
     random_model,
     watch_every_list,
@@ -23,6 +24,7 @@ from fdprop.linear import (
     NaryLinear,
     _make_reducer,
     ceil_div,
+    diseq_table,
     post_binary,
     post_diseq,
     post_nary,
@@ -41,7 +43,7 @@ from fdprop.model import (
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Event, Runtime
 from fdprop.search import label
-from fdprop.store import BOUND, DOM, INS, Store
+from fdprop.store import BOUND, DOM, INS, Record, Store
 
 FC = ConsistencyLevel.FORWARD_CHECKING
 IC = ConsistencyLevel.INTERVAL
@@ -158,7 +160,7 @@ def test_diseq_examples():
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, ((y, (0,)),), "neq(_0)")  # Y != X + 0
+    assert post_own_diseq(rt, x, {y: (0,)}, "neq(_0)")  # Y != X + 0
     assert [a.name for a in rt.agents] == ["neq(_0)"]
     assert store.bind(x, 3) and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 2, 4, 5)
@@ -168,15 +170,15 @@ def test_diseq_examples():
         store, rt = fresh()
         x = store.new_var(make_interval(1, 5))
         y = store.new_var(make_interval(1, 5))
-        assert post_diseq(rt, x, ((y, (-2,)),), "neq(_0)")
-        assert post_diseq(rt, y, ((x, (2,)),), "neq(_1)")
+        assert post_own_diseq(rt, x, {y: (-2,)}, "neq(_0)")
+        assert post_own_diseq(rt, y, {x: (2,)}, "neq(_1)")
         assert store.bind(x, vx) and store.bind(y, vy)
         assert rt.run_to_fixpoint() == consistent
 
     store, rt = fresh()
     x = store.new_var(make_interval(1, 5))
     y = store.new_var(make_interval(1, 5))
-    assert post_diseq(rt, x, ((y, (0, 1, -1)),), "neq(_0)") and rt.run_to_fixpoint()
+    assert post_own_diseq(rt, x, {y: (0, 1, -1)}, "neq(_0)") and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 2, 3, 4, 5)  # x free: asleep
     assert store.bind(x, 3) and rt.run_to_fixpoint()
     assert domain_values(store, y) == (1, 5)  # every offset barred
@@ -189,14 +191,18 @@ def test_forward_checking_commit_by_mask():
     a mask shifted right onto W's lo.  W = {4, 5} is wiped out by the
     second offset: one remove_bits call fails before it writes or posts
     anything.  W = {4, 5, 7} loses 4 and 5, and 2 lies below it: one
-    trail entry, one ins."""
+    trail entry for W, one ins.  Either way the agent's record, trailed
+    first, has dropped X."""
     for w_values, consistent in (((4, 5), False), ((4, 5, 7), True)):
         store, rt = fresh()
         x = store.new_var(make_interval(1, 5))
         b = store.new_var(make_interval(9, 9))
         o = store.new_var(make_set([1, 2, 8, 9]))
         w = store.new_var(make_set(w_values))
-        assert post_diseq(rt, x, ((b, (5, 7)), (o, (0, 1)), (w, (1, 2, -1))), "neq(_0)")
+        record = Record((x, b, o, w))
+        assert post_diseq(rt, x, record,
+                          diseq_table(store, x, {b: (5, 7), o: (0, 1), w: (1, 2, -1)}),
+                          "neq(_0)")
         watch_every_list(store)
         events = []
         sink = store.event_sink
@@ -212,12 +218,14 @@ def test_forward_checking_commit_by_mask():
         o_domain, w_domain = store.domain(o), store.domain(w)
         assert rt.run_to_fixpoint() is consistent
         assert store.domain(o) is o_domain and store.vars[o].stamp == 0
+        assert record.live == (b, o, w)
+        trailed = [entry[0] for entry in store._trail[mark:]]
         if consistent:
             assert events == [(INS, w, None)]
-            assert [entry[0] for entry in store._trail[mark:]] == [store.vars[w]]
+            assert trailed == [record, store.vars[w]]
             assert store.value(w) == 7
         else:
-            assert events == [] and store._trail[mark:] == []
+            assert events == [] and trailed == [record]
             assert store.domain(w) is w_domain and store.vars[w].stamp == 0
 
 
@@ -274,8 +282,8 @@ def _build_one_agent_per_diseq(model, policy):
             if con.x == con.y:
                 ok = ok and con.c != 0
                 continue
-            ok = (ok and post_diseq(rt, con.x, ((con.y, (-con.c,)),), f"neq(_{con.x})")
-                  and post_diseq(rt, con.y, ((con.x, (con.c,)),), f"neq(_{con.y})"))
+            ok = (ok and post_own_diseq(rt, con.x, {con.y: (-con.c,)}, f"neq(_{con.x})")
+                  and post_own_diseq(rt, con.y, {con.x: (con.c,)}, f"neq(_{con.y})"))
     return store, rt, ok
 
 
@@ -297,7 +305,7 @@ def test_merged_diseq_posting_matches_one_agent_per_record(policy):
         if trial % 2:
             model = _with_pair_diseqs(rng, model)
         # agents that hold more than one (partner, offset) pair
-        merged_agents += sum(sum(len(offsets) for _, offsets in partners) > 1
+        merged_agents += sum(sum(map(len, partners.values())) > 1
                              for partners in _diseq_partners(model.constraints).values())
         merged = _root_and_solutions(*build(model, queue_policy=policy, queue_seed=7),
                                      model)
@@ -311,11 +319,7 @@ def test_diseq_merge_edge_cases():
     decls = [VarDecl("x", 1, 3), VarDecl("y", 1, 3), VarDecl("z", 1, 3)]
     # Y != X - 1 is X != Y + 1 again; X != X + 3 is dropped
     records = [Diseq(0, 1, 1), Diseq(1, 0, -1), Diseq(0, 0, 3), Diseq(2, 0, 0)]
-    assert _diseq_partners(records) == {
-        0: ((1, (-1,)), (2, (0,))),
-        1: ((0, (1,)),),
-        2: ((0, (0,)),),
-    }
+    assert _diseq_partners(records) == {0: {1: [-1], 2: [0]}, 1: {0: [1]}, 2: {0: [0]}}
     store, rt, ok = build(Model("m", decls, records, [0, 1, 2]))
     assert ok
     assert [a.name for a in rt.agents] == ["neq(_0)", "neq(_1)", "neq(_2)"]

@@ -347,6 +347,17 @@ def test_time_limit_cuts_posting_short(command, level, tmp_path, capsys):
         assert activations <= 2 if level == "ac" else activations > 256
 
 
+def test_time_limit_cuts_weak_ac_posting_short(capsys):
+    """magic(70) under wac: each of the 4,900 outof agents runs its
+    filter over the live elements at generation, seconds of posting in
+    all, and the deadline is read before each element is posted."""
+    started = time.perf_counter()
+    assert main(["solve", "bench:magic(70)", "--level", "ic", "--alldistinct", "wac",
+                 "--time-limit", "0.2"]) == 5
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == "error: search limit reached (time limit)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "bench:queens(4)", "--max-backtracks", "-1"],
     ["solve", "bench:queens(4)", "--time-limit", "-0.5"],
@@ -502,6 +513,20 @@ def test_cli_verify_refuses_before_solving(capsys):
     assert main(["verify", "bench:queens(25)"]) == 2
     assert time.perf_counter() - started < 10  # the full solve takes minutes
     assert "oracle refused" in capsys.readouterr().out
+
+
+def test_cli_verify_refuses_a_wide_model_without_a_traceback(tmp_path):
+    """1,500 variables in 1..1000: an assignment count of 4,500 digits,
+    more than Python will format, is refused by its cap alone."""
+    path = tmp_path / "wide.model"
+    path.write_text("".join(f"var x{i} in 1..1000\n" for i in range(1500)) + "label x0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-m", "fdprop.cli", "verify", str(path)],
+                       cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert "oracle refused: more than 10000000 assignments" in r.stdout
+    assert "Traceback" not in r.stderr, r.stderr
 
 
 def test_cli_unwritable_stats_json_exits_2(tmp_path, capsys):

@@ -35,3 +35,19 @@ def test_setup_counts_parse_and_build_only():
     functions = {name for _, name in counts}
     assert {"parse_model", "build", "post_diseq"} <= functions
     assert "label" not in functions and "Runtime.run_to_fixpoint" not in functions
+
+
+def _two_comprehensions(first, second):
+    return [i for i in range(first)], [i for i in range(second)]
+
+
+def test_code_objects_that_share_a_name_add_up():
+    """The two comprehensions of one function share a file and a
+    qualname: their counts add up under that key, so running more of
+    the first one counts more even when the second one runs last."""
+    def key_count(first, second):
+        counts = opcount.opcodes(lambda: _two_comprehensions(first, second), __file__)
+        return counts[(Path(__file__).name, "_two_comprehensions.<locals>.<listcomp>")]
+
+    assert key_count(3, 50) > key_count(0, 50) > key_count(0, 0) > 0
+    assert key_count(3, 50) - key_count(0, 50) == key_count(3, 0) - key_count(0, 0)

@@ -37,6 +37,16 @@ def test_enumerate_cap_refusal():
         enumerate_solutions(gm, cap=10 ** 6)
 
 
+def test_cap_refusal_stops_counting_past_the_cap():
+    """1,500 domains of 1,000 values: a count of 4,501 digits, past
+    what Python formats, is refused with the cap alone; an empty domain
+    makes the count 0 however many values the others hold."""
+    wide = [list(range(1000))] * 1500
+    with pytest.raises(CapExceeded, match=r"^more than 1000000 assignments$"):
+        enumerate_solutions(GroundModel(wide), cap=10 ** 6)
+    assert enumerate_solutions(GroundModel([[]] + [list(range(1000))] * 3), cap=10) == set()
+
+
 def test_interval_consistency_worked_example():
     # x = y + 1 as 1 + (-1)x + 1y = 0
     assert check_interval_consistent(1, [-1, 1], [range(2, 6), range(1, 5)])

@@ -2,10 +2,15 @@ import random
 
 import pytest
 
-from conftest import domain_snapshot, random_model, store_snapshot, unmerged_queue
+from conftest import (
+    domain_snapshot,
+    post_own_diseq,
+    random_model,
+    store_snapshot,
+    unmerged_queue,
+)
 
 from fdprop.domain import make_interval
-from fdprop.linear import post_diseq
 from fdprop.model import ALL_SOLUTIONS, SolverConfig, build, parse_model, solve_model
 from fdprop.runtime import END, Rule, Runtime
 from fdprop.store import BOUND, DOM, INS, Store
@@ -337,8 +342,8 @@ def test_ins_only_agents_never_enter_pending():
     assert rt.pending == {}
     rt.pending = NoEntries()
     xs = [store.new_var(make_interval(1, hi)) for hi in (3, 2, 3)]
-    for x in xs:  # pairwise X != Y; the entry of X itself is dropped
-        assert post_diseq(rt, x, tuple((z, (0,)) for z in xs), f"neq(_{x})")
+    for x in xs:  # pairwise X != Y
+        assert post_own_diseq(rt, x, {z: (0,) for z in xs if z != x}, f"neq(_{x})")
     assert store.bind(xs[0], 2)
     assert rt.queue
     assert rt.run_to_fixpoint()  # binds xs[1] to 1, then xs[2] to 3

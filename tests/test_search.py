@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from conftest import domain_snapshot, random_model
+from conftest import domain_snapshot, post_own_diseq, random_model
 
 from fdprop.alldistinct import Strategy, post_alldistinct
 from fdprop.benchmarks import queens_model
 from fdprop.domain import make_interval, make_set, members
-from fdprop.linear import ConsistencyLevel, NaryLinear, post_diseq, post_nary
+from fdprop.linear import ConsistencyLevel, NaryLinear, post_nary
 from fdprop.model import Model, SolverConfig, VarDecl, solve_model
 from fdprop.oracle import enumerate_solutions
 from fdprop.runtime import Runtime
@@ -140,8 +140,8 @@ def test_label_frames_iterate_the_domain_at_frame_creation():
     rt = Runtime(store)
     y = store.new_var(make_interval(1, 2))
     x = store.new_var(make_set([1, 4, 5, 7]))
-    assert post_diseq(rt, y, ((x, (0,)),), "neq(_y)")
-    assert post_diseq(rt, x, ((y, (0,)),), "neq(_x)")
+    assert post_own_diseq(rt, y, {x: (0,)}, "neq(_y)")
+    assert post_own_diseq(rt, x, {y: (0,)}, "neq(_x)")
     stats, sols = label(rt, [y, x], all_solutions=True)
     assert stats.backtracks == 0
     assert sols == [(1, 4), (1, 5), (1, 7), (2, 1), (2, 4), (2, 5), (2, 7)]

@@ -35,6 +35,8 @@ ALLDISTINCT = "src/fdprop/alldistinct.py"
 FULL_SCAN = "tests/test_alldistinct.py::test_outof_reducer_matches_full_scan"
 LIVE_TUPLES = ("tests/test_alldistinct.py::"
                "test_live_tuples_hold_the_uncommitted_elements_at_every_node")
+EXCLUSION_RECORDS = ("tests/test_alldistinct.py::"
+                     "test_exclusion_records_hold_the_uncommitted_members_at_every_node")
 LINEAR = "src/fdprop/linear.py"
 RUNTIME = "src/fdprop/runtime.py"
 SHARED_EVENTS = "tests/test_runtime.py::test_posts_reach_only_watched_lists_with_shared_events"
@@ -117,16 +119,26 @@ MUTATIONS = (
              "for val in (w for w in range(vx.lo, vx.hi + 1)"
              " if vx.bits is None or (vx.bits >> (w - vx.lo)) & 1):",
              ("tests/test_fixpoint_depth.py",)),
-    Mutation("spare-from-whole-list", ALLDISTINCT,
-             "    if live is not None:\n        scope = live.live\n    spare = len(scope) - n\n",
-             "    spare = len(scope) - n\n    if live is not None:\n        scope = live.live\n",
-             (FULL_SCAN, LIVE_TUPLES)),
+    Mutation("spare-one-too-high", ALLDISTINCT,
+             "spare = len(scope) - n", "spare = len(scope) - n + 1",
+             (FULL_SCAN,)),
+    Mutation("spare-one-too-low", ALLDISTINCT,
+             "spare = len(scope) - n", "spare = len(scope) - n - 1",
+             (FULL_SCAN,)),
     Mutation("filled-domain-skips-exclusions", ALLDISTINCT,
              "failing = spare", "failing = 0",
              (FULL_SCAN,)),
     Mutation("live-tuple-not-trailed", LINEAR,
-             "store.save_record(live)", "pass",
-             (LIVE_TUPLES,)),
+             "store.save_record(record)", "pass",
+             (LIVE_TUPLES, EXCLUSION_RECORDS)),
+    Mutation("bound-uncommitted-partner-skipped", LINEAR,
+             "if vz.count == 1:\n                if vz.lo - v in offsets:\n"
+             "                    return False\n                continue",
+             "if vz.count == 1:\n                continue",
+             ("tests/test_linear.py::test_diseq_examples", FC_REFERENCE)),
+    Mutation("single-offset-commit-bars-the-wrong-value", LINEAR,
+             "exclude_one(z, v + dmin)", "exclude_one(z, v - dmin)",
+             (FC_REFERENCE,)),
     Mutation("exhausted-subtree-counted-as-backtrack", "src/fdprop/search.py",
              "            stack.pop()\n        return False",
              "            stack.pop()\n            stats.backtracks += 1\n        return False",
@@ -169,6 +181,9 @@ MUTATIONS = (
     Mutation("posting-revise-ignores-deadline", LINEAR,
              "check_deadline(deadline)\n    y_lo = vy.lo", "y_lo = vy.lo",
              ("tests/test_model_cli.py::test_time_limit_cuts_posting_short",)),
+    Mutation("weak-ac-posting-ignores-deadline", ALLDISTINCT,
+             "check_deadline(rt.deadline)\n        reduce = None", "reduce = None",
+             ("tests/test_model_cli.py::test_time_limit_cuts_weak_ac_posting_short",)),
 )
 
 

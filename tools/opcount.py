@@ -44,16 +44,11 @@ def _harness():
     return harness
 
 
-def count(workload: str, phase: str = "solve", max_backtracks: int | None = None) -> Counter:
-    """Opcodes per (module file name, function qualname) executed under
-    ``src/fdprop`` by one run of the phase."""
-    harness = _harness()
-    from fdprop.model import SolverConfig, build, parse_model, solve_model
-
-    w = harness.WORKLOADS[workload]
-    config = SolverConfig(level=w.level, alldistinct=w.alldistinct,
-                          max_backtracks=max_backtracks)
-    text = harness.make_input(w, 0)
+def opcodes(run, package: str = PACKAGE) -> Counter:
+    """Opcodes per (module file name, function qualname) executed in
+    frames of code under ``package`` while ``run()`` runs.  Code objects
+    that share a key, such as two comprehensions in one function, add
+    up under it."""
     counts: Counter = Counter()
     names: dict = {}
 
@@ -65,7 +60,7 @@ def count(workload: str, phase: str = "solve", max_backtracks: int | None = None
     def call(frame, _event, _arg):
         code = frame.f_code
         if code not in names:
-            if not code.co_filename.startswith(PACKAGE):
+            if not code.co_filename.startswith(package):
                 names[code] = None
                 return None
             names[code] = (Path(code.co_filename).name, code.co_qualname)
@@ -78,14 +73,34 @@ def count(workload: str, phase: str = "solve", max_backtracks: int | None = None
     previous = sys.gettrace()
     sys.settrace(call)
     try:
+        run()
+    finally:
+        sys.settrace(previous)
+    result: Counter = Counter()
+    for code, n in counts.items():
+        result[names[code]] += n
+    return result
+
+
+def count(workload: str, phase: str = "solve", max_backtracks: int | None = None) -> Counter:
+    """Opcodes per (module file name, function qualname) executed under
+    ``src/fdprop`` by one run of the phase."""
+    harness = _harness()
+    from fdprop.model import SolverConfig, build, parse_model, solve_model
+
+    w = harness.WORKLOADS[workload]
+    config = SolverConfig(level=w.level, alldistinct=w.alldistinct,
+                          max_backtracks=max_backtracks)
+    text = harness.make_input(w, 0)
+
+    def run():
         model = parse_model(text, w.name)
         if phase == "setup":
             build(model, config)
         else:
             solve_model(model, config)
-    finally:
-        sys.settrace(previous)
-    return Counter({names[code]: n for code, n in counts.items()})
+
+    return opcodes(run)
 
 
 def report(counts: Counter) -> str:
