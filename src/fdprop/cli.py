@@ -32,8 +32,9 @@ against the brute-force enumeration oracle.
 
 --max-backtracks and --time-limit bound the search of ``solve`` and
 ``verify``; --time-limit also bounds each fixpoint, root propagation
-included.  When one is hit, ``solve`` still prints the solutions found
-so far and its stats line; both then exit 5.
+included, and ``verify``'s root report.  When one is hit, ``solve``
+still prints the solutions found so far and its stats line; both then
+exit 5.
 
 Exit codes: 0 success, 2 model/parse/option or file I/O error, 3
 unsatisfiable with --expect-sat, 4 internal invariant violation, 5
@@ -154,15 +155,17 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _root_consistency_report(model: Model, config: SolverConfig, store,
+def _root_consistency_report(model: Model, config: SolverConfig, rt,
                              root_ok: bool) -> list[str]:
     """Report, per defining predicate of the config's fixpoint, whether
-    every constraint meets it at the store's root fixpoint."""
+    every constraint meets it at the runtime's root fixpoint.  Past the
+    runtime's deadline it raises ``LimitReached``."""
     if not root_ok:
         return ["root propagation: failed (constraints are inconsistent)"]
-    domains = [list(store.domain(i).values()) for i in range(len(model.vars))]
+    domains = [list(rt.store.domain(i).values()) for i in range(len(model.vars))]
+    violations = fixpoint_violations(model, domains, config, rt.deadline)
     return [f"{key} consistent at root: {'NO' if failed else 'yes'}"
-            for key, failed in fixpoint_violations(model, domains, config).items()]
+            for key, failed in violations.items()]
 
 
 def _cmd_verify(args) -> int:
@@ -170,13 +173,14 @@ def _cmd_verify(args) -> int:
     config = _config(args, ALL_SOLUTIONS)
     started = time.perf_counter()
     try:
-        store, rt, ok = build(model, config)
+        _, rt, ok = build(model, config)
         ok = ok and rt.run_to_fixpoint()
+        root_s = time.perf_counter() - started
+        report = _root_consistency_report(model, config, rt, ok)
     except LimitReached as exc:
         _limit_reached(str(exc))
         return EXIT_LIMIT
-    root_s = time.perf_counter() - started
-    for line in _root_consistency_report(model, config, store, ok):
+    for line in report:
         print(line)
     # the oracle runs before the search: its cap check refuses a model
     # too large to enumerate before the engine spends time on all of

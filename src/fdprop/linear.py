@@ -271,10 +271,12 @@ def post_diseq(rt: Runtime, x: int, record: Record, table: dict, name: str,
     under the trail, bars v + d from each live partner in order, and
     ends.  Skipping a committed partner is exact: a group holds each
     disequality both ways, so that partner's commit already barred what
-    conflicts with it.  A bound partner is tested by its value; a free
-    one gets one ``Store.exclude`` for a single offset (mask 1), else
-    its mask, shifted to its ``lo``, is ANDed with its members and, if
-    any is hit, one ``Store.remove_bits`` call removes them all.  With
+    conflicts with it.  A bound partner is tested by its value.  A free
+    one with a single offset (mask 1) is tested, by its fields, for the
+    one value barred, and gets one ``Store.exclude`` only if that value
+    is a member; else its mask, shifted to its ``lo``, is ANDed with its
+    members and, if any is hit, one ``Store.remove_bits`` call removes
+    them all.  So the store is called only for values that go.  With
     ``reduce`` it also wakes on bound and dom of X and runs ``reduce``
     on each wake and once at generation."""
     store = rt.store
@@ -297,11 +299,14 @@ def post_diseq(rt: Runtime, x: int, record: Record, table: dict, name: str,
                 if vz.lo - v in offsets:
                     return False
                 continue
-            if mask == 1:
-                if not exclude_one(z, v + dmin):
-                    return False
-                continue
             lo = vz.lo
+            if mask == 1:
+                w = v + dmin
+                if lo <= w <= vz.hi:
+                    bits = vz.bits
+                    if (bits is None or (bits >> (w - lo)) & 1) and not exclude_one(z, w):
+                        return False
+                continue
             shift = v + dmin - lo
             if shift >= 0:
                 if shift > vz.hi - lo:
@@ -350,8 +355,8 @@ def _make_reducer(rt, c, terms):
     store = rt.store
     vars_ = store.vars
     n = len(terms)
-    term_vars = tuple([(a, x, vars_[x]) for a, x in terms])
-    backward = range(n - 1, -1, -1)
+    term_vars = tuple([(i, a, x, vars_[x]) for i, (a, x) in enumerate(terms)])
+    backward = term_vars[::-1]
     # los[i], his[i]: the bounds of T_i, the sum before term i.  One
     # pair of lists per agent: an action never runs inside itself.
     los = [0] * n
@@ -360,11 +365,9 @@ def _make_reducer(rt, c, terms):
     def reduce(_event):
         t_lo = t_hi = c
         widest = 0
-        i = 0
-        for a, _, var in term_vars:
+        for i, a, _, var in term_vars:
             los[i] = t_lo
             his[i] = t_hi
-            i += 1
             if a > 0:
                 w_lo = a * var.lo
                 w_hi = a * var.hi
@@ -380,8 +383,7 @@ def _make_reducer(rt, c, terms):
         if widest <= -t_lo and widest <= t_hi:
             return True
         cur_lo = cur_hi = 0
-        for i in backward:
-            a, x, var = term_vars[i]
+        for i, a, x, var in backward:
             # a*X lies in cur - T_i; divide, rounding inwards
             if a > 0:
                 new_lo = -((his[i] - cur_lo) // a)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from .alldistinct import Strategy, post_alldistinct
@@ -39,7 +40,7 @@ from .oracle import (
     check_interval_consistent,
     check_weak_arc_consistent,
 )
-from .runtime import LimitReached, Runtime
+from .runtime import LimitReached, Runtime, check_deadline
 from .search import UnboundVariableError, label
 from .store import Record, Store
 
@@ -119,14 +120,17 @@ class Model:
 
 
 def fixpoint_violations(model: Model, domains: Sequence[Sequence[int]],
-                        config: SolverConfig) -> dict[str, list[int]]:
+                        config: SolverConfig,
+                        deadline: Optional[float] = None) -> dict[str, list[int]]:
     """The predicates that define config's fixpoint, each with the
     indexes of the model's constraints that fail it on ``domains`` (the
     values of each variable, by declaration index).  Keys, in order:
     "interval" (every linear equality) at ic and ac; "arc" (every binary
     equality, and every sum that collapsed_pair turns into a pair) at
     ac; "weak arc" (every all_distinct) under wac.  An fc config without
-    wac has no defining predicate and gives {}."""
+    wac has no defining predicate and gives {}.  Past ``deadline`` (see
+    ``check_deadline``), read before each constraint and before each
+    row of the weak-arc comparisons, it raises ``LimitReached``."""
     level = ConsistencyLevel(config.level)
     checks = {}
     if level is not ConsistencyLevel.FORWARD_CHECKING:
@@ -134,10 +138,16 @@ def fixpoint_violations(model: Model, domains: Sequence[Sequence[int]],
     if level is ConsistencyLevel.ARC:
         checks["arc"] = _arc_consistent
     if Strategy(config.alldistinct) is Strategy.WEAK_AC:
-        checks["weak arc"] = _weak_arc_consistent
-    return {key: [i for i, con in enumerate(model.constraints)
-                  if not check(con, domains)]
-            for key, check in checks.items()}
+        checks["weak arc"] = partial(_weak_arc_consistent,
+                                     tick=partial(check_deadline, deadline))
+    violations = {}
+    for key, check in checks.items():
+        failed = violations[key] = []
+        for i, con in enumerate(model.constraints):
+            check_deadline(deadline)
+            if not check(con, domains):
+                failed.append(i)
+    return violations
 
 
 def collapsed_pair(con: NaryLinear, domains: Sequence[Sequence[int]]):
@@ -181,9 +191,9 @@ def _arc_consistent(con, domains) -> bool:
                                 domains[x1], domains[x2])
 
 
-def _weak_arc_consistent(con, domains) -> bool:
+def _weak_arc_consistent(con, domains, tick=None) -> bool:
     return (not isinstance(con, Distinct)
-            or check_weak_arc_consistent([domains[x] for x in con.vars]))
+            or check_weak_arc_consistent([domains[x] for x in con.vars], tick))
 
 
 # -- parsing -------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 DEFAULT_CAP = 10 ** 7
 
@@ -126,11 +126,16 @@ def check_arc_consistent(pred: Callable[[int, int], bool],
     return True
 
 
-def check_weak_arc_consistent(domains: Sequence[Iterable[int]]) -> bool:
+def check_weak_arc_consistent(domains: Sequence[Iterable[int]],
+                              tick: Optional[Callable[[], None]] = None) -> bool:
     """For every listed variable X with D = dom(X) and n = |D|, at most
-    n of the listed domains may be subsets of D."""
+    n of the listed domains may be subsets of D.  ``tick``, if given, is
+    called before each domain's row of comparisons and may raise to cut
+    the check short: a caller's time limit, say."""
     sets = [frozenset(d) for d in domains]
     for d in sets:
+        if tick is not None:
+            tick()
         n = len(d)
         subsets = sum(1 for other in sets if other <= d)
         if subsets > n:

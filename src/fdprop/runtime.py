@@ -15,26 +15,28 @@ it was posted, and is then erased: agents that suspend later never see
 it.
 
 Scheduling is first-generated-first-served.  The store posts an event
-only to a non-empty watcher list, and a post queues one record (event,
-watcher list, the list's length at post time); the global queue is
-drained FIFO.  An ins or bound record holds the variable's one shared
-event of that kind; a dom record holds a new event with its value.
-Taking a record expands it: the agents at the first n positions of the
-list wake in ascending creation order.  A list only grows within a
-fixpoint, so an agent that suspends on it after the post never sees
-the event.  Monotone propagators must not rely on that order; a
-test-only queue policy switch (lifo / random, over records) exists to
-certify they do not.  A failed fixpoint leaves records queued; the
-backtrack that follows discards them.
+only to a non-empty watcher list, and a post queues one record [event,
+watcher list, n], n being the list's length at post time; the global
+queue is drained FIFO.  Taking a record expands it: the agents at the
+first n positions of the list wake in ascending creation order.  A
+list only grows within a fixpoint, so an agent that suspends on it
+after the post never sees the event.  Monotone propagators must not
+rely on that order; a test-only queue policy switch (lifo / random,
+over records) exists to certify they do not.  A failed fixpoint leaves
+records queued; the backtrack that follows discards them.
 
-A bound event carries no payload: the agents it wakes read the
-variable's current bounds.  So a variable has at most one queued bound
-record.  A bound post while that record waits untaken sets its length
-to the list's current length and queues nothing; once the record is
-taken, the next post queues a new one.  An ins or dom post always
-queues its own record: distinct dom payloads are never merged, and an
-ins is the last event a variable posts before a backtrack, which
-empties the queue.
+An ins or bound event carries no payload: the agents it wakes read the
+variable's current domain.  So each variable owns its one ins record
+and its one bound record (``Variable.records``), made with the
+variable, and a post of either allocates nothing.  Such a record is
+queued iff its n is non-zero: a post sets n to the list's current
+length and queues the record only if it was not queued, so a bound
+post while the record waits untaken just extends it.  Taking a record,
+and discarding the queue at a backtrack, zero n, so the next post
+queues it again.  An ins is the last event a variable posts before a
+backtrack, so an ins record is never extended.  Only a dom post makes
+a record, with a new event for its value: distinct dom payloads are
+never merged.
 
 A runtime may have a deadline.  ``run_to_fixpoint`` reads the clock
 once every ``DEADLINE_EVERY`` records it takes and raises
@@ -51,7 +53,7 @@ import time
 from collections import deque
 from typing import Callable, Optional, Sequence
 
-from .store import BOUND, GENERATED, Event, InvariantError, Store
+from .store import DOM, GENERATED, Event, InvariantError, Store
 
 
 END = -1  # Agent.rule before the first suspension and after commitment
@@ -127,12 +129,13 @@ class Runtime:
     backtrack restores both.
 
     ``queue`` holds the records [event, watchers, n] of the posted
-    events, and ``pending`` maps a variable id to its queued, untaken
-    bound record, which later bound posts of the variable extend.
-    ``clock`` counts the records queued.  ``walked`` sums the
-    watcher-list lengths of the records taken: the watcher entries a
-    fixpoint walks, ended agents included.  A choice point is only made
-    with an empty queue, so backtracking empties both.  The trail holds
+    events: a variable's own ins and bound records (see the module
+    docstring), and a new record per dom post.  ``clock`` counts the
+    records queued.  ``walked`` sums the watcher-list lengths of the
+    records taken: the watcher entries a fixpoint walks, ended agents
+    included.  A choice point is only made with an empty queue, so
+    backtracking empties it and zeroes the n of each record it held,
+    which marks the record unqueued.  The trail holds
     (agent, old rule) for every change of an agent's rule, a new agent's
     first suspension included; a backtrack undoes those, popping the
     agent from the watcher lists of the rule it leaves, and drops the
@@ -146,7 +149,6 @@ class Runtime:
         self.store = store
         self.agents: list[Agent] = []
         self.queue: deque[list] = deque()
-        self.pending: dict[int, list] = {}
         self.clock = 0
         self._take = self._taker(queue_policy, queue_seed)
         self.trace = trace
@@ -193,8 +195,10 @@ class Runtime:
                     vars_[var].watchers[kind].pop()
             agent.rule = rule
         del self.agents[agent_count:]
-        self.queue.clear()
-        self.pending.clear()
+        queue = self.queue
+        for record in queue:
+            record[2] = 0
+        queue.clear()
 
     # -- posting and waking ----------------------------------------------------
 
@@ -202,20 +206,19 @@ class Runtime:
         """Store-facing sink, called only for a non-empty watcher list:
         queue the event with that list and its length, so that only the
         agents sleeping on it now wake when it is taken.  An ins or
-        bound event is the variable's shared one; only a dom event,
-        which carries its value, is made here.  A bound post on a
-        variable whose bound record is still queued extends that
-        record to the list's current length instead."""
+        bound post sets the length of the variable's own record and
+        queues it unless it is queued already; only a dom post, whose
+        event carries its value, makes a record."""
         v = self._vars[var]
-        watchers = v.watchers[kind]
-        if kind == BOUND:
-            record = self.pending.get(var)
-            if record is not None:
-                record[2] = len(watchers)
-                return
-            record = self.pending[var] = [v.events[BOUND], watchers, len(watchers)]
+        if kind == DOM:
+            watchers = v.watchers[DOM]
+            record = [Event(DOM, var, value), watchers, len(watchers)]
         else:
-            record = [v.events[kind] or Event(kind, var, value), watchers, len(watchers)]
+            record = v.records[kind]
+            queued = record[2]
+            record[2] = len(record[1])
+            if queued:
+                return
         self.clock += 1
         self.queue.append(record)
 
@@ -285,7 +288,8 @@ class Runtime:
 
     def run_to_fixpoint(self) -> bool:
         """Drain the activation queue.  Each record wakes the agents that
-        slept on its event when it was posted.  For each, re-test the
+        slept on its event when it was posted; taking it zeroes its n,
+        which marks it unqueued.  For each agent, re-test the
         suspending rule's guard: run its action and stay suspended on
         success; on guard failure, fall through to the later rules just
         as at generation.  False means constraint inconsistency and the
@@ -293,14 +297,12 @@ class Runtime:
         ``LimitReached``; only the clock is read, so no count moves."""
         queue = self.queue
         take = self._take
-        pending = self.pending
         trace = self.trace
         deadline = self.deadline
         countdown = DEADLINE_EVERY
         while queue:
-            event, watchers, n = take()
-            if event.kind == BOUND:
-                del pending[event.var]
+            event, watchers, n = record = take()
+            record[2] = 0
             if deadline is not None:
                 countdown -= 1
                 if not countdown:

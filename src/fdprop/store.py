@@ -15,9 +15,9 @@ Each variable carries the watcher lists of the agents suspended on it,
 but the store never changes them: the runtime appends to them and
 undoes its appends on its own trail.  The store reads them only to
 post an event to a list that some agent watches: an event that no
-agent watches activates nothing.  A variable also holds its two
-payload-free events, ``ins`` and ``bound``, made once and shared by
-every post of them.
+agent watches activates nothing.  A variable also holds the runtime's
+queue records of its two payload-free events, ``ins`` and ``bound``,
+made once with it and reused by every post of them.
 
 A store and everything it owns is confined to one thread of control;
 independent stores may run in parallel.
@@ -89,21 +89,25 @@ class Variable:
 
     ``watchers[kind]`` is the list for event kind ``kind``.  The
     GENERATED slot is an empty tuple: that event is never posted.
-    ``events[kind]`` is the variable's one ``Event`` of kind INS or
-    BOUND, which every post of that kind queues; the GENERATED and DOM
-    slots are None, since a dom event carries its value.
+    ``records[kind]``, for kind INS or BOUND, is the variable's one
+    queue record of that kind, [event, watchers[kind], n]: the
+    variable's one ``Event`` of the kind, its watcher list, and n, the
+    number of agents the runtime will wake when it takes the record,
+    or 0 while it is not queued (see ``runtime``).  The GENERATED and
+    DOM slots are None, since a dom event carries its value.
     """
 
-    __slots__ = ("lo", "hi", "count", "bits", "memo", "watchers", "events", "name", "stamp")
+    __slots__ = ("lo", "hi", "count", "bits", "memo", "watchers", "records", "name", "stamp")
 
-    def __init__(self, domain: FiniteDomain, name: Optional[str], events: tuple):
+    def __init__(self, domain: FiniteDomain, name: Optional[str], x: int):
         self.lo = domain.lo
         self.hi = domain.hi
         self.count = domain.count
         self.bits = domain.bits
         self.memo = domain
-        self.watchers: tuple = ((), [], [], [])
-        self.events = events
+        watchers = self.watchers = ((), [], [], [])
+        self.records = (None, [Event(INS, x, None), watchers[INS], 0],
+                        [Event(BOUND, x, None), watchers[BOUND], 0], None)
         self.name = name
         self.stamp = 0
 
@@ -188,7 +192,7 @@ class Store:
 
     def new_var(self, domain: FiniteDomain, name: Optional[str] = None) -> int:
         """Add a fresh variable at depth 0, bound if its domain is a
-        singleton, with its shared ins and bound events.  Variables are
+        singleton, with its ins and bound queue records.  Variables are
         made before the first choice point: a backtrack does not remove
         them."""
         if domain.count == 0:
@@ -196,8 +200,7 @@ class Store:
         if self._cps:
             raise InvariantError("cannot create a variable after a choice point")
         x = len(self.vars)
-        self.vars.append(Variable(domain, name,
-                                  (None, Event(INS, x, None), Event(BOUND, x, None), None)))
+        self.vars.append(Variable(domain, name, x))
         return x
 
     def domain(self, x: int) -> FiniteDomain:

@@ -30,7 +30,9 @@ class ItemRuntime(Runtime):
     watcher list and queues one (agent, event) item per agent not at
     END, and taking an item wakes its agent unless it has ended since.
     Every post thus reaches every agent that watched it, once, and the
-    engine's merged bound records must reach the same fixpoints."""
+    engine's merged bound records must reach the same fixpoints.  Its
+    items are not records, so its backtrack clears them before the base
+    undo, which zeroes the n of each record left queued."""
 
     def _post_kind(self, kind, var, value):
         event = Event(kind, var, value)
@@ -60,6 +62,10 @@ class ItemRuntime(Runtime):
             elif not self._select(agent, idx + 1, event):
                 return False
         return True
+
+    def _restore(self, marks):
+        self.queue.clear()
+        super()._restore(marks)
 
 
 @contextlib.contextmanager

@@ -105,9 +105,21 @@ def _full_scan_outof_reducer(store, x, others):
     return True
 
 
+def _partial_overlap(rng, dx):
+    """A domain with holes that shares some values with D(x) and holds
+    some outside it: in D(x)'s holes or a little past its bounds."""
+    outside = [v for v in range(min(dx) - 3, max(dx) + 4) if v not in dx]
+    while True:
+        values = set(rng.sample(dx, rng.randint(1, len(dx))))
+        values |= set(rng.sample(outside, rng.randint(1, min(3, len(outside)))))
+        if max(values) - min(values) + 1 > len(values):
+            return sorted(values)
+
+
 def _random_outof_case(rng):
     """D(x) and 2-8 neighbours: bound ones (in and out of D(x)), holed
-    or whole subsets of D(x), and unrelated random domains."""
+    or whole subsets of D(x), holed domains partly inside D(x), and
+    unrelated random domains."""
     vd = random_domain(rng, 6)
     dx = list(vd.values) if vd.values is not None else list(range(vd.lo, vd.hi + 1))
     domains = [dx]
@@ -115,8 +127,10 @@ def _random_outof_case(rng):
         kind = rng.random()
         if kind < 0.3:
             domains.append([rng.randint(min(dx) - 1, max(dx) + 1)])
-        elif kind < 0.65:
+        elif kind < 0.6:
             domains.append(rng.sample(dx, rng.randint(1, len(dx))))
+        elif kind < 0.75:
+            domains.append(_partial_overlap(rng, dx))
         else:
             other = random_domain(rng, 6)
             domains.append(list(other.values) if other.values is not None
@@ -177,10 +191,12 @@ def test_outof_reducer_matches_full_scan():
     scan's return value, events in order, and final domains.  Given a
     live record without the committed elements, it scans the live ones
     only and still gives what the full scan over the whole list
-    gives."""
+    gives.  Exclusions reach holed domains that are partly inside
+    dom(x), which the second pass must cut to the values outside it."""
     rng = random.Random(0xA11D)
     outcomes = {"failed": 0, "excluded": 0, "no_op": 0}
     with_committed = dict(outcomes)
+    holed_partial_cut = 0
     for _ in range(3000):
         domains = _random_outof_case(rng)
         pos = rng.randrange(len(domains))
@@ -190,12 +206,20 @@ def test_outof_reducer_matches_full_scan():
         assert _run_recorded(_live_reducer(()), domains, pos) == expected, (domains, pos)
         assert _run_recorded(_live_reducer(committed), domains, pos) == expected, \
             (domains, pos, committed)
-        result, events, _ = expected
+        result, events, final = expected
         outcome = "failed" if not result else "excluded" if events else "no_op"
         outcomes[outcome] += 1
         with_committed[outcome] += bool(committed)
+        if outcome == "excluded":
+            dx = set(domains[pos])
+            for d, after in zip(domains, final):
+                if (len(after) < len(d) and max(d) - min(d) + 1 > len(d)
+                        and not set(d) <= dx):
+                    holed_partial_cut += 1
+                    assert set(after) == set(d) - dx, (domains, pos)
     assert min(outcomes.values()) > 100, outcomes
     assert min(with_committed.values()) > 50, with_committed
+    assert holed_partial_cut > 100, holed_partial_cut
 
 
 def _spy_on_exclusion_agents(monkeypatch):

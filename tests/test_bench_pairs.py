@@ -48,6 +48,34 @@ def test_opcodes_of_one_tree_against_itself_differ_by_nothing(monkeypatch, capsy
             assert line.split()[3:] == ["+0", "+0.00%"]
 
 
+def test_opcodes_merge_into_the_bench_file(monkeypatch, tmp_path, capsys):
+    """With ``--out``, ``--opcodes`` merges each tree's total and
+    per-module counts into the file, keeping what it already holds, and
+    still prints the tables."""
+    def export(_rev, dest):
+        for name in ("src", "perfbench", "tools"):
+            shutil.copytree(ROOT / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc")
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"runs": {"queens": {}}}))
+    assert bench_pairs.main(["--parent", "HEAD", "--opcodes", "--max-backtracks", "3",
+                             "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split()[0] == bench_pairs.WORKLOADS[0]
+    doc = json.loads(out.read_text())
+    assert doc["runs"] == {"queens": {}} and doc["parent"] == "abc"
+    recorded = doc["opcodes_seed0"]
+    assert recorded["command"] == ("python tools/opcount.py --workload <workload>"
+                                   " --max-backtracks 3")
+    assert list(recorded["counts"]) == list(bench_pairs.WORKLOADS)
+    direct = bench_pairs.opcodes(ROOT, "queens", 3)
+    assert recorded["counts"]["queens"] == {"parent": direct, "change": direct}
+    for sides in recorded["counts"].values():
+        assert sides["parent"]["total"] > 0 and sides["parent"] == sides["change"]
+
+
 def test_traced_runs_alternate_and_record_medians(monkeypatch, tmp_path, capsys):
     """Each tree's traced solve runs three times, the trees taking turns
     to go first; the file holds each metric's median, and a count that

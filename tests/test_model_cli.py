@@ -358,6 +358,39 @@ def test_time_limit_cuts_weak_ac_posting_short(capsys):
     assert capsys.readouterr().err == "error: search limit reached (time limit)\n"
 
 
+# One all_distinct over 1,000 variables in 1..1000.  At fc nothing
+# narrows, so the weak-arc report compares 1,000 domains of 1,000
+# values pairwise: 12 s unbounded, and no other predicate is checked.
+WIDE_ALLDISTINCT = ("".join(f"var x{i} in 1..1000\n" for i in range(1000))
+                    + "alldistinct " + " ".join(f"x{i}" for i in range(1000))
+                    + "\nlabel x0\n")
+
+
+@pytest.mark.parametrize("model, level", [("bench:magic(40)", "ic"), (None, "fc")],
+                         ids=["magic-ic", "wide-alldistinct-fc"])
+def test_time_limit_cuts_verify_root_report_short(model, level, tmp_path):
+    """Under wac, root propagation ends inside the limit, and the root
+    report then lists every domain and checks each predicate.  On
+    magic(40) at ic that ran for more than 20 s unbounded, and on
+    ``WIDE_ALLDISTINCT`` the weak-arc check alone runs for seconds.  The
+    report reads the deadline per constraint and per row of the
+    weak-arc check, so verify ends like a cut solve: exit 5, the limit
+    named, and neither a root line nor an agree line."""
+    if model is None:
+        model = tmp_path / "wide.model"
+        model.write_text(WIDE_ALLDISTINCT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    started = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "fdprop.cli", "verify", str(model),
+                        "--level", level, "--alldistinct", "wac", "--time-limit", "0.5"],
+                       env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 3
+    assert r.returncode == 5, r.stderr
+    assert r.stderr == "error: search limit reached (time limit)\n"
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "bench:queens(4)", "--max-backtracks", "-1"],
     ["solve", "bench:queens(4)", "--time-limit", "-0.5"],

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import fdprop.model
+
 from conftest import (
     domain_snapshot,
     post_own_diseq,
@@ -140,10 +142,12 @@ def test_event_erasure_between_post_and_take():
 
 def test_posts_reach_only_watched_lists_with_shared_events():
     """The store calls the sink only for a kind that some agent watches
-    on the variable.  An ins or bound record holds the variable's one
-    event of that kind; a dom record holds a new event with its value.
-    A second bound post while the first waits is merged into its
-    record.  Waking reads the events and writes none of them."""
+    on the variable.  An ins or bound post queues the variable's own
+    record of that kind, which holds its one event of the kind and its
+    watcher list; a dom record holds a new event with its value.  A
+    second bound post while the first waits is merged into its record.
+    Taking a record zeroes its n; waking reads the events and writes
+    none of them."""
     store, rt = fresh()
     x = store.new_var(make_interval(1, 9))
     y = store.new_var(make_interval(1, 9))
@@ -164,17 +168,18 @@ def test_posts_reach_only_watched_lists_with_shared_events():
                      (INS, y, None)]
     events = [record[0] for record in rt.queue]
     assert rt.clock == len(events) == 4
-    assert rt.pending == {x: rt.queue[0]}
     vx, vy = store.vars[x], store.vars[y]
-    assert events[0] is vx.events[BOUND]
-    assert events[2] is vx.events[INS] and events[3] is vy.events[INS]
+    assert rt.queue[0] is vx.records[BOUND] and rt.queue[0][2] == 1
+    assert rt.queue[2] is vx.records[INS] and rt.queue[3] is vy.records[INS]
     assert (events[1].kind, events[1].var, events[1].value) == (DOM, x, 5)
-    assert vx.events[DOM] is None and vx.events[0] is None
+    assert vx.records[DOM] is None and vx.records[0] is None
     assert rt.run_to_fixpoint()
-    assert seen == events and rt.pending == {}
+    assert seen == events
     for i, var in enumerate(store.vars):
-        assert [(e.kind, e.var, e.value) for e in var.events[INS:DOM]] == \
-            [(INS, i, None), (BOUND, i, None)]
+        assert [(r[0].kind, r[0].var, r[0].value, r[2]) for r in var.records[INS:DOM]] == \
+            [(INS, i, None, 0), (BOUND, i, None, 0)]
+        assert var.records[INS][1] is var.watchers[INS]
+        assert var.records[BOUND][1] is var.watchers[BOUND]
 
 
 def test_action_failure_propagates():
@@ -273,43 +278,44 @@ def test_bound_posts_before_a_take_share_one_record():
     assert store.intersect(x, 3, 9)
     assert rt.clock == len(rt.queue) == 1
     record = rt.queue[0]
-    assert rt.pending == {x: record} and record[2] == 2
+    assert record is store.vars[x].records[BOUND] and record[2] == 2
     assert rt.run_to_fixpoint()
-    assert runs == ["early", "between"] and rt.pending == {}
+    assert runs == ["early", "between"] and record[2] == 0
 
 
 def test_bound_post_after_the_take_queues_a_new_record():
-    """Taking a bound record removes it from ``pending`` before it wakes
-    anyone, so a bound post made while it is expanded queues a new
-    record.  The agents after the poster on the list wake on both."""
+    """Taking a bound record zeroes its n before it wakes anyone, so a
+    bound post made while it is expanded queues it again.  The agents
+    after the poster on the list wake on both."""
     store, rt = fresh()
     x = store.new_var(make_interval(1, 9))
+    record = store.vars[x].records[BOUND]
     runs = []
     states = []
 
     def narrow_once(e):
         runs.append("poster")
         if len(runs) == 1:
-            states.append(dict(rt.pending))
+            states.append((record[2], list(rt.queue)))
             assert store.intersect(x, 3, 9)
-            states.append(dict(rt.pending))
+            states.append((record[2], list(rt.queue)))
         return True
 
     rt.spawn([Rule(None, ((BOUND, x),), narrow_once)])
     rt.spawn([Rule(None, ((BOUND, x),), lambda e: (runs.append("later"), True)[1])])
     assert store.intersect(x, 2, 9)
-    first = rt.queue[0]
+    assert list(rt.queue) == [record]
     assert rt.run_to_fixpoint()
-    assert states[0] == {}
-    assert list(states[1]) == [x] and states[1][x] is not first
-    assert rt.clock == 2 and rt.pending == {}
+    assert states[0] == (0, [])
+    assert states[1][0] == 2 and len(states[1][1]) == 1 and states[1][1][0] is record
+    assert rt.clock == 2 and record[2] == 0
     assert runs == ["poster", "later", "poster", "later"]
 
 
 def test_bound_post_after_a_failed_fixpoint_and_backtrack_queues_afresh():
-    """A failed fixpoint leaves a bound record queued and pending; the
-    backtrack discards both, so the next bound post queues a new record
-    that wakes its agents."""
+    """A failed fixpoint leaves a bound record queued, its n set; the
+    backtrack discards the queue and zeroes n, so the next bound post
+    queues the record afresh and it wakes its agents."""
     store, rt = fresh()
     x = store.new_var(make_interval(1, 9))
     y = store.new_var(make_interval(1, 5))
@@ -318,51 +324,63 @@ def test_bound_post_after_a_failed_fixpoint_and_backtrack_queues_afresh():
     rt.spawn([Rule(None, ((BOUND, x),), lambda e: (runs.append(repr(e)), True)[1])])
     cp = rt.push_choice_point()
     assert store.bind(y, 1) and store.intersect(x, 2, 9)
+    record = store.vars[x].records[BOUND]
     assert not rt.run_to_fixpoint()  # fails on ins(y), bound(x) still queued
-    assert list(rt.pending) == [x] and len(rt.queue) == 1
+    assert list(rt.queue) == [record] and record[2] == 1
     rt.backtrack_to(cp)
-    assert not rt.queue and rt.pending == {}
+    assert not rt.queue and record[2] == 0
     assert store.intersect(x, 4, 9)
-    assert len(rt.queue) == 1 and rt.pending == {x: rt.queue[0]}
+    assert list(rt.queue) == [record] and record[2] == 1
     assert rt.run_to_fixpoint()
     assert runs == ["bound(_0)"]
 
 
-class NoEntries(dict):
-    """A ``Runtime.pending`` that fails the test on any entry."""
-
-    def __setitem__(self, key, value):
-        raise AssertionError(f"pending entry {key}")
+def bound_records_unqueued(store):
+    """True when no variable's bound record is marked queued."""
+    return all(var.records[BOUND][2] == 0 for var in store.vars)
 
 
 def test_ins_only_agents_never_enter_pending():
-    """Agents that watch only ins make the store post only ins, which
-    never enters ``pending``."""
+    """Agents that watch only ins make the store post only ins: every
+    record queued is a variable's ins record, and no bound record is
+    ever marked queued."""
     store, rt = fresh()
-    assert rt.pending == {}
-    rt.pending = NoEntries()
     xs = [store.new_var(make_interval(1, hi)) for hi in (3, 2, 3)]
     for x in xs:  # pairwise X != Y
         assert post_own_diseq(rt, x, {z: (0,) for z in xs if z != x}, f"neq(_{x})")
     assert store.bind(xs[0], 2)
-    assert rt.queue
+    assert list(rt.queue) == [store.vars[xs[0]].records[INS]]
+    taken = []
+    take = rt._take
+
+    def spy():
+        record = take()
+        taken.append(record)
+        assert bound_records_unqueued(store)
+        return record
+    rt._take = spy
     assert rt.run_to_fixpoint()  # binds xs[1] to 1, then xs[2] to 3
     assert not rt.queue  # nothing left queued after the fixpoint
     assert [store.value(x) for x in xs] == [2, 1, 3]
+    assert all(r is store.vars[r[0].var].records[INS] for r in taken)
+    assert bound_records_unqueued(store)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_ins_and_dom_posts_never_enter_pending(policy):
-    """Each ins and dom post queues its own record, outside ``pending``:
-    two dom posts of one variable are two records."""
+    """Each dom post queues a record of its own, so two dom posts of one
+    variable are two records; the ins post queues the variable's ins
+    record, and its bound record stays unqueued."""
     store, rt = fresh(policy)
     x = store.new_var(make_interval(1, 9))
     seen = []
     rt.spawn([Rule(None, ((INS, x), (DOM, x)), lambda e: (seen.append(repr(e)), True)[1])])
-    assert rt.pending == {}
-    rt.pending = NoEntries()
     assert store.exclude(x, 4) and store.exclude(x, 6) and store.bind(x, 5)
-    assert rt.clock == len(rt.queue) == 3 and rt.pending == {}
+    assert rt.clock == len(rt.queue) == 3 and bound_records_unqueued(store)
+    vx = store.vars[x]
+    dom4, dom6, ins = rt.queue
+    assert dom4 is not dom6 and ins is vx.records[INS]
+    assert all(r is not vx.records[INS] and r[0].kind == DOM for r in (dom4, dom6))
     assert rt.run_to_fixpoint()
     assert sorted(seen) == ["dom(_0,4)", "dom(_0,6)", "ins(_0)"]
 
@@ -609,6 +627,65 @@ def test_long_fixpoint_trails_each_variable_once(level):
     assert store.bind(0, 0)
     assert not rt.run_to_fixpoint()
     assert len(store._trail) == 3  # t, x and y, once each
+
+
+class QueuedIffSetRuntime(Runtime):
+    """A runtime that checks, after every post, failed or successful
+    fixpoint and backtrack, and before every take (so after the take
+    and the expansion before it), that each variable's ins and bound
+    record has a non-zero n iff it is in the queue."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = {"post": 0, "take": 0, "fail": 0, "backtrack": 0}
+        take = self._take
+
+        def checked_take():
+            self.check("take")
+            return take()
+        self._take = checked_take
+
+    def check(self, point):
+        queued = {id(record) for record in self.queue}
+        for var in self._vars:
+            for record in var.records[INS:DOM]:
+                assert (record[2] != 0) == (id(record) in queued), (point, record)
+        self.checks[point] += 1
+
+    def _post_kind(self, kind, var, value):
+        super()._post_kind(kind, var, value)
+        self.check("post")
+
+    def run_to_fixpoint(self):
+        ok = super().run_to_fixpoint()
+        self.check("take" if ok else "fail")
+        return ok
+
+    def _restore(self, marks):
+        super()._restore(marks)
+        self.check("backtrack")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_record_is_queued_iff_its_n_is_set_randomized(policy, monkeypatch):
+    """Over random models, searched for all solutions at every level and
+    with weak-AC all_distinct, an ins or bound record is in the queue
+    exactly when its n is non-zero at every post, take, failed fixpoint
+    and backtrack, under each queue policy."""
+    made = []
+
+    def runtime(*args, **kwargs):
+        made.append(QueuedIffSetRuntime(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(fdprop.model, "Runtime", runtime)
+    rng = random.Random(17)
+    for seed in range(60):
+        model = random_model(rng)
+        for level in ("fc", "ic", "ac"):
+            solve_model(model, SolverConfig(level=level, alldistinct="wac", mode=ALL_SOLUTIONS),
+                        queue_policy=policy, queue_seed=seed)
+    totals = {point: sum(rt.checks[point] for rt in made) for point in made[0].checks}
+    assert min(totals.values()) > 500, totals
 
 
 def test_record_queue_matches_item_queue():

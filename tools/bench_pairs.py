@@ -3,7 +3,8 @@
     python tools/bench_pairs.py --parent REV --workload queens --seeds 1-10 \
         --out BENCH_<n>.json [--seconds 40]
     python tools/bench_pairs.py --parent REV --traced --out BENCH_<n>.json
-    python tools/bench_pairs.py --parent REV --opcodes [--max-backtracks N]
+    python tools/bench_pairs.py --parent REV --opcodes [--max-backtracks N] \
+        [--out BENCH_<n>.json]
 
 The parent is exported with ``git archive`` and the change is the
 working tree (its tracked files and untracked, not ignored ones), each
@@ -14,11 +15,12 @@ the change first on even ones, and keeps each run's last-line JSON.
 ``--traced`` instead runs the seed-0 ``--trace 1`` solve of every
 workload three times per tree, alternating the trees, and records the
 median of every metric for both; it exits 1, naming the metric, if a
-count differs between one tree's runs.  ``--opcodes`` writes no file: it runs each
+count differs between one tree's runs.  ``--opcodes`` instead runs each
 tree's ``tools/opcount.py`` on the seed-0 solve of every workload, with
 this interpreter, and prints the total and per-module opcode counts of
-both and their difference.  Those counts are exact, so one run shows a
-change in work.
+both and their difference; with ``--out`` it also merges both trees'
+counts into the file under ``opcodes_seed0``.  Those counts are exact,
+so one run shows a change in work.
 
 The results are merged into ``--out`` in the layout of the earlier
 ``BENCH_*.json`` files: commits, command, order, seeds, every run's JSON
@@ -161,22 +163,33 @@ def main(argv=None) -> int:
                              " attempts have failed")
     parser.add_argument("--out", type=Path, help="the BENCH file to write or extend")
     args = parser.parse_args(argv)
+    if args.out is None and not args.opcodes:
+        parser.error("--out is required without --opcodes")
+
+    doc = {}
+    if args.out is not None:
+        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+        doc.setdefault("parent", _git("rev-parse", args.parent))
+        doc.setdefault("change", "the commit that adds this file")
     if args.opcodes:
+        counts = {}
         with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
             parent, change = Path(tmp) / "parent", Path(tmp) / "change"
             export(args.parent, parent)
             export(None, change)
             for workload in WORKLOADS:
-                print(opcode_deltas(workload, opcodes(parent, workload, args.max_backtracks),
-                                    opcodes(change, workload, args.max_backtracks)),
-                      flush=True)
+                sides = counts[workload] = {
+                    "parent": opcodes(parent, workload, args.max_backtracks),
+                    "change": opcodes(change, workload, args.max_backtracks)}
+                print(opcode_deltas(workload, sides["parent"], sides["change"]), flush=True)
+        if args.out is not None:
+            command = "python tools/opcount.py --workload <workload>"
+            if args.max_backtracks is not None:
+                command += f" --max-backtracks {args.max_backtracks}"
+            doc["opcodes_seed0"] = {"command": command, "counts": counts}
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
         return 0
-    if args.out is None:
-        parser.error("--out is required without --opcodes")
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("parent", _git("rev-parse", args.parent))
-    doc.setdefault("change", "the commit that adds this file")
     unsteady = []  # "<workload> <tree> <metric>" of each count that differed
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}

@@ -40,6 +40,7 @@ EXCLUSION_RECORDS = ("tests/test_alldistinct.py::"
 LINEAR = "src/fdprop/linear.py"
 RUNTIME = "src/fdprop/runtime.py"
 SHARED_EVENTS = "tests/test_runtime.py::test_posts_reach_only_watched_lists_with_shared_events"
+QUEUED_IFF_SET = "tests/test_runtime.py::test_a_record_is_queued_iff_its_n_is_set_randomized"
 MASK_COMMIT = "tests/test_linear.py::test_forward_checking_commit_by_mask"
 FC_REFERENCE = "tests/test_linear.py::test_forward_checking_reaches_reference_fixpoint"
 SUM_REFERENCES = ("tests/test_linear.py::test_unite_reaches_reference_bounds_fixpoint",
@@ -128,6 +129,10 @@ MUTATIONS = (
     Mutation("filled-domain-skips-exclusions", ALLDISTINCT,
              "failing = spare", "failing = 0",
              (FULL_SCAN,)),
+    Mutation("second-pass-shifts-dom-x-the-wrong-way", ALLDISTINCT,
+             "bits << shift if shift >= 0 else bits >> -shift",
+             "bits >> shift if shift >= 0 else bits << -shift",
+             (FULL_SCAN,)),
     Mutation("live-tuple-not-trailed", LINEAR,
              "store.save_record(record)", "pass",
              (LIVE_TUPLES, EXCLUSION_RECORDS)),
@@ -137,7 +142,10 @@ MUTATIONS = (
              "if vz.count == 1:\n                continue",
              ("tests/test_linear.py::test_diseq_examples", FC_REFERENCE)),
     Mutation("single-offset-commit-bars-the-wrong-value", LINEAR,
-             "exclude_one(z, v + dmin)", "exclude_one(z, v - dmin)",
+             "w = v + dmin", "w = v - dmin",
+             (FC_REFERENCE,)),
+    Mutation("single-offset-member-test-drops-lo", LINEAR,
+             "if lo <= w <= vz.hi:", "if lo < w <= vz.hi:",
              (FC_REFERENCE,)),
     Mutation("exhausted-subtree-counted-as-backtrack", "src/fdprop/search.py",
              "            stack.pop()\n        return False",
@@ -150,17 +158,29 @@ MUTATIONS = (
              "for agent in watchers[:n]:", "for agent in watchers:",
              ("tests/test_runtime.py::test_event_erasure_during_expansion",)),
     Mutation("post-makes-a-new-ins-or-bound-event", RUNTIME,
-             "v.events[kind] or Event(kind, var, value)", "Event(kind, var, value)",
+             "record = v.records[kind]",
+             "record = [Event(kind, var, value), v.watchers[kind], 0]",
              (SHARED_EVENTS,)),
     Mutation("taken-bound-record-left-pending", RUNTIME,
-             "del pending[event.var]", "pending.get(event.var)",
+             "record = take()\n            record[2] = 0",
+             "record = take()\n            if event.kind != 2:  # BOUND\n"
+             "                record[2] = 0",
              ("tests/test_runtime.py::test_bound_post_after_the_take_queues_a_new_record",)),
+    Mutation("take-leaves-n-set", RUNTIME,
+             "record = take()\n            record[2] = 0", "record = take()",
+             (QUEUED_IFF_SET,)),
     Mutation("restore-keeps-pending", RUNTIME,
-             "self.pending.clear()", "pass",
+             "for record in queue:\n            record[2] = 0",
+             "for record in queue:\n            if record[0].kind != 2:  # BOUND\n"
+             "                record[2] = 0",
              ("tests/test_runtime.py::"
               "test_bound_post_after_a_failed_fixpoint_and_backtrack_queues_afresh",)),
+    Mutation("restore-leaves-n-set", RUNTIME,
+             "for record in queue:\n            record[2] = 0", "pass",
+             (QUEUED_IFF_SET,)),
     Mutation("merge-keeps-the-first-length", RUNTIME,
-             "record[2] = len(watchers)", "pass",
+             "record[2] = len(record[1])\n            if queued:\n                return",
+             "if queued:\n                return\n            record[2] = len(record[1])",
              ("tests/test_runtime.py::test_bound_posts_before_a_take_share_one_record",)),
     Mutation("reducer-skips-the-store-unless-both-bounds-move", LINEAR,
              "if new_lo > var.lo or new_hi < var.hi:", "if new_lo > var.lo and new_hi < var.hi:",
@@ -181,6 +201,9 @@ MUTATIONS = (
     Mutation("posting-revise-ignores-deadline", LINEAR,
              "check_deadline(deadline)\n    y_lo = vy.lo", "y_lo = vy.lo",
              ("tests/test_model_cli.py::test_time_limit_cuts_posting_short",)),
+    Mutation("verify-weak-arc-report-ignores-deadline", "src/fdprop/model.py",
+             "tick=partial(check_deadline, deadline)", "tick=None",
+             ("tests/test_model_cli.py::test_time_limit_cuts_verify_root_report_short",)),
     Mutation("weak-ac-posting-ignores-deadline", ALLDISTINCT,
              "check_deadline(rt.deadline)\n        reduce = None", "reduce = None",
              ("tests/test_model_cli.py::test_time_limit_cuts_weak_ac_posting_short",)),
