@@ -3,14 +3,16 @@
 Every linear equality is a sum c + sum(a_i * X_i) = 0, one agent at
 each of three consistency levels: forward checking waits until one
 variable is free and solves for it; interval runs a two-phase interval
-reducer on every wake; arc (the hybrid scheme) runs that reducer while
-more than two variables are free and then switches to a pair rule in
-the same agent, which keeps the two that are left arc consistent.  A
-binary equality a*X = b*Y + c is the sum -c + a*X - b*Y = 0.  At
-interval and arc level a sum of two terms on distinct variables (at
-arc, of two free terms at posting) is the pair rule and the commitment
-alone; at interval level the rule narrows bounds but does not revise.
-No agent is spawned during search.
+reducer on every wake, its body picked at posting from the
+coefficients (a unit body when all are 1, else a general one, both
+making the same store calls); arc (the hybrid scheme) runs that
+reducer while more than two variables are free and then switches to a
+pair rule in the same agent, which keeps the two that are left arc
+consistent.  A binary equality a*X = b*Y + c is the sum
+-c + a*X - b*Y = 0.  At interval and arc level a sum of two terms on
+distinct variables (at arc, of two free terms at posting) is the pair
+rule and the commitment alone; at interval level the rule narrows
+bounds but does not revise.  No agent is spawned during search.
 
 Disequalities are forward checked by one exclusion agent per variable,
 the paper's ``outof(X, Left, Right)`` generalised to offsets: it holds
@@ -351,16 +353,70 @@ def _make_reducer(rt, c, terms):
 
     The store is called only for a bound that moves: a narrowing that
     would change nothing posts no event either way.
+
+    The body is chosen once, here, from the coefficients.  When every
+    a_i is 1 it is ``reduce_unit``: a term is X_i itself, so the passes
+    add and subtract bounds with no sign test, product or division, and
+    X_i narrows to cur - T_i directly.  Any other sum gets ``reduce``.
+    Both make the same ``Store.intersect`` calls in the same order and
+    return the same value, so the choice changes no event or count.
     """
-    store = rt.store
+    for a, _ in terms:
+        if a != 1:
+            return _general_reducer(rt.store, c, terms)
+    return _unit_reducer(rt.store, c, terms)
+
+
+def _unit_reducer(store, c, terms):
+    """``_make_reducer``'s body for a sum whose coefficients are all 1."""
     vars_ = store.vars
     n = len(terms)
-    term_vars = tuple([(i, a, x, vars_[x]) for i, (a, x) in enumerate(terms)])
-    backward = term_vars[::-1]
     # los[i], his[i]: the bounds of T_i, the sum before term i.  One
     # pair of lists per agent: an action never runs inside itself.
     los = [0] * n
     his = [0] * n
+    term_vars = tuple([(i, x, vars_[x]) for i, (_, x) in enumerate(terms)])
+    backward = term_vars[::-1]
+
+    def reduce_unit(_event):
+        t_lo = t_hi = c
+        widest = 0
+        for i, _, var in term_vars:
+            los[i] = t_lo
+            his[i] = t_hi
+            lo = var.lo
+            hi = var.hi
+            t_lo += lo
+            t_hi += hi
+            if hi - lo > widest:
+                widest = hi - lo
+        if t_lo > 0 or t_hi < 0:
+            return False
+        if widest <= -t_lo and widest <= t_hi:
+            return True
+        cur_lo = cur_hi = 0
+        for i, x, var in backward:
+            # X lies in cur - T_i
+            new_lo = cur_lo - his[i]
+            new_hi = cur_hi - los[i]
+            if new_lo > var.lo or new_hi < var.hi:
+                if not store.intersect(x, new_lo, new_hi):
+                    return False
+            cur_lo -= var.hi
+            cur_hi -= var.lo
+        return cur_lo <= c <= cur_hi
+
+    return reduce_unit
+
+
+def _general_reducer(store, c, terms):
+    """``_make_reducer``'s body for a sum with any non-zero coefficients."""
+    vars_ = store.vars
+    n = len(terms)
+    los = [0] * n  # as in _unit_reducer
+    his = [0] * n
+    term_vars = tuple([(i, a, x, vars_[x]) for i, (a, x) in enumerate(terms)])
+    backward = term_vars[::-1]
 
     def reduce(_event):
         t_lo = t_hi = c

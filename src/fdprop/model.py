@@ -405,19 +405,24 @@ class SolverConfig:
         return None if self.time_limit is None else started + self.time_limit
 
 
-def _diseq_partners(constraints) -> dict[int, dict[int, list[int]]]:
+def _diseq_partners(constraints, deadline: Optional[float] = None
+                    ) -> dict[int, dict[int, list[int]]]:
     """The partners of each variable's exclusion agent, {z: offsets}
     in order of first mention: X != Y + c gives X's agent offset -c on
     Y and Y's agent offset +c on X.  A repeated offset is dropped, and
-    so is X != X + c, which holds iff c != 0 (build checks that)."""
+    so is X != X + c, which holds iff c != 0 (build checks that).  A
+    large model has hundreds of thousands of records, so ``deadline``
+    (see ``check_deadline``) is read before each block of 4,096."""
     offsets: dict[int, dict[int, list[int]]] = {}
-    for con in constraints:
-        if not isinstance(con, Diseq) or con.x == con.y:
-            continue
-        for x, z, d in ((con.x, con.y, -con.c), (con.y, con.x, con.c)):
-            ds = offsets.setdefault(x, {}).setdefault(z, [])
-            if d not in ds:
-                ds.append(d)
+    for start in range(0, len(constraints), 4096):
+        check_deadline(deadline)
+        for con in constraints[start:start + 4096]:
+            if not isinstance(con, Diseq) or con.x == con.y:
+                continue
+            for x, z, d in ((con.x, con.y, -con.c), (con.y, con.x, con.c)):
+                ds = offsets.setdefault(x, {}).setdefault(z, [])
+                if d not in ds:
+                    ds.append(d)
     return offsets
 
 
@@ -433,7 +438,8 @@ def build(model: Model, config: SolverConfig = SolverConfig(), *,
     (run_to_fixpoint) is the caller's next step.  A trace_stream gets
     one line per activation.  The config's time limit counts from the
     call and is the runtime's deadline before anything is posted, so
-    posting past it raises ``LimitReached``."""
+    posting past it raises ``LimitReached``; the disequalities' grouping
+    and each exclusion agent's posting read it, too."""
     rt = _runtime(config, time.perf_counter(), queue_policy, queue_seed, trace_stream)
     return rt.store, rt, _post(rt, model, config)
 
@@ -457,7 +463,7 @@ def _post(rt: Runtime, model: Model, config: SolverConfig) -> bool:
     for vd in model.vars:
         dom = make_set(vd.values) if vd.values is not None else make_interval(vd.lo, vd.hi)
         store.new_var(dom, vd.name)
-    diseqs = _diseq_partners(model.constraints)
+    diseqs = _diseq_partners(model.constraints, rt.deadline)
     # one record for all neq agents if each variable partners every other
     whole = all(len(partners) == len(diseqs) - 1 for partners in diseqs.values())
     shared = Record(tuple(diseqs)) if whole else None
@@ -470,6 +476,7 @@ def _post(rt: Runtime, model: Model, config: SolverConfig) -> bool:
             ok = con.x != con.y or con.c != 0
             for x in (con.x, con.y):
                 if ok and x in diseqs:  # not yet posted
+                    check_deadline(rt.deadline)
                     partners = diseqs.pop(x)
                     ok = post_diseq(rt, x, shared or Record((x, *partners)),
                                     diseq_table(store, x, partners), f"neq(_{x})")

@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py``: exact opcode deltas of two trees, and the
-medians of repeated traced runs."""
+"""``tools/bench_pairs.py``: exact opcode deltas of two trees, the medians of
+repeated traced runs, and per-solve backtracks of both trees."""
 
 import importlib.util
 import json
@@ -102,3 +102,39 @@ def test_traced_runs_alternate_and_record_medians(monkeypatch, tmp_path, capsys)
     assert metrics["alpha"]["change"] == {"wall_s": 2.0, "agents": 5}
     assert capsys.readouterr().err.splitlines() == [
         "count differs between runs: alpha change agents"]
+
+
+def test_counts_of_one_tree_against_itself_agree(monkeypatch, tmp_path, capsys):
+    """``--counts`` on 1 solve of seed 1: both sides are copies of this
+    checkout, so every workload prints the same backtracks for both
+    trees, the published count among them, and the file gets both."""
+    def export(_rev, dest):
+        for name in ("src", "perfbench"):
+            shutil.copytree(ROOT / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--counts", "--seeds", "1", "--solves", "1",
+                             "--out", str(out)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[:3] for row in rows] == [[w, "1", side] for w in bench_pairs.WORKLOADS
+                                         for side in ("parent", "change")]
+    assert rows[0][3:] == ["7255"] and all(len(row) == 4 for row in rows)
+    recorded = json.loads(out.read_text())["backtracks_first1"]["backtracks"]
+    assert list(recorded) == list(bench_pairs.WORKLOADS)
+    for seeds in recorded.values():
+        assert seeds["1"]["parent"] == seeds["1"]["change"]
+
+
+def test_counts_exit_1_on_any_difference(monkeypatch, capsys):
+    """A per-solve difference on one workload and seed makes the tool
+    exit 1 and name them."""
+    monkeypatch.setattr(bench_pairs, "export", lambda _rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "backtracks", lambda tree, workload, seed, solves: (
+        [5, 6] if (tree.name, workload, seed) == ("change", "alpha", 2) else [5, 5]))
+    assert bench_pairs.main(["--parent", "HEAD", "--counts", "--solves", "2"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2 * 3 * len(bench_pairs.WORKLOADS)
+    assert captured.err.splitlines() == ["backtracks differ: alpha seed 2"]

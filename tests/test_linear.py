@@ -744,15 +744,18 @@ def test_reducer_matches_two_pass_reference():
     """Random sums over holed domains, repeated variables allowed, each
     reduced up to four times with a random narrowing in between: every
     run gives the reference's return value, events in order, and final
-    domains."""
+    domains.  Every third sum has only coefficients of 1, so the unit
+    body meets the same general reference."""
     rng = random.Random(0x51AC)
-    skipped = narrowed = failed = 0
-    for _ in range(1000):
+    totals = {"skipped": 0, "narrowed": 0, "failed": 0}
+    unit = dict(totals)
+    for case in range(1500):
         decls = [random_domain(rng) for _ in range(rng.randint(1, 6))]
         domains = [list(vd.values) if vd.values is not None
                    else list(range(vd.lo, vd.hi + 1)) for vd in decls]
-        terms = tuple((rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
-                       rng.randrange(len(decls))) for _ in range(rng.randint(1, 6)))
+        coefficients = [1] if case % 3 == 2 else [-4, -3, -2, -1, 1, 2, 3, 4]
+        terms = tuple((rng.choice(coefficients), rng.randrange(len(decls)))
+                      for _ in range(rng.randint(1, 6)))
         c = -sum(a * (min(domains[x]) + max(domains[x])) // 2 for a, x in terms) \
             + rng.randint(-12, 12)
         ref_store, _, ref_events = _recording_store(domains)
@@ -763,20 +766,32 @@ def test_reducer_matches_two_pass_reference():
             assert reduce(None) == expected, (c, terms, domains)
             assert events == ref_events, (c, terms, domains)
             assert domain_snapshot(store) == domain_snapshot(ref_store)
+            outcome = "failed" if not expected else "narrowed" if events else "skipped"
+            totals[outcome] += 1
+            if case % 3 == 2:
+                unit[outcome] += 1
             if not expected:
-                failed += 1
                 break
-            if events:
-                narrowed += 1
-            else:
-                skipped += 1
             del events[:], ref_events[:]
             x = rng.randrange(len(domains))
             d = store.domain(x)
             lo, hi = d.lo + rng.randint(0, 1), d.hi - rng.randint(0, 1)
             if not (store.intersect(x, lo, hi) and ref_store.intersect(x, lo, hi)):
                 break
-    assert min(skipped, narrowed, failed) > 100, (skipped, narrowed, failed)
+    assert min(totals.values()) > 100, totals
+    assert min(unit.values()) > 50, unit
+
+
+@pytest.mark.parametrize("level", [IC, AC])
+def test_unit_sums_take_the_unit_reducer(level):
+    """The reducer body is chosen from the coefficients at posting: a
+    sum whose coefficients are all 1 runs ``reduce_unit`` as its rule
+    action, at ic and in the ac hybrid, and a sum with a 2 does not."""
+    for coefficients, body in (((1, 1, 1), "reduce_unit"), ((1, 2, 1), "reduce")):
+        store, rt = fresh()
+        xs = [store.new_var(make_interval(0, 9)) for _ in range(3)]
+        assert post_nary(rt, NaryLinear(-12, tuple(zip(coefficients, xs))), level)
+        assert rt.agents[0].rules[0].action.__name__ == body, coefficients
 
 
 def test_hybrid_collapse_prunes_like_brute_force():

@@ -358,6 +358,18 @@ def test_time_limit_cuts_weak_ac_posting_short(capsys):
     assert capsys.readouterr().err == "error: search limit reached (time limit)\n"
 
 
+@pytest.mark.parametrize("limit, ceiling_ms", [(0.5, 650), (0.1, 200)])
+def test_time_limit_cuts_disequality_posting_short(limit, ceiling_ms):
+    """queens(447) has 299,043 disequalities, whose grouping takes about
+    0.26 s and whose 447 exclusion agents about 0.45 s more to post.
+    The deadline is read before each agent is posted and before each
+    block of 4,096 records while the disequalities are grouped, so the
+    limit cuts posting short in either part."""
+    result = solve_model(queens_model(447), SolverConfig(time_limit=limit))
+    assert result.limit == "time limit"
+    assert result.time_ms < ceiling_ms
+
+
 # One all_distinct over 1,000 variables in 1..1000.  At fc nothing
 # narrows, so the weak-arc report compares 1,000 domains of 1,000
 # values pairwise: 12 s unbounded, and no other predicate is checked.

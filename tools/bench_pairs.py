@@ -5,6 +5,8 @@
     python tools/bench_pairs.py --parent REV --traced --out BENCH_<n>.json
     python tools/bench_pairs.py --parent REV --opcodes [--max-backtracks N] \
         [--out BENCH_<n>.json]
+    python tools/bench_pairs.py --parent REV --counts [--seeds 1-3] [--solves 8] \
+        [--out BENCH_<n>.json]
 
 The parent is exported with ``git archive`` and the change is the
 working tree (its tracked files and untracked, not ignored ones), each
@@ -20,7 +22,13 @@ tree's ``tools/opcount.py`` on the seed-0 solve of every workload, with
 this interpreter, and prints the total and per-module opcode counts of
 both and their difference; with ``--out`` it also merges both trees'
 counts into the file under ``opcodes_seed0``.  Those counts are exact,
-so one run shows a change in work.
+so one run shows a change in work.  ``--counts`` instead runs the first
+``--solves`` solves (default 8) of each seed (default 1-3) of every
+workload through each tree's ``perfbench/harness.py`` and prints both
+trees' per-solve backtracks; it exits 1 if any differ, and with
+``--out`` merges them into the file under ``backtracks_first<solves>``.
+Shuffled orders move the weak-AC counts, so only a per-solve comparison
+of the same inputs can show that a change kept them.
 
 The results are merged into ``--out`` in the layout of the earlier
 ``BENCH_*.json`` files: commits, command, order, seeds, every run's JSON
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import contextlib
 import io
 import json
 import shutil
@@ -47,6 +56,16 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("queens", "alpha", "magic-wac")
 END_TO_END = ("solve_s", "setup_s", "search_s", "peak_rss_mb")
 TRACED_RUNS = 3
+# Prints the backtracks of the first argv[3] solves of workload argv[1]
+# at seed argv[2], run in a tree's root through its own harness.
+BACKTRACKS = """
+import itertools, sys
+sys.path.insert(0, "perfbench")
+import harness
+workload = harness.WORKLOADS[sys.argv[1]]
+texts = itertools.islice(harness.inputs(workload, int(sys.argv[2])), int(sys.argv[3]))
+print(*[harness.solve(text, workload).backtracks for text in texts])
+"""
 
 
 def _git(*args: str) -> str:
@@ -72,6 +91,17 @@ def export(rev: str | None, dest: Path) -> None:
     compileall.compile_dir(str(dest), quiet=1)
 
 
+@contextlib.contextmanager
+def copies(rev: str):
+    """{"parent": the tree of rev, "change": the working tree}, each
+    exported into one temporary directory that is removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(rev, trees["parent"])
+        export(None, trees["change"])
+        yield trees
+
+
 def run(tree: Path, *args: str) -> dict:
     out = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
                          check=True, capture_output=True, text=True).stdout
@@ -92,6 +122,14 @@ def opcodes(tree: Path, workload: str, max_backtracks: int | None = None) -> dic
         n, _, module = line.split()
         counts[module] = int(n.replace(",", ""))
     return counts
+
+
+def backtracks(tree: Path, workload: str, seed: int, solves: int) -> list[int]:
+    """The backtracks of each of the first ``solves`` solves of one
+    workload and seed, from tree's own harness and engine."""
+    out = subprocess.run([sys.executable, "-c", BACKTRACKS, workload, str(seed), str(solves)],
+                         cwd=tree, check=True, capture_output=True, text=True).stdout
+    return [int(n) for n in out.split()]
 
 
 def opcode_deltas(workload: str, parent: dict[str, int], change: dict[str, int]) -> str:
@@ -152,7 +190,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
     parser.add_argument("--workload", default="queens")
-    parser.add_argument("--seeds", default="1-10", help="a seed or a range lo-hi")
+    parser.add_argument("--seeds", default=None,
+                        help="a seed or a range lo-hi (default 1-10, with --counts 1-3)")
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--traced", action="store_true",
                         help="record the seed-0 traced figures instead of pairs")
@@ -161,10 +200,16 @@ def main(argv=None) -> int:
     parser.add_argument("--max-backtracks", type=int, default=None,
                         help="with --opcodes: stop each solve once more than this many"
                              " attempts have failed")
+    parser.add_argument("--counts", action="store_true",
+                        help="compare the per-solve backtracks of both trees instead of pairs")
+    parser.add_argument("--solves", type=int, default=8,
+                        help="with --counts: the solves compared per seed")
     parser.add_argument("--out", type=Path, help="the BENCH file to write or extend")
     args = parser.parse_args(argv)
-    if args.out is None and not args.opcodes:
-        parser.error("--out is required without --opcodes")
+    if args.out is None and not (args.opcodes or args.counts):
+        parser.error("--out is required without --opcodes or --counts")
+    if args.seeds is None:
+        args.seeds = "1-3" if args.counts else "1-10"
 
     doc = {}
     if args.out is not None:
@@ -173,14 +218,11 @@ def main(argv=None) -> int:
         doc.setdefault("change", "the commit that adds this file")
     if args.opcodes:
         counts = {}
-        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-            parent, change = Path(tmp) / "parent", Path(tmp) / "change"
-            export(args.parent, parent)
-            export(None, change)
+        with copies(args.parent) as trees:
             for workload in WORKLOADS:
                 sides = counts[workload] = {
-                    "parent": opcodes(parent, workload, args.max_backtracks),
-                    "change": opcodes(change, workload, args.max_backtracks)}
+                    side: opcodes(tree, workload, args.max_backtracks)
+                    for side, tree in trees.items()}
                 print(opcode_deltas(workload, sides["parent"], sides["change"]), flush=True)
         if args.out is not None:
             command = "python tools/opcount.py --workload <workload>"
@@ -189,12 +231,30 @@ def main(argv=None) -> int:
             doc["opcodes_seed0"] = {"command": command, "counts": counts}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
         return 0
+    if args.counts:
+        recorded, differ = {}, 0
+        with copies(args.parent) as trees:
+            for workload in WORKLOADS:
+                for seed in seeds_of(args.seeds):
+                    sides = recorded.setdefault(workload, {})[str(seed)] = {
+                        side: backtracks(tree, workload, seed, args.solves)
+                        for side, tree in trees.items()}
+                    same = sides["parent"] == sides["change"]
+                    differ += not same
+                    for side, counts in sides.items():
+                        print(workload, seed, side, *counts, flush=True)
+                    if not same:
+                        print(f"backtracks differ: {workload} seed {seed}", file=sys.stderr)
+        if args.out is not None:
+            doc[f"backtracks_first{args.solves}"] = {
+                "command": "python tools/bench_pairs.py --parent <parent> --counts"
+                           f" --seeds {args.seeds} --solves {args.solves}",
+                "backtracks": recorded}
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        return 1 if differ else 0
 
     unsteady = []  # "<workload> <tree> <metric>" of each count that differed
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        export(args.parent, trees["parent"])
-        export(None, trees["change"])
+    with copies(args.parent) as trees:
         if args.traced:
             traced = doc.setdefault("traced_seed0", {"metrics": {}})
             traced["command"] = ("python3 perfbench/run.py --workload <workload> --seed 0"

@@ -43,6 +43,7 @@ SHARED_EVENTS = "tests/test_runtime.py::test_posts_reach_only_watched_lists_with
 QUEUED_IFF_SET = "tests/test_runtime.py::test_a_record_is_queued_iff_its_n_is_set_randomized"
 MASK_COMMIT = "tests/test_linear.py::test_forward_checking_commit_by_mask"
 FC_REFERENCE = "tests/test_linear.py::test_forward_checking_reaches_reference_fixpoint"
+DISEQ_POSTING = "tests/test_model_cli.py::test_time_limit_cuts_disequality_posting_short"
 SUM_REFERENCES = ("tests/test_linear.py::test_unite_reaches_reference_bounds_fixpoint",
                   "tests/test_linear.py::test_reducer_matches_two_pass_reference",
                   "tests/test_linear.py::test_linear_models_reach_reference_fixpoint")
@@ -183,11 +184,36 @@ MUTATIONS = (
              "if queued:\n                return\n            record[2] = len(record[1])",
              ("tests/test_runtime.py::test_bound_posts_before_a_take_share_one_record",)),
     Mutation("reducer-skips-the-store-unless-both-bounds-move", LINEAR,
-             "if new_lo > var.lo or new_hi < var.hi:", "if new_lo > var.lo and new_hi < var.hi:",
+             "new_hi = (his[i] - cur_lo) // -a\n            if new_lo > var.lo or new_hi < var.hi:",
+             "new_hi = (his[i] - cur_lo) // -a\n            if new_lo > var.lo and new_hi < var.hi:",
              SUM_REFERENCES),
     Mutation("slack-test-skips-on-one-side", LINEAR,
-             "if widest <= -t_lo and widest <= t_hi:", "if widest <= -t_lo or widest <= t_hi:",
+             "widest = w_hi - w_lo\n        if t_lo > 0 or t_hi < 0:\n            return False\n"
+             "        if widest <= -t_lo and widest <= t_hi:",
+             "widest = w_hi - w_lo\n        if t_lo > 0 or t_hi < 0:\n            return False\n"
+             "        if widest <= -t_lo or widest <= t_hi:",
              SUM_REFERENCES),
+    Mutation("unit-reducer-narrows-from-the-lower-partial-sum", LINEAR,
+             "new_lo = cur_lo - his[i]", "new_lo = cur_lo - los[i]",
+             SUM_REFERENCES),
+    Mutation("unit-reducer-skips-the-store-unless-both-bounds-move", LINEAR,
+             "new_hi = cur_hi - los[i]\n            if new_lo > var.lo or new_hi < var.hi:",
+             "new_hi = cur_hi - los[i]\n            if new_lo > var.lo and new_hi < var.hi:",
+             SUM_REFERENCES),
+    Mutation("unit-slack-test-skips-on-one-side", LINEAR,
+             "widest = hi - lo\n        if t_lo > 0 or t_hi < 0:\n            return False\n"
+             "        if widest <= -t_lo and widest <= t_hi:",
+             "widest = hi - lo\n        if t_lo > 0 or t_hi < 0:\n            return False\n"
+             "        if widest <= -t_lo or widest <= t_hi:",
+             SUM_REFERENCES),
+    Mutation("unit-reducer-for-any-positive-coefficient", LINEAR,
+             "if a != 1:\n            return _general_reducer",
+             "if a < 0:\n            return _general_reducer",
+             SUM_REFERENCES),
+    Mutation("unit-reducer-never-chosen", LINEAR,
+             "return _unit_reducer(rt.store, c, terms)",
+             "return _general_reducer(rt.store, c, terms)",
+             ("tests/test_linear.py::test_unit_sums_take_the_unit_reducer",)),
     Mutation("negative-coefficient-lower-bound-rounded-down", LINEAR,
              "new_lo = -((cur_hi - los[i]) // -a)", "new_lo = (los[i] - cur_hi) // -a",
              SUM_REFERENCES),
@@ -204,6 +230,14 @@ MUTATIONS = (
     Mutation("verify-weak-arc-report-ignores-deadline", "src/fdprop/model.py",
              "tick=partial(check_deadline, deadline)", "tick=None",
              ("tests/test_model_cli.py::test_time_limit_cuts_verify_root_report_short",)),
+    Mutation("disequality-grouping-ignores-deadline", "src/fdprop/model.py",
+             "check_deadline(deadline)\n        for con in constraints[start:start + 4096]:",
+             "for con in constraints[start:start + 4096]:",
+             (DISEQ_POSTING,)),
+    Mutation("disequality-posting-ignores-deadline", "src/fdprop/model.py",
+             "check_deadline(rt.deadline)\n                    partners = diseqs.pop(x)",
+             "partners = diseqs.pop(x)",
+             (DISEQ_POSTING,)),
     Mutation("weak-ac-posting-ignores-deadline", ALLDISTINCT,
              "check_deadline(rt.deadline)\n        reduce = None", "reduce = None",
              ("tests/test_model_cli.py::test_time_limit_cuts_weak_ac_posting_short",)),
